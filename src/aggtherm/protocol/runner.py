@@ -81,7 +81,7 @@ class InProcessBus:
 
     def send(self, msg: Message):
         data = encode_message(msg)
-        rec = self.transcript.log(msg)
+        rec = self.transcript.log(msg, data)
         if (msg.phase, msg.sender) in self.drop:
             return
         delivered = decode_message(data)
@@ -132,6 +132,16 @@ class BuildingAgent:
         self.xi_i: float | None = None  # assigned by the coordinator at setup
         self.w_history: dict[int, np.ndarray] = {}
         self._w: np.ndarray | None = None
+        self._upload_refs: dict[int, list] = {}  # iteration -> labelled upload intermediates
+
+    def _keep_refs(self, iteration: int, refs: list):
+        """Hold this iteration's upload intermediates for ``private_refs``;
+        only an audited run (``cfg.scan``) needs them."""
+        if not self.cfg.scan:
+            return
+        if iteration not in self._upload_refs:
+            self._upload_refs = {iteration: []}
+        self._upload_refs[iteration].extend(refs)
 
     def _lag_col(self, series: np.ndarray, m: int) -> np.ndarray:
         n = len(series)
@@ -140,6 +150,10 @@ class BuildingAgent:
     def sap_upload(self, iteration: int, masks: PairwiseMaskSet) -> MaskedUpload:
         cols = [self._lag_col(self.tau_col, m) for m in range(self.M + 1)]
         shares = compute_share_s(self.xi_i, cols)
+        self._keep_refs(
+            iteration,
+            [(f"agent{self.id}/weighted_share_lag{m}", s) for m, s in enumerate(shares)],
+        )
         return MaskedUpload(
             agent=self.id,
             iteration=iteration,
@@ -162,6 +176,13 @@ class BuildingAgent:
         self._w = gen_encryption_col(K, rng, self.cfg.w_mean, self.cfg.w_sd)
         self.w_history[iteration] = self._w.copy()
         A1, A2 = compute_te_uploads(hat_col, self._w)
+        p = f"agent{self.id}/"
+        self._keep_refs(
+            iteration,
+            [(p + "hat_tau", hat_col), (p + "w_col", self.w_history[iteration])]
+            + [(f"{p}A1_col{c}", A1[:, c]) for c in range(A1.shape[1])]
+            + [(f"{p}A2_col{c}", A2[:, c]) for c in range(A2.shape[1])],
+        )
         return MaskedUpload(
             agent=self.id,
             iteration=iteration,
@@ -169,6 +190,18 @@ class BuildingAgent:
             A2_tilde=sap_mask(A2, self.id, masks, KIND_TE_A2),
             W_tilde=sap_mask(self._w, self.id, masks, KIND_TE_W),
         )
+
+    def private_refs(self, iteration: int) -> list:
+        """Labelled private vectors for the privacy scan of ``iteration``:
+        the full series, their lag views, and what this agent computed for
+        that iteration's uploads (weighted shares, filtered series,
+        encryption column, outer-product columns)."""
+        p = f"agent{self.id}/"
+        refs = [(p + "tau_full", self.tau_col), (p + "load_full", self.load_col)]
+        for m in range(self.M + 1):
+            refs.append((f"{p}tau_lag{m}", self._lag_col(self.tau_col, m)))
+            refs.append((f"{p}load_lag{m}", self._lag_col(self.load_col, m)))
+        return refs + self._upload_refs.get(iteration, [])
 
     def xi_return_message(self, xi_bar_msg: Message, iteration: int) -> Message:
         xi_bar = xi_bar_msg.payload.ravel()
@@ -209,6 +242,11 @@ class ProtocolRunner:
     """Coordinator-side orchestration of the full estimation protocol."""
 
     def __init__(self, dataset: ClusterDataset, cfg: ProtocolConfig, bus: InProcessBus | None = None):
+        if dataset.K < 2:
+            raise ValueError(
+                f"private mode needs at least 2 zones, got K={dataset.K}: with one zone "
+                "there are no pairwise masks and the coordinator would receive the raw series"
+            )
         self.dataset = dataset
         self.cfg = cfg
         self.K, self.T, self.M = dataset.K, dataset.T, dataset.M
@@ -232,35 +270,13 @@ class ProtocolRunner:
 
     # -- scanning helpers -------------------------------------------------
 
-    def _private_refs(self, iteration: int, hat_cols: dict, shares: dict):
-        refs = []
-        for i in self.agent_ids:
-            ag = self.agents[i]
-            refs.append((f"agent{i}/tau_full", ag.tau_col))
-            refs.append((f"agent{i}/load_full", ag.load_col))
-            for m in range(self.M + 1):
-                refs.append((f"agent{i}/tau_lag{m}", ag._lag_col(ag.tau_col, m)))
-                refs.append((f"agent{i}/load_lag{m}", ag._lag_col(ag.load_col, m)))
-            for m, s in enumerate(shares.get(i, [])):
-                refs.append((f"agent{i}/weighted_share_lag{m}", s))
-            if i in hat_cols:
-                refs.append((f"agent{i}/hat_tau", hat_cols[i]))
-            w = ag.w_history.get(iteration)
-            if w is not None:
-                refs.append((f"agent{i}/w_col", w))
-                hat = hat_cols.get(i)
-                if hat is not None:
-                    A1, A2 = compute_te_uploads(hat, w)
-                    for c in range(A1.shape[1]):
-                        refs.append((f"agent{i}/A1_col{c}", A1[:, c]))
-                    for c in range(A2.shape[1]):
-                        refs.append((f"agent{i}/A2_col{c}", A2[:, c]))
-        return refs
+    def _private_refs(self, iteration: int) -> list:
+        return [ref for i in self.agent_ids for ref in self.agents[i].private_refs(iteration)]
 
-    def _scan(self, iteration: int, bla_payloads: list, hat_cols: dict, shares: dict):
-        if not self.cfg.scan or self.K < 2:
+    def _scan(self, iteration: int, bla_payloads: list):
+        if not self.cfg.scan:
             return
-        refs = self._private_refs(iteration, hat_cols, shares)
+        refs = self._private_refs(iteration)
         checked, findings = scan_payloads(bla_payloads, refs)
         self.transcript.scan_checked += checked
         if findings:
@@ -298,15 +314,10 @@ class ProtocolRunner:
         for l in range(cfg.max_iter):
             masks = PairwiseMaskSet(cfg.seed, self.agent_ids, iteration=l, sd=cfg.mask_sd)
             bla_payloads = []
-            shares_by_agent = {}
 
             # SAP phase: weighted temperature shares, then raw load shares
             for i in self.agent_ids:
-                ag = self.agents[i]
-                shares_by_agent[i] = compute_share_s(
-                    ag.xi_i, [ag._lag_col(ag.tau_col, m) for m in range(M + 1)]
-                )
-                for msg in upload_messages(ag.sap_upload(l, masks)):
+                for msg in upload_messages(self.agents[i].sap_upload(l, masks)):
                     self.bus.send(msg)
 
             s_groups = _group_by_sender(
@@ -335,15 +346,12 @@ class ProtocolRunner:
                 self.bus.send(Message(l, Phase.ALPHA_BROADCAST, BLA_ID, i, alpha))
 
             # TE phase
-            hat_cols = {}
             for i in self.agent_ids:
-                ag = self.agents[i]
                 inbox = self.bus.collect(i, Phase.ALPHA_BROADCAST, l)
                 if not inbox:
                     raise ProtocolError(f"agent {i} missed the dynamics broadcast at iteration {l}")
-                for msg in upload_messages(ag.te_upload(inbox[0], K, l, masks)):
+                for msg in upload_messages(self.agents[i].te_upload(inbox[0], K, l, masks)):
                     self.bus.send(msg)
-                hat_cols[i] = compute_hat_tau_col(alpha, ag.tau_col)
 
             te_groups = _group_by_sender(
                 self.bus.collect(BLA_ID, Phase.TE_UPLOAD, l), self.agent_ids, 3, Phase.TE_UPLOAD, l
@@ -387,7 +395,7 @@ class ProtocolRunner:
                     f"iteration {l}: recovered weights sum to {xi_new.sum()!r}"
                 )
 
-            self._scan(l, bla_payloads, hat_cols, shares_by_agent)
+            self._scan(l, bla_payloads)
 
             g = gap(f1, f2)
             rec = GapRecord(f1=f1, f2=f2, gap=g, negative=f1 - f2 < 0, absolute_only=f2 == 0.0)

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..dataio import dumps_json
-from .messages import Message, Phase, encode_message
+from .messages import Message, Phase
+from .messages import encode_message  # noqa: F401  unused here; perfbench/tracer.py patches it by this name
 
 __all__ = ["MessageRecord", "ProtocolTranscript", "scan_payloads"]
 
@@ -53,8 +54,9 @@ class ProtocolTranscript:
     scan_checked: int = 0
     scan_findings: list = field(default_factory=list)
 
-    def log(self, msg: Message) -> MessageRecord:
-        data = encode_message(msg)
+    def log(self, msg: Message, data: bytes) -> MessageRecord:
+        """Record ``msg``; ``data`` is its ``encode_message`` encoding, which
+        the sender already made, so the digest costs no second encode."""
         rec = MessageRecord(
             seq=len(self.messages),
             iteration=msg.iteration,
@@ -78,38 +80,55 @@ def _signatures(columns: np.ndarray):
     return columns.mean(axis=0), columns.std(axis=0)
 
 
+def _reference_sets(private_vectors, rtol: float, atol: float) -> dict:
+    """Group the private vectors by length; per length, the reference matrix
+    with its labels, signatures and the prefilter tolerance of each signature."""
+    by_len: dict[int, list] = {}
+    for label, vec in private_vectors:
+        v = np.asarray(vec, dtype=float).ravel()
+        by_len.setdefault(len(v), []).append((label, v))
+    sets = {}
+    for n, refs in by_len.items():
+        ref_mat = np.column_stack([v for _, v in refs])
+        rm, rs = _signatures(ref_mat)
+        sets[n] = (
+            [label for label, _ in refs],
+            ref_mat,
+            rm,
+            rs,
+            atol + rtol * np.maximum(1.0, np.abs(rm)),
+            atol + rtol * np.maximum(1.0, rs),
+        )
+    return sets
+
+
 def scan_payloads(payloads, private_vectors, rtol: float = 1e-6, atol: float = 1e-8):
     """Find coordinator-visible vectors that equal a private vector.
 
     ``payloads`` is a list of (label, array); every column of each array is
     compared against every private vector of matching length.  A cheap
-    (mean, std) prefilter keeps the pairwise comparison sparse.  Returns a
-    list of (payload_label, column_index, private_label) findings.
+    (mean, std) prefilter, built once per length and applied to all of a
+    payload's columns at once, keeps the exact pairwise comparison sparse.
+    Returns (checked, findings): the number of payload columns that had
+    references of their length, and a list of (payload_label, column_index,
+    private_label) findings in payload, column, reference order.
     """
-    by_len: dict[int, list] = {}
-    for label, vec in private_vectors:
-        v = np.asarray(vec, dtype=float).ravel()
-        by_len.setdefault(len(v), []).append((label, v))
-
+    sets = _reference_sets(private_vectors, rtol, atol)
     findings = []
     checked = 0
     for label, arr in payloads:
         arr = np.asarray(arr, dtype=float)
         if arr.ndim == 1:
             arr = arr.reshape(-1, 1)
-        n = arr.shape[0]
-        refs = by_len.get(n)
-        if not refs:
+        ref_set = sets.get(arr.shape[0])
+        if ref_set is None:
             continue
-        ref_mat = np.column_stack([v for _, v in refs])
+        labels, ref_mat, rm, rs, mean_tol, std_tol = ref_set
         pm, ps = _signatures(arr)
-        rm, rs = _signatures(ref_mat)
-        scale = np.maximum(1.0, np.abs(rm))
-        for c in range(arr.shape[1]):
-            checked += 1
-            candidates = np.abs(pm[c] - rm) <= atol + rtol * scale
-            candidates &= np.abs(ps[c] - rs) <= atol + rtol * np.maximum(1.0, rs)
-            for r in np.nonzero(candidates)[0]:
-                if np.allclose(arr[:, c], ref_mat[:, r], rtol=rtol, atol=atol):
-                    findings.append((label, c, refs[r][0]))
+        checked += arr.shape[1]
+        candidates = np.abs(pm[:, None] - rm) <= mean_tol
+        candidates &= np.abs(ps[:, None] - rs) <= std_tol
+        for c, r in zip(*np.nonzero(candidates)):
+            if np.allclose(arr[:, c], ref_mat[:, r], rtol=rtol, atol=atol):
+                findings.append((label, int(c), labels[r]))
     return checked, findings

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -11,11 +12,12 @@ from aggtherm.protocol import (
     ProtocolError,
     ProtocolRunner,
     ProtocolTranscript,
+    encode_message,
     run_protocol,
     scan_payloads,
 )
 
-from _common import synthetic_instance
+from _common import random_dataset, synthetic_instance
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +77,22 @@ class TestTranscript:
             "w_sum", "xi_bar", "xi_recovered", "f1", "f2",
         }
 
+    def test_digests_match_single_encode(self):
+        sent = []
+
+        class RecordingBus(InProcessBus):
+            def send(self, msg):
+                sent.append(msg)
+                super().send(msg)
+
+        dataset, _, _ = synthetic_instance(K=3, T=40, M=2, T_occ=6, noise=0.1, seed=4)
+        bus = RecordingBus(ProtocolTranscript())
+        _, transcript = run_protocol(dataset, ProtocolConfig(lam=1.0, T_occ=6, seed=4), bus=bus)
+        assert len(sent) == len(transcript.messages) > 0
+        assert [rec.digest for rec in transcript.messages] == [
+            hashlib.sha256(encode_message(msg)).hexdigest() for msg in sent
+        ]
+
     def test_jsonl_serialization(self, small_run, tmp_path):
         *_, transcript = small_run
         path = tmp_path / "transcript.jsonl"
@@ -127,6 +145,11 @@ class TestConfigPaths:
         cfg = ProtocolConfig(T_occ=6, seed=18, xi0=np.array([0.9, 0.9, -0.8]))
         with pytest.raises(ValueError, match="probability"):
             run_protocol(dataset, cfg)
+
+    def test_single_zone_rejected(self):
+        # one zone has no mask partner: its shares would reach the coordinator unmasked
+        with pytest.raises(ValueError, match="at least 2 zones"):
+            ProtocolRunner(random_dataset(K=1, T=20), ProtocolConfig(T_occ=4))
 
     def test_zero_iterations_rejected(self):
         dataset, _, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.1, seed=18)
