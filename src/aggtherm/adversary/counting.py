@@ -57,8 +57,9 @@ class CountingReport:
 def counting_report(K: int, L: int, T: int, M: int) -> CountingReport:
     """Exact determinedness counts for the three inference systems.
 
-    Temperature aggregates repeat across lags, so the temperature-only
-    system has (T+M) independent equations per iteration, not T(M+1).
+    The coordinator receives one aggregate temperature series of T+M rows
+    per iteration, so the temperature-only system has (T+M) equations per
+    iteration.
     The Gram relation contributes only its upper triangle.
     """
     if min(K, L, T, M) < 1:

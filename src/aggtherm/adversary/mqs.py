@@ -3,9 +3,9 @@ system, and its numerical attack.
 
 Unknowns are the raw temperature block (one (T+M) x K matrix, lags
 realized as shifted views) and one K x K encryption matrix per iteration.
-Knowns are everything the coordinator legitimately sees: per-lag aggregate
-temperatures, Gram sums, column sums, weight-recovery relations, and the
-filtered-temperature products.  The attack minimizes the squared residual
+Knowns are everything the coordinator legitimately sees: the aggregate
+weighted temperature series, Gram sums, column sums, weight-recovery
+relations, and the filtered-temperature products.  The attack minimizes the squared residual
 of all equation blocks with an analytic Jacobian.
 """
 
@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares, minimize
+
+from ..model import lag_view
 
 __all__ = [
     "MqsKnowns",
@@ -36,7 +38,7 @@ __all__ = [
 class MqsKnowns:
     """Coordinator-visible quantities, one leading axis entry per iteration."""
 
-    d1: np.ndarray  # (L, M+1, T) per-lag aggregate temperatures
+    d1: np.ndarray  # (L, T+M) aggregate weighted temperature series
     D1: np.ndarray  # (L, K, K) Gram sums
     d2: np.ndarray  # (L, K) encryption-column sums
     D2: np.ndarray  # (L, T, K) filtered-temperature products
@@ -78,11 +80,14 @@ class MqsInstance:
     def __init__(self, knowns: MqsKnowns, true_values: MqsTruth):
         self.knowns = knowns
         self.true_values = true_values
-        L, n_lags, T = knowns.d1.shape
-        K = knowns.d2.shape[1]
-        M = n_lags - 1
+        L, K = knowns.d2.shape
+        T, M = knowns.D2.shape[1], knowns.alpha.shape[1]
         self.K, self.L, self.T, self.M = K, L, T, M
-        if knowns.D1.shape != (L, K, K) or knowns.D2.shape != (L, T, K):
+        if (
+            knowns.d1.shape != (L, T + M)
+            or knowns.D1.shape != (L, K, K)
+            or knowns.D2.shape != (L, T, K)
+        ):
             raise ValueError("known blocks have inconsistent shapes")
         if knowns.alpha.shape != (L, M) or knowns.xi_bar.shape != (L, K):
             raise ValueError("known vectors have inconsistent shapes")
@@ -94,30 +99,7 @@ class MqsInstance:
         self.n_equations = (
             L * (T + M) + L * len(self._triu[0]) + 2 * L * K + L * T * K
         )
-        self.agg_series = self._assemble_aggregates()
         self._check_self_consistency()
-
-    # -- assembly ----------------------------------------------------------
-
-    def _assemble_aggregates(self) -> np.ndarray:
-        """Fold the per-lag aggregate vectors into one (T+M)-series per
-        iteration; overlapping lag entries must agree."""
-        K, L, T, M = self.K, self.L, self.T, self.M
-        agg = np.zeros((L, T + M))
-        for l in range(L):
-            agg[l, M:] = self.knowns.d1[l, 0]
-            for r in range(M):
-                agg[l, r] = self.knowns.d1[l, M - r, 0]
-            scale = max(1.0, float(np.max(np.abs(agg[l]))))
-            for m in range(M + 1):
-                rows = np.arange(T) + M - m
-                dev = np.max(np.abs(agg[l, rows] - self.knowns.d1[l, m]))
-                if dev > 1e-6 * scale:
-                    raise ValueError(
-                        f"aggregate lag vectors disagree at iteration {l}, lag {m} "
-                        f"(max deviation {dev:.3e})"
-                    )
-        return agg
 
     def _check_self_consistency(self):
         r = self.residual(self.pack(self.true_values.tau, self.true_values.W))
@@ -143,10 +125,10 @@ class MqsInstance:
     # -- residual and Jacobian ----------------------------------------------
 
     def _hat_tau(self, tau: np.ndarray, l: int) -> np.ndarray:
-        K, T, M = self.K, self.T, self.M
-        out = tau[M:].copy()
+        M = self.M
+        out = lag_view(tau, M, 0).copy()
         for m in range(1, M + 1):
-            out -= self.knowns.alpha[l, m - 1] * tau[M - m : M + T - m]
+            out -= self.knowns.alpha[l, m - 1] * lag_view(tau, M, m)
         return out
 
     def residual(self, x: np.ndarray) -> np.ndarray:
@@ -156,7 +138,7 @@ class MqsInstance:
         iu, ju = self._triu
         for l in range(L):
             Wl = W[l]
-            parts.append(tau @ self.knowns.xi_in[l] - self.agg_series[l])
+            parts.append(tau @ self.knowns.xi_in[l] - self.knowns.d1[l])
             gram = Wl @ Wl.T - self.knowns.D1[l]
             parts.append(gram[iu, ju])
             parts.append(Wl @ np.ones(K) - self.knowns.d2[l])
@@ -254,18 +236,17 @@ def make_attack_instance(
         xi_out[l] = W[l].T @ xi_bar[l]
         xi = xi_out[l]
 
-    d1 = np.zeros((L, M + 1, T))
+    d1 = np.zeros((L, T + M))
     D1 = np.zeros((L, K, K))
     d2 = np.zeros((L, K))
     D2 = np.zeros((L, T, K))
     for l in range(L):
-        for m in range(M + 1):
-            d1[l, m] = tau[M - m : T + M - m] @ xi_in[l]
+        d1[l] = tau @ xi_in[l]
         D1[l] = W[l] @ W[l].T
         d2[l] = W[l] @ np.ones(K)
-        hat = tau[M:].copy()
+        hat = lag_view(tau, M, 0).copy()
         for m in range(1, M + 1):
-            hat -= alpha[l, m - 1] * tau[M - m : T + M - m]
+            hat -= alpha[l, m - 1] * lag_view(tau, M, m)
         D2[l] = hat @ W[l].T
     knowns = MqsKnowns(
         d1=d1, D1=D1, d2=d2, D2=D2, xi_in=xi_in, xi_out=xi_out, xi_bar=xi_bar, alpha=alpha
@@ -285,7 +266,7 @@ def build_mqs_from_run(runner) -> MqsInstance:
         raise ValueError("protocol run has no recorded iterations")
     K, T, M = runner.K, runner.T, runner.M
     L = len(view)
-    d1 = np.zeros((L, M + 1, T))
+    d1 = np.zeros((L, T + M))
     D1 = np.zeros((L, K, K))
     d2 = np.zeros((L, K))
     D2 = np.zeros((L, T, K))
@@ -295,9 +276,7 @@ def build_mqs_from_run(runner) -> MqsInstance:
     alpha = np.zeros((L, M))
     W = np.zeros((L, K, K))
     for l, v in enumerate(view):
-        d1[l, 0] = v["c0_xi"]
-        for m in range(1, M + 1):
-            d1[l, m] = v["c1_xi_cols"][:, m - 1]
+        d1[l] = v["s_sum"]
         D1[l] = v["A2_sum"]
         d2[l] = v["w_sum"]
         D2[l] = v["A1_sum"]

@@ -21,6 +21,8 @@ __all__ = [
     "DesignMatrices",
     "AtdmParameters",
     "Metrics",
+    "lag_view",
+    "lag_columns",
     "build_lagged_views",
     "build_design",
     "aggregate_state",
@@ -193,21 +195,30 @@ class Metrics:
         return {"rmse": self.rmse, "mape": self.mape, "r2": self.r2}
 
 
+def lag_view(series: np.ndarray, M: int, m: int) -> np.ndarray:
+    """Lag-m view of a series of T + M rows: row t is period t - m.
+
+    Requires 0 <= m <= M.  Every lag view in the package is sliced here.
+    """
+    if not 0 <= m <= M:
+        raise ValueError(f"lag must be in 0..{M}, got {m}")
+    return series[M - m : len(series) - m]
+
+
+def lag_columns(series: np.ndarray, M: int) -> np.ndarray:
+    """Lag-0..M views of a one-dimensional series, side by side (T x (M+1))."""
+    return np.column_stack([lag_view(series, M, m) for m in range(M + 1)])
+
+
 def build_lagged_views(dataset: ClusterDataset, m: int):
     """Return the lag-m views of all four series.
 
     Row t of each output is the dataset value at period t - m, for
     t = 1..T.  Requires 0 <= m <= M.
     """
-    M, T = dataset.M, dataset.T
-    if not 0 <= m <= M:
-        raise ValueError(f"lag must be in 0..{M}, got {m}")
-    lo, hi = M - m, T + M - m
-    return (
-        dataset.tau_in[lo:hi],
-        dataset.h_load[lo:hi],
-        dataset.tau_out[lo:hi],
-        dataset.h_rad[lo:hi],
+    return tuple(
+        lag_view(s, dataset.M, m)
+        for s in (dataset.tau_in, dataset.h_load, dataset.tau_out, dataset.h_rad)
     )
 
 
@@ -223,20 +234,12 @@ def occupancy_tiling(T: int, T_occ: int) -> np.ndarray:
 def build_design(dataset: ClusterDataset, T_occ: int) -> DesignMatrices:
     """Assemble the constant regressor blocks c0..c4 and the occupancy tiling."""
     M = dataset.M
-    tau0, load0, out0, rad0 = build_lagged_views(dataset, 0)
-    c1_blocks, c2_cols, c3_cols, c4_cols = [], [load0.sum(axis=1)], [out0], [rad0]
-    for m in range(1, M + 1):
-        tau_m, load_m, out_m, rad_m = build_lagged_views(dataset, m)
-        c1_blocks.append(tau_m)
-        c2_cols.append(load_m.sum(axis=1))
-        c3_cols.append(out_m)
-        c4_cols.append(rad_m)
     return DesignMatrices(
-        c0=tau0.copy(),
-        c1=np.hstack(c1_blocks) if c1_blocks else np.zeros((dataset.T, 0)),
-        c2=np.column_stack(c2_cols),
-        c3=np.column_stack(c3_cols),
-        c4=np.column_stack(c4_cols),
+        c0=lag_view(dataset.tau_in, M, 0).copy(),
+        c1=np.hstack([lag_view(dataset.tau_in, M, m) for m in range(1, M + 1)]),
+        c2=lag_columns(dataset.h_load.sum(axis=1), M),
+        c3=lag_columns(dataset.tau_out, M),
+        c4=lag_columns(dataset.h_rad, M),
         P_occ=occupancy_tiling(dataset.T, T_occ),
         T_occ=T_occ,
     )
@@ -300,7 +303,7 @@ def predict_aggregate(
                     f"prediction diverged at period {t + 1} (model unstable)"
                 )
             state[idx] = value
-    return state[M:]
+    return lag_view(state, M, 0)
 
 
 def split_dataset(dataset: ClusterDataset, train_fraction: float):

@@ -8,7 +8,7 @@ from .runner import (
     ProtocolRunner,
     run_protocol,
 )
-from .sap import PairwiseMaskSet, assemble_sp1_inputs, compute_share_s, sap_aggregate, sap_mask
+from .sap import PairwiseMaskSet, assemble_sp1_inputs, sap_aggregate, sap_mask
 from .te import (
     compute_hat_tau_col,
     compute_te_uploads,
@@ -33,7 +33,6 @@ __all__ = [
     "PairwiseMaskSet",
     "sap_mask",
     "sap_aggregate",
-    "compute_share_s",
     "assemble_sp1_inputs",
     "gen_encryption_col",
     "compute_hat_tau_col",

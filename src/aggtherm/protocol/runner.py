@@ -1,10 +1,11 @@
 """Round-synchronous protocol between building agents and the coordinator.
 
 Each iteration: agents secure-aggregate their weighted temperature and raw
-load shares, the coordinator solves the dynamics subproblem and broadcasts
-the dynamics coefficients, agents upload transformation-masked outer
-products, the coordinator solves the transformed weights subproblem,
-broadcasts the encrypted weights, and agents return their recovered
+load series, one masked upload of each per agent; the coordinator slices
+the lags it needs from the two sums, solves the dynamics subproblem and
+broadcasts the dynamics coefficients; agents upload transformation-masked
+outer products; the coordinator solves the transformed weights subproblem
+and broadcasts the encrypted weights; and agents return their recovered
 weights.  Every payload crosses an in-process bus through the binary
 envelope codec; the transcript records digests, coordinator-visible
 aggregates, and privacy-scan results.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..estimator import FitResult, GapRecord, gap, solve_sp1_from_parts
-from ..model import AtdmParameters, ClusterDataset, occupancy_tiling
+from ..model import AtdmParameters, ClusterDataset, lag_columns, lag_view, occupancy_tiling
 from .messages import Message, Phase, decode_message, encode_message
 from .sap import (
     KIND_SAP_LOAD,
@@ -27,7 +28,6 @@ from .sap import (
     KIND_TE_W,
     PairwiseMaskSet,
     assemble_sp1_inputs,
-    compute_share_s,
     sap_aggregate,
     sap_mask,
 )
@@ -113,8 +113,8 @@ class MaskedUpload:
 
     agent: int
     iteration: int
-    s_tilde: list | None = None
-    load_tilde: list | None = None
+    s_tilde: np.ndarray | None = None
+    load_tilde: np.ndarray | None = None
     A1_tilde: np.ndarray | None = None
     A2_tilde: np.ndarray | None = None
     W_tilde: np.ndarray | None = None
@@ -143,28 +143,14 @@ class BuildingAgent:
             self._upload_refs = {iteration: []}
         self._upload_refs[iteration].extend(refs)
 
-    def _lag_col(self, series: np.ndarray, m: int) -> np.ndarray:
-        n = len(series)
-        return series[self.M - m : n - m]
-
     def sap_upload(self, iteration: int, masks: PairwiseMaskSet) -> MaskedUpload:
-        cols = [self._lag_col(self.tau_col, m) for m in range(self.M + 1)]
-        shares = compute_share_s(self.xi_i, cols)
-        self._keep_refs(
-            iteration,
-            [(f"agent{self.id}/weighted_share_lag{m}", s) for m, s in enumerate(shares)],
-        )
+        share = self.xi_i * self.tau_col
+        self._keep_refs(iteration, [(f"agent{self.id}/weighted_share", share)])
         return MaskedUpload(
             agent=self.id,
             iteration=iteration,
-            s_tilde=[
-                sap_mask(shares[m], self.id, masks, KIND_SAP_S, m)
-                for m in range(self.M + 1)
-            ],
-            load_tilde=[
-                sap_mask(self._lag_col(self.load_col, m), self.id, masks, KIND_SAP_LOAD, m)
-                for m in range(self.M + 1)
-            ],
+            s_tilde=sap_mask(share, self.id, masks, KIND_SAP_S),
+            load_tilde=sap_mask(self.load_col, self.id, masks, KIND_SAP_LOAD),
         )
 
     def te_upload(self, alpha_msg: Message, K: int, iteration: int, masks: PairwiseMaskSet) -> MaskedUpload:
@@ -194,13 +180,13 @@ class BuildingAgent:
     def private_refs(self, iteration: int) -> list:
         """Labelled private vectors for the privacy scan of ``iteration``:
         the full series, their lag views, and what this agent computed for
-        that iteration's uploads (weighted shares, filtered series,
+        that iteration's uploads (weighted share, filtered series,
         encryption column, outer-product columns)."""
         p = f"agent{self.id}/"
         refs = [(p + "tau_full", self.tau_col), (p + "load_full", self.load_col)]
         for m in range(self.M + 1):
-            refs.append((f"{p}tau_lag{m}", self._lag_col(self.tau_col, m)))
-            refs.append((f"{p}load_lag{m}", self._lag_col(self.load_col, m)))
+            refs.append((f"{p}tau_lag{m}", lag_view(self.tau_col, self.M, m)))
+            refs.append((f"{p}load_lag{m}", lag_view(self.load_col, self.M, m)))
         return refs + self._upload_refs.get(iteration, [])
 
     def xi_return_message(self, xi_bar_msg: Message, iteration: int) -> Message:
@@ -213,10 +199,8 @@ def upload_messages(upload: MaskedUpload) -> list:
     """Envelope messages for one upload, in the canonical per-phase order."""
     msgs = []
     if upload.s_tilde is not None:
-        for vec in upload.s_tilde:
-            msgs.append(Message(upload.iteration, Phase.SAP_S, upload.agent, BLA_ID, vec))
-        for vec in upload.load_tilde:
-            msgs.append(Message(upload.iteration, Phase.SAP_LOAD, upload.agent, BLA_ID, vec))
+        msgs.append(Message(upload.iteration, Phase.SAP_S, upload.agent, BLA_ID, upload.s_tilde))
+        msgs.append(Message(upload.iteration, Phase.SAP_LOAD, upload.agent, BLA_ID, upload.load_tilde))
     if upload.A1_tilde is not None:
         msgs.append(Message(upload.iteration, Phase.TE_UPLOAD, upload.agent, BLA_ID, upload.A1_tilde))
         msgs.append(Message(upload.iteration, Phase.TE_UPLOAD, upload.agent, BLA_ID, upload.A2_tilde))
@@ -259,13 +243,8 @@ class ProtocolRunner:
         self.bus = bus if bus is not None else InProcessBus(self.transcript)
         self.bus.transcript = self.transcript
         # coordinator-held exogenous regressors
-        n = self.T + self.M
-        self.c3 = np.column_stack(
-            [dataset.tau_out[self.M - m : n - m] for m in range(self.M + 1)]
-        )
-        self.c4 = np.column_stack(
-            [dataset.h_rad[self.M - m : n - m] for m in range(self.M + 1)]
-        )
+        self.c3 = lag_columns(dataset.tau_out, self.M)
+        self.c4 = lag_columns(dataset.h_rad, self.M)
         self.P_occ = occupancy_tiling(self.T, cfg.T_occ)
 
     # -- scanning helpers -------------------------------------------------
@@ -293,6 +272,8 @@ class ProtocolRunner:
         cfg = self.cfg
         if cfg.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        if cfg.tol <= 0:
+            raise ValueError("tol must be > 0")
         K, M = self.K, self.M
         xi = (
             np.full(K, 1.0 / K)
@@ -315,29 +296,23 @@ class ProtocolRunner:
             masks = PairwiseMaskSet(cfg.seed, self.agent_ids, iteration=l, sd=cfg.mask_sd)
             bla_payloads = []
 
-            # SAP phase: weighted temperature shares, then raw load shares
+            # SAP phase: one weighted temperature series and one load series per agent
             for i in self.agent_ids:
                 for msg in upload_messages(self.agents[i].sap_upload(l, masks)):
                     self.bus.send(msg)
 
-            s_groups = _group_by_sender(
-                self.bus.collect(BLA_ID, Phase.SAP_S, l), self.agent_ids, M + 1, Phase.SAP_S, l
-            )
-            load_groups = _group_by_sender(
-                self.bus.collect(BLA_ID, Phase.SAP_LOAD, l), self.agent_ids, M + 1, Phase.SAP_LOAD, l
-            )
-            s_sums, load_sums = [], []
-            for m in range(M + 1):
-                s_shares = [s_groups[i][m].payload.ravel() for i in self.agent_ids]
-                l_shares = [load_groups[i][m].payload.ravel() for i in self.agent_ids]
-                for i, sh in zip(self.agent_ids, s_shares):
-                    bla_payloads.append((f"iter{l}/sap_s/agent{i}/lag{m}", sh))
-                for i, sh in zip(self.agent_ids, l_shares):
-                    bla_payloads.append((f"iter{l}/sap_load/agent{i}/lag{m}", sh))
-                s_sums.append(sap_aggregate(s_shares))
-                load_sums.append(sap_aggregate(l_shares))
+            sap_sums = []
+            for phase in (Phase.SAP_S, Phase.SAP_LOAD):
+                groups = _group_by_sender(
+                    self.bus.collect(BLA_ID, phase, l), self.agent_ids, 1, phase, l
+                )
+                shares = [groups[i][0].payload.ravel() for i in self.agent_ids]
+                for i, sh in zip(self.agent_ids, shares):
+                    bla_payloads.append((f"iter{l}/{phase.name.lower()}/agent{i}", sh))
+                sap_sums.append(sap_aggregate(shares))
+            s_sum, load_sum = sap_sums
 
-            c0_xi, c1_xi_cols, c2 = assemble_sp1_inputs(s_sums, load_sums)
+            c0_xi, c1_xi_cols, c2 = assemble_sp1_inputs(s_sum, load_sum, M)
             alpha, _b1, _g1, _t1, _u1, f1 = solve_sp1_from_parts(
                 c0_xi, c1_xi_cols, c2, self.c3, self.c4, self.P_occ, cfg.lam, float(xi @ xi)
             )
@@ -406,8 +381,7 @@ class ProtocolRunner:
                 {
                     "iteration": l,
                     "xi_in": xi.copy(),
-                    "c0_xi": c0_xi,
-                    "c1_xi_cols": c1_xi_cols,
+                    "s_sum": s_sum,
                     "c2": c2,
                     "alpha": np.asarray(alpha, dtype=float).copy(),
                     "A1_sum": A1_sum,

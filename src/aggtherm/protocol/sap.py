@@ -10,17 +10,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..model import lag_columns
+
 __all__ = [
     "PairwiseMaskSet",
     "sap_mask",
     "sap_aggregate",
-    "compute_share_s",
     "assemble_sp1_inputs",
 ]
 
 # mask kinds: (code, sub) identifies an independent stream per pair
-KIND_SAP_S = 0  # temperature shares, sub = lag
-KIND_SAP_LOAD = 1  # load shares, sub = lag
+KIND_SAP_S = 0  # weighted temperature series (T + M rows)
+KIND_SAP_LOAD = 1  # load series (T + M rows)
 KIND_TE_A1 = 2
 KIND_TE_A2 = 3
 KIND_TE_W = 4
@@ -80,23 +81,19 @@ def sap_aggregate(shares: list) -> np.ndarray:
     return out
 
 
-def compute_share_s(xi_i: float, zone_lag_columns: list) -> list:
-    """Per-lag weighted temperature shares of one agent: xi_i times each column."""
-    return [float(xi_i) * np.asarray(col, dtype=float) for col in zone_lag_columns]
+def assemble_sp1_inputs(s_sum, load_sum, M: int):
+    """Coordinator-side regressors from the two aggregated series.
 
-
-def assemble_sp1_inputs(s_sums: list, load_sums: list):
-    """Coordinator-side regressors from the per-lag aggregated shares.
-
-    ``s_sums[m]`` is the aggregated weighted temperature share at lag m and
-    ``load_sums[m]`` the aggregated cluster load at lag m.  Returns
-    (c0_xi, c1_xi_cols, c2).
+    ``s_sum`` is the aggregated weighted temperature series and ``load_sum``
+    the aggregated cluster load, both of T + M rows; the coordinator slices
+    their lag-0..M views itself.  Returns (c0_xi, c1_xi_cols, c2).
     """
-    if not s_sums or not load_sums or len(s_sums) != len(load_sums):
-        raise ValueError("need aggregated shares for every lag 0..M in both groups")
-    c0_xi = np.asarray(s_sums[0], dtype=float)
-    c1_xi_cols = (
-        np.column_stack(s_sums[1:]) if len(s_sums) > 1 else np.zeros((len(c0_xi), 0))
-    )
-    c2 = np.column_stack(load_sums)
-    return c0_xi, c1_xi_cols, c2
+    s_sum = np.asarray(s_sum, dtype=float)
+    load_sum = np.asarray(load_sum, dtype=float)
+    if s_sum.ndim != 1 or s_sum.shape != load_sum.shape or len(s_sum) <= M:
+        raise ValueError(
+            f"need two aggregated series of equal length > M={M}, "
+            f"got {s_sum.shape} and {load_sum.shape}"
+        )
+    s_lags = lag_columns(s_sum, M)
+    return s_lags[:, 0], s_lags[:, 1:], lag_columns(load_sum, M)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..estimator import solve_weights_qp
+from ..model import lag_view
 
 __all__ = [
     "gen_encryption_col",
@@ -39,9 +40,9 @@ def compute_hat_tau_col(alpha: np.ndarray, zone_series: np.ndarray) -> np.ndarra
     n = len(zone_series)
     if n <= M:
         raise ValueError(f"series must have more than M={M} rows, got {n}")
-    out = zone_series[M:].copy()
+    out = lag_view(zone_series, M, 0).copy()
     for m in range(1, M + 1):
-        out -= alpha[m - 1] * zone_series[M - m : n - m]
+        out -= alpha[m - 1] * lag_view(zone_series, M, m)
     return out
 
 

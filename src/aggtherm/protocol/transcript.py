@@ -80,9 +80,18 @@ def _signatures(columns: np.ndarray):
     return columns.mean(axis=0), columns.std(axis=0)
 
 
+# relative slack on the prefilter bounds, for rounding in the signatures
+_SIGNATURE_SLACK = 1e-9
+
+
 def _reference_sets(private_vectors, rtol: float, atol: float) -> dict:
     """Group the private vectors by length; per length, the reference matrix
-    with its labels, signatures and the prefilter tolerance of each signature."""
+    with its labels, signatures and the prefilter tolerance of each signature.
+
+    A column ``a`` with ``np.allclose(a, ref)`` has |a_i - ref_i| <= atol +
+    rtol |ref_i| for every i, so its mean lies within atol + rtol mean|ref|
+    of the reference's, and its std within atol + rtol rms(ref).  The
+    tolerances are those bounds, so the prefilter drops no such column."""
     by_len: dict[int, list] = {}
     for label, vec in private_vectors:
         v = np.asarray(vec, dtype=float).ravel()
@@ -91,13 +100,14 @@ def _reference_sets(private_vectors, rtol: float, atol: float) -> dict:
     for n, refs in by_len.items():
         ref_mat = np.column_stack([v for _, v in refs])
         rm, rs = _signatures(ref_mat)
+        rtol_slack = rtol + _SIGNATURE_SLACK
         sets[n] = (
             [label for label, _ in refs],
             ref_mat,
             rm,
             rs,
-            atol + rtol * np.maximum(1.0, np.abs(rm)),
-            atol + rtol * np.maximum(1.0, rs),
+            atol + rtol_slack * np.abs(ref_mat).mean(axis=0),
+            atol + rtol_slack * np.sqrt((ref_mat**2).mean(axis=0)),
         )
     return sets
 

@@ -71,10 +71,10 @@ class TestInstance:
     def test_inconsistent_knowns_rejected(self):
         inst = make_attack_instance(K=3, L=2, T=4, M=2, seed=6)
         knowns = inst.knowns
-        knowns.d1[0, 1, 0] += 1.0  # break the lag-overlap consistency
+        knowns.d1[0, 0] += 1.0  # the aggregate no longer matches the true series
         from aggtherm.adversary import build_mqs
 
-        with pytest.raises(ValueError, match="disagree"):
+        with pytest.raises(ValueError, match="inconsistent"):
             build_mqs(knowns, inst.true_values)
 
 

@@ -56,7 +56,7 @@ class TestTranscript:
     def test_message_flow_structure(self, small_run):
         dataset, _, _, fit, transcript = small_run
         K, M = dataset.K, dataset.M
-        per_iter = K * (M + 1) * 2 + K + 3 * K + K + K  # sap_s+load, alpha, te, xibar, xiret
+        per_iter = 2 * K + K + 3 * K + K + K  # sap_s+load, alpha, te, xibar, xiret
         assert len(transcript.messages) == per_iter * fit.iterations
         to_bla = {m.phase for m in transcript.messages if m.receiver == 0}
         assert to_bla == {"sap_s", "sap_load", "te_upload", "xi_return"}
@@ -70,10 +70,10 @@ class TestTranscript:
         view = transcript.bla_view[0]
         # aggregates the coordinator sees match their central counterparts
         xi0 = np.full(dataset.K, 1.0 / dataset.K)
-        assert np.allclose(view["c0_xi"], design.c0 @ xi0, rtol=1e-9, atol=1e-8)
+        assert np.allclose(view["s_sum"], dataset.tau_in @ xi0, rtol=1e-9, atol=1e-8)
         assert np.allclose(view["c2"], design.c2, rtol=1e-9, atol=1e-8)
         assert set(view) >= {
-            "xi_in", "c0_xi", "c1_xi_cols", "c2", "alpha", "A1_sum", "A2_sum",
+            "xi_in", "s_sum", "c2", "alpha", "A1_sum", "A2_sum",
             "w_sum", "xi_bar", "xi_recovered", "f1", "f2",
         }
 
@@ -156,6 +156,12 @@ class TestConfigPaths:
         with pytest.raises(ValueError, match="max_iter"):
             run_protocol(dataset, ProtocolConfig(T_occ=6, max_iter=0))
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    def test_nonpositive_tol_rejected(self, tol):
+        dataset, _, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.1, seed=18)
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            run_protocol(dataset, ProtocolConfig(T_occ=6, tol=tol))
+
 
 class TestOrderInvariance:
     def test_shuffled_arrival_same_results(self):
@@ -167,7 +173,7 @@ class TestOrderInvariance:
         assert np.array_equal(fit_a.params.xi, fit_b.params.xi)
         for va, vb in zip(tr_a.bla_view, tr_b.bla_view):
             assert np.array_equal(va["A1_sum"], vb["A1_sum"])
-            assert np.array_equal(va["c0_xi"], vb["c0_xi"])
+            assert np.array_equal(va["s_sum"], vb["s_sum"])
 
 
 class TestScanner:
@@ -214,14 +220,12 @@ class TestMaskedUpload:
         sap_ups = [ag.sap_upload(0, masks) for ag in agents]
         for up in sap_ups:
             assert up.A1_tilde is None and up.A2_tilde is None and up.W_tilde is None
-            assert len(up.s_tilde) == 3 and len(up.load_tilde) == 3
-        for m in range(3):
-            want_s = sum(xi[i] * agents[i]._lag_col(agents[i].tau_col, m) for i in range(3))
-            got_s = sum(up.s_tilde[m] for up in sap_ups)
-            assert np.allclose(got_s, want_s, rtol=1e-10, atol=1e-9)
-            want_l = sum(ag._lag_col(ag.load_col, m) for ag in agents)
-            got_l = sum(up.load_tilde[m] for up in sap_ups)
-            assert np.allclose(got_l, want_l, rtol=1e-10, atol=1e-9)
+            # one full (T + M)-row series of each kind, not one per lag
+            assert up.s_tilde.shape == up.load_tilde.shape == (52,)
+        got_s = sum(up.s_tilde for up in sap_ups)
+        assert np.allclose(got_s, dataset.tau_in @ xi, rtol=1e-10, atol=1e-9)
+        got_l = sum(up.load_tilde for up in sap_ups)
+        assert np.allclose(got_l, dataset.h_load.sum(axis=1), rtol=1e-10, atol=1e-9)
 
         alpha_msg = Message(0, Phase.ALPHA_BROADCAST, 0, 1, np.array([0.9, -0.2]))
         te_ups = [ag.te_upload(alpha_msg, 3, 0, masks) for ag in agents]

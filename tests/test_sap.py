@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aggtherm.model import ClusterDataset, build_design
 from aggtherm.protocol.sap import (
+    KIND_SAP_LOAD,
     KIND_SAP_S,
     KIND_TE_A1,
     PairwiseMaskSet,
     assemble_sp1_inputs,
-    compute_share_s,
     sap_aggregate,
     sap_mask,
 )
@@ -75,61 +78,68 @@ class TestSapMask:
             sap_aggregate([])
 
 
-class TestComputeShareS:
-    def test_zero_weight(self):
-        out = compute_share_s(0.0, [np.array([20.0, 24.0])])
-        assert out[0].tolist() == [0.0, 0.0]
+def check_sliced_lags_match_design(K, T, M, seed):
+    """Each agent masks one weighted temperature series and one load series
+    of T + M rows; the coordinator aggregates them and slices the lags.  The
+    sliced regressors equal the centrally built design's to 1e-9 relative."""
+    rng = np.random.default_rng(seed)
+    n = T + M
+    dataset = ClusterDataset(
+        K=K, T=T, M=M, dt_minutes=30.0,
+        tau_in=20.0 + rng.standard_normal((n, K)),
+        h_load=np.abs(rng.standard_normal((n, K))),
+        tau_out=rng.standard_normal(n), h_rad=rng.standard_normal(n),
+    )
+    design = build_design(dataset, T_occ=1)
+    xi = rng.dirichlet(np.ones(K))
+    ids = list(range(1, K + 1))
+    masks = PairwiseMaskSet(seed, ids, iteration=0)
+    s_sum = sap_aggregate(
+        [sap_mask(xi[i - 1] * dataset.tau_in[:, i - 1], i, masks, KIND_SAP_S) for i in ids]
+    )
+    load_sum = sap_aggregate(
+        [sap_mask(dataset.h_load[:, i - 1], i, masks, KIND_SAP_LOAD) for i in ids]
+    )
+    c0_xi, c1_xi_cols, c2 = assemble_sp1_inputs(s_sum, load_sum, M)
 
-    def test_unit_weight(self):
-        col = np.array([20.0, 24.0])
-        out = compute_share_s(1.0, [col])
-        assert np.array_equal(out[0], col)
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
-    def test_quarter_weight(self):
-        out = compute_share_s(0.25, [np.array([20.0, 24.0])])
-        assert out[0].tolist() == [5.0, 6.0]
+    assert c0_xi.shape == (T,) and c1_xi_cols.shape == (T, M) and c2.shape == (T, M + 1)
+    assert close(c0_xi, design.c0 @ xi)
+    for m in range(1, M + 1):
+        assert close(c1_xi_cols[:, m - 1], design.c1_block(m) @ xi)
+    assert close(c2, design.c2)
 
 
 class TestAssembleSp1Inputs:
     def test_single_zone_degenerate(self):
-        col = np.array([20.0, 21.0, 22.0])
+        series = np.array([19.0, 20.0, 21.0, 22.0])
         xi1 = 0.37  # not 1, to make the scaling visible
-        shares = compute_share_s(xi1, [col, col])
-        c0_xi, c1_cols, c2 = assemble_sp1_inputs(shares, [col, col])
-        assert np.allclose(c0_xi, xi1 * col)
-        assert c1_cols.shape == (3, 1)
+        c0_xi, c1_cols, c2 = assemble_sp1_inputs(xi1 * series, series, 1)
+        assert np.allclose(c0_xi, xi1 * series[1:])
+        assert np.allclose(c1_cols[:, 0], xi1 * series[:-1])
+        assert np.array_equal(c2, np.column_stack([series[1:], series[:-1]]))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_central_computation(self, seed):
-        rng = np.random.default_rng(seed)
-        K, T, M = 6, 30, 2
-        tau = {m: 20 + rng.standard_normal((T, K)) for m in range(M + 1)}
-        load = {m: np.abs(rng.standard_normal((T, K))) for m in range(M + 1)}
-        xi = rng.dirichlet(np.ones(K))
-        ids = list(range(1, K + 1))
-        masks = PairwiseMaskSet(seed, ids, iteration=0)
-
-        s_sums, load_sums = [], []
-        for m in range(M + 1):
-            s_shares = [
-                sap_mask(xi[i - 1] * tau[m][:, i - 1], i, masks, KIND_SAP_S, m)
-                for i in ids
-            ]
-            l_shares = [
-                sap_mask(load[m][:, i - 1], i, masks, 1, m) for i in ids
-            ]
-            s_sums.append(sap_aggregate(s_shares))
-            load_sums.append(sap_aggregate(l_shares))
-        c0_xi, c1_cols, c2 = assemble_sp1_inputs(s_sums, load_sums)
-
-        assert np.allclose(c0_xi, tau[0] @ xi, rtol=1e-9, atol=1e-9)
-        for m in range(1, M + 1):
-            assert np.allclose(c1_cols[:, m - 1], tau[m] @ xi, rtol=1e-9, atol=1e-9)
-        for m in range(M + 1):
-            assert np.allclose(c2[:, m], load[m].sum(axis=1), rtol=1e-9, atol=1e-9)
+        check_sliced_lags_match_design(K=6, T=30, M=2, seed=seed)
 
     def test_incomplete_aggregation_rejected(self):
         with pytest.raises(ValueError):
-            assemble_sp1_inputs([], [])
+            assemble_sp1_inputs(np.zeros(5), np.zeros(4), 2)
         with pytest.raises(ValueError):
-            assemble_sp1_inputs([np.zeros(3)], [np.zeros(3), np.zeros(3)])
+            assemble_sp1_inputs(np.zeros(2), np.zeros(2), 2)
+        with pytest.raises(ValueError):
+            assemble_sp1_inputs(np.zeros((5, 1)), np.zeros((5, 1)), 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    K=st.integers(2, 6),
+    M=st.sampled_from([1, 2, 3]),
+    T=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sliced_lags_match_design(K, M, T, seed):
+    check_sliced_lags_match_design(K, T, M, seed)
