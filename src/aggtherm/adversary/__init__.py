@@ -1,5 +1,10 @@
 from .counting import CountingReport, counting_report
-from .leakage import GramNotRankOneError, recover_tau_from_hat, recover_W_from_gram
+from .leakage import (
+    GramNotRankOneError,
+    estimate_share_mean,
+    recover_tau_from_hat,
+    recover_W_from_gram,
+)
 from .mqs import (
     AttackResult,
     MqsInstance,
@@ -20,6 +25,7 @@ __all__ = [
     "GramNotRankOneError",
     "recover_tau_from_hat",
     "recover_W_from_gram",
+    "estimate_share_mean",
     "AttackResult",
     "MqsInstance",
     "MqsKnowns",

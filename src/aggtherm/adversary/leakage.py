@@ -4,14 +4,21 @@ Two constructions show why specific intermediates must stay masked: the
 filtered temperature matrix lets the coordinator invert a linear system for
 the raw temperatures once it has seen two iterations with distinct
 dynamics, and a raw rank-1 Gram upload betrays its generating encryption
-column up to a sign that the weight-recovery relation then fixes.
+column up to a sign that the weight-recovery relation then fixes.  A third
+shows why masks must be uniform: averaging masked copies of one share
+estimates the zone's mean when the masks are zero-mean real draws.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["recover_tau_from_hat", "recover_W_from_gram", "GramNotRankOneError"]
+__all__ = [
+    "recover_tau_from_hat",
+    "recover_W_from_gram",
+    "estimate_share_mean",
+    "GramNotRankOneError",
+]
 
 
 class GramNotRankOneError(ValueError):
@@ -102,3 +109,18 @@ def recover_W_from_gram(A2_set: list, xi: np.ndarray, xi_bar: np.ndarray) -> np.
             col = -col
         W[:, i] = col
     return W
+
+
+def estimate_share_mean(shares: list) -> float:
+    """Estimate a zone's mean from L masked copies of its share.
+
+    Each copy is the zone's series plus a sum of pairwise masks drawn afresh
+    every round.  Averaging every entry of every copy leaves the series mean
+    plus mask noise that shrinks as 1/sqrt(L n), so zero-mean real masks
+    (Normal(0, 10), say) give the mean away.  Decoded uniform ring shares
+    are spread over the whole fixed-point range and swamp it.
+    """
+    copies = [np.asarray(s, dtype=float).ravel() for s in shares]
+    if not copies:
+        raise ValueError("need at least one masked copy")
+    return float(np.concatenate(copies).mean())

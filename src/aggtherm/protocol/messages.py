@@ -5,15 +5,19 @@ Layout (all little-endian):
 ==============  =====  ========================================
 field           bytes  meaning
 ==============  =====  ========================================
-version         u16    protocol version (currently 1)
+version         u16    protocol version (currently 2)
 iteration       u32    round index
 phase           u8     Phase enum value
 sender          u32    agent id (0 = coordinator)
 receiver        u32    agent id (0 = coordinator)
-count           u32    number of f64 payload entries (rows*cols)
+count           u32    number of payload entries (rows*cols)
 rows, cols      u32x2  payload dimensions (vectors are (n, 1))
-payload         8*n    row-major f64 data
+dtype           u8     payload dtype code: ``f`` = f64, ``u`` = u64
+payload         8*n    row-major payload data
 ==============  =====  ========================================
+
+Masked secure-aggregation shares travel as u64 ring elements; every other
+payload is f64.
 """
 
 from __future__ import annotations
@@ -26,10 +30,12 @@ import numpy as np
 
 __all__ = ["PROTOCOL_VERSION", "Phase", "Message", "encode_message", "decode_message"]
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 _HEADER = struct.Struct("<HIBII")
-_PAYLOAD_HEADER = struct.Struct("<III")
+_PAYLOAD_HEADER = struct.Struct("<IIIc")
+# payload dtype code -> wire dtype
+_WIRE_DTYPES = {b"f": np.dtype("<f8"), b"u": np.dtype("<u8")}
 
 
 class Phase(IntEnum):
@@ -39,6 +45,11 @@ class Phase(IntEnum):
     TE_UPLOAD = 3
     XI_BAR_BROADCAST = 4
     XI_RETURN = 5
+
+
+def _is_ring(p: np.ndarray) -> bool:
+    """uint64 payloads are ring elements and keep their dtype."""
+    return p.dtype.kind == "u" and p.dtype.itemsize == 8
 
 
 @dataclass
@@ -51,7 +62,8 @@ class Message:
     version: int = PROTOCOL_VERSION
 
     def __post_init__(self):
-        p = np.asarray(self.payload, dtype=float)
+        p = np.asarray(self.payload)
+        p = p.astype(np.uint64 if _is_ring(p) else float, copy=False)
         if p.ndim == 0:
             p = p.reshape(1, 1)
         elif p.ndim == 1:
@@ -63,9 +75,10 @@ class Message:
 
 def encode_message(msg: Message) -> bytes:
     rows, cols = msg.payload.shape
+    code = b"u" if _is_ring(msg.payload) else b"f"
     head = _HEADER.pack(msg.version, msg.iteration, int(msg.phase), msg.sender, msg.receiver)
-    phead = _PAYLOAD_HEADER.pack(rows * cols, rows, cols)
-    body = np.ascontiguousarray(msg.payload, dtype="<f8").tobytes()
+    phead = _PAYLOAD_HEADER.pack(rows * cols, rows, cols, code)
+    body = np.ascontiguousarray(msg.payload, dtype=_WIRE_DTYPES[code]).tobytes()
     return head + phead + body
 
 
@@ -75,19 +88,22 @@ def decode_message(data: bytes) -> Message:
     version, iteration, phase, sender, receiver = _HEADER.unpack_from(data, 0)
     if version != PROTOCOL_VERSION:
         raise ValueError(f"unsupported protocol version {version}")
-    count, rows, cols = _PAYLOAD_HEADER.unpack_from(data, _HEADER.size)
+    count, rows, cols, code = _PAYLOAD_HEADER.unpack_from(data, _HEADER.size)
     if count != rows * cols:
         raise ValueError(f"payload length {count} does not match dims {rows}x{cols}")
+    dtype = _WIRE_DTYPES.get(code)
+    if dtype is None:
+        raise ValueError(f"unknown payload dtype code {code!r}")
     offset = _HEADER.size + _PAYLOAD_HEADER.size
-    expected = offset + 8 * count
+    expected = offset + dtype.itemsize * count
     if len(data) != expected:
         raise ValueError(f"message has {len(data)} bytes, expected {expected}")
-    payload = np.frombuffer(data, dtype="<f8", count=count, offset=offset).reshape(rows, cols)
+    payload = np.frombuffer(data, dtype=dtype, count=count, offset=offset).reshape(rows, cols)
     return Message(
         iteration=iteration,
         phase=Phase(phase),
         sender=sender,
         receiver=receiver,
-        payload=payload.astype(float),
+        payload=payload.astype(dtype.newbyteorder("=")),
         version=version,
     )

@@ -6,8 +6,9 @@ the lags it needs from the two sums, solves the dynamics subproblem and
 broadcasts the dynamics coefficients; agents upload transformation-masked
 outer products; the coordinator solves the transformed weights subproblem
 and broadcasts the encrypted weights; and agents return their recovered
-weights.  Every payload crosses an in-process bus through the binary
-envelope codec; the transcript records digests, coordinator-visible
+weights.  Masked shares are uint64 ring elements, and the coordinator
+decodes only their sums.  Every payload crosses an in-process bus through
+the binary envelope codec; the transcript records digests, coordinator-visible
 aggregates, and privacy-scan results.
 """
 
@@ -28,6 +29,7 @@ from .sap import (
     KIND_TE_W,
     PairwiseMaskSet,
     assemble_sp1_inputs,
+    decode_fixed,
     sap_aggregate,
     sap_mask,
 )
@@ -61,7 +63,6 @@ class ProtocolConfig:
     seed: int = 0
     w_mean: float = 0.1
     w_sd: float = 0.1
-    mask_sd: float = 10.0
     scan: bool = True
     xi0: np.ndarray | None = None
 
@@ -107,8 +108,9 @@ class MaskedUpload:
 
     The secure-aggregation fields (``s_tilde``, ``load_tilde``) are set only
     by the aggregation phase; the transformation fields (``A1_tilde``,
-    ``A2_tilde``, ``W_tilde``) only by the encryption phase.  Summed over
-    agents, every field equals its unmasked counterpart.
+    ``A2_tilde``, ``W_tilde``) only by the encryption phase.  Every field is
+    a uint64 ring share; ``sap_aggregate`` over all agents decodes it to the
+    sum of the quantized unmasked counterparts.
     """
 
     agent: int
@@ -253,10 +255,13 @@ class ProtocolRunner:
         return [ref for i in self.agent_ids for ref in self.agents[i].private_refs(iteration)]
 
     def _scan(self, iteration: int, bla_payloads: list):
+        """Compare the fixed-point decoding of every share the coordinator
+        received with the agents' references; decoded one payload at a time."""
         if not self.cfg.scan:
             return
         refs = self._private_refs(iteration)
-        checked, findings = scan_payloads(bla_payloads, refs)
+        decoded = ((label, decode_fixed(share)) for label, share in bla_payloads)
+        checked, findings = scan_payloads(decoded, refs)
         self.transcript.scan_checked += checked
         if findings:
             self.transcript.scan_findings.extend(findings)
@@ -293,7 +298,7 @@ class ProtocolRunner:
         iterations = 0
 
         for l in range(cfg.max_iter):
-            masks = PairwiseMaskSet(cfg.seed, self.agent_ids, iteration=l, sd=cfg.mask_sd)
+            masks = PairwiseMaskSet(cfg.seed, self.agent_ids, iteration=l)
             bla_payloads = []
 
             # SAP phase: one weighted temperature series and one load series per agent

@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
+from aggtherm import generate_synthetic
 from aggtherm.adversary import (
     GramNotRankOneError,
+    estimate_share_mean,
     recover_tau_from_hat,
     recover_W_from_gram,
 )
-from aggtherm.protocol.sap import KIND_TE_A2, PairwiseMaskSet, sap_mask
+from aggtherm.protocol.sap import (
+    KIND_SAP_LOAD,
+    KIND_TE_A2,
+    PairwiseMaskSet,
+    decode_fixed,
+    sap_mask,
+)
 
 
 def forward_hat(tau, alpha):
@@ -102,7 +110,7 @@ class TestRecoverW:
         xi = W.T @ xi_bar
         masks = PairwiseMaskSet(7, ids, iteration=0)
         masked = [
-            sap_mask(np.outer(W[:, i - 1], W[:, i - 1]), i, masks, KIND_TE_A2)
+            decode_fixed(sap_mask(np.outer(W[:, i - 1], W[:, i - 1]), i, masks, KIND_TE_A2))
             for i in ids
         ]
         with pytest.raises(GramNotRankOneError):
@@ -121,3 +129,46 @@ class TestRecoverW:
         sets = [np.zeros((K, K)) for _ in range(K)]
         with pytest.raises(ValueError, match="sign unrecoverable"):
             recover_W_from_gram(sets, np.zeros(K), np.ones(K))
+
+
+class TestShareMean:
+    """Averaging L masked copies of one zone's load share."""
+
+    K, T, L = 3, 1440, 3
+
+    def _loads(self):
+        dataset, _ = generate_synthetic(K=self.K, T=self.T, M=2, T_occ=48, noise_sigma=0.2, seed=4)
+        return dataset.h_load, list(range(1, self.K + 1))
+
+    def test_gaussian_masks_leak_the_mean(self):
+        loads, ids = self._loads()
+        rng = np.random.default_rng(0)
+        copies = {i: [] for i in ids}
+        for _ in range(self.L):
+            pair = {(i, j): rng.normal(0.0, 10.0, len(loads)) for i in ids for j in ids if i < j}
+            for i in ids:
+                share = loads[:, i - 1].copy()
+                for j in ids:
+                    if i < j:
+                        share += pair[(i, j)]
+                    elif j < i:
+                        share -= pair[(j, i)]
+                copies[i].append(share)
+        for i in ids:
+            assert abs(estimate_share_mean(copies[i]) - loads[:, i - 1].mean()) < 1.0
+
+    def test_ring_masks_hide_the_mean(self):
+        loads, ids = self._loads()
+        true = loads.mean(axis=0)
+        spread = true.max() - true.min()
+        copies = {i: [] for i in ids}
+        for l in range(self.L):
+            masks = PairwiseMaskSet(0, ids, iteration=l)
+            for i in ids:
+                copies[i].append(decode_fixed(sap_mask(loads[:, i - 1], i, masks, KIND_SAP_LOAD)))
+        for i in ids:
+            assert abs(estimate_share_mean(copies[i]) - true[i - 1]) > 100 * spread
+
+    def test_no_copies_rejected(self):
+        with pytest.raises(ValueError):
+            estimate_share_mean([])

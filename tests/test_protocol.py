@@ -16,8 +16,9 @@ from aggtherm.protocol import (
     run_protocol,
     scan_payloads,
 )
+from aggtherm.protocol.sap import PairwiseMaskSet, sap_aggregate
 
-from _common import random_dataset, synthetic_instance
+from _common import random_dataset, synthetic_instance, zero_mask
 
 
 @pytest.fixture(scope="module")
@@ -123,9 +124,10 @@ class TestFailureModes:
         with pytest.raises(ProtocolError, match="TE_UPLOAD"):
             run_protocol(dataset, ProtocolConfig(lam=1.0, tol=1e-6, T_occ=6, seed=5), bus=bus)
 
-    def test_unmasked_uploads_detected_and_aborted(self):
+    def test_unmasked_uploads_detected_and_aborted(self, monkeypatch):
+        monkeypatch.setattr(PairwiseMaskSet, "mask", zero_mask)
         dataset, _, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.1, seed=6)
-        cfg = ProtocolConfig(lam=1.0, tol=1e-6, T_occ=6, seed=6, mask_sd=0.0)
+        cfg = ProtocolConfig(lam=1.0, tol=1e-6, T_occ=6, seed=6)
         with pytest.raises(ProtocolError, match="privacy violation"):
             run_protocol(dataset, cfg)
 
@@ -204,7 +206,6 @@ class TestMaskedUpload:
     def test_phase_fields_and_sum_invariance(self):
         from aggtherm.protocol import Message
         from aggtherm.protocol.runner import BuildingAgent
-        from aggtherm.protocol.sap import PairwiseMaskSet
 
         dataset, _, _ = synthetic_instance(K=3, T=50, M=2, T_occ=6, noise=0.1, seed=30)
         cfg = ProtocolConfig(T_occ=6, seed=30)
@@ -222,9 +223,9 @@ class TestMaskedUpload:
             assert up.A1_tilde is None and up.A2_tilde is None and up.W_tilde is None
             # one full (T + M)-row series of each kind, not one per lag
             assert up.s_tilde.shape == up.load_tilde.shape == (52,)
-        got_s = sum(up.s_tilde for up in sap_ups)
+        got_s = sap_aggregate([up.s_tilde for up in sap_ups])
         assert np.allclose(got_s, dataset.tau_in @ xi, rtol=1e-10, atol=1e-9)
-        got_l = sum(up.load_tilde for up in sap_ups)
+        got_l = sap_aggregate([up.load_tilde for up in sap_ups])
         assert np.allclose(got_l, dataset.h_load.sum(axis=1), rtol=1e-10, atol=1e-9)
 
         alpha_msg = Message(0, Phase.ALPHA_BROADCAST, 0, 1, np.array([0.9, -0.2]))
@@ -232,9 +233,9 @@ class TestMaskedUpload:
         for up in te_ups:
             assert up.s_tilde is None and up.load_tilde is None
         W = np.column_stack([ag.w_history[0] for ag in agents])
-        got_w = sum(up.W_tilde for up in te_ups)
+        got_w = sap_aggregate([up.W_tilde for up in te_ups])
         assert np.allclose(got_w, W @ np.ones(3), rtol=1e-10, atol=1e-9)
-        got_gram = sum(up.A2_tilde for up in te_ups)
+        got_gram = sap_aggregate([up.A2_tilde for up in te_ups])
         assert np.allclose(got_gram, W @ W.T, rtol=1e-9, atol=1e-9)
 
 

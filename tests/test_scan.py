@@ -6,9 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aggtherm.protocol import ProtocolConfig, ProtocolError, ProtocolRunner, scan_payloads
+from aggtherm.protocol import (
+    PairwiseMaskSet,
+    ProtocolConfig,
+    ProtocolError,
+    ProtocolRunner,
+    scan_payloads,
+)
 
-from _common import synthetic_instance
+from _common import synthetic_instance, zero_mask
 
 
 def pairwise_scan_payloads(payloads, private_vectors, rtol=1e-6, atol=1e-8):
@@ -100,7 +106,9 @@ def test_scan_matches_pairwise_allclose(case):
     assert scan_payloads(payloads, refs) == pairwise_scan_payloads(payloads, refs)
 
 
-# Findings of the unmasked run below.  Each agent uploads one weighted
+# Findings of the unmasked run below, whose zero masks leave each share
+# the plain fixed-point encoding of its input; it decodes to within 2^-45
+# of the reference.  Each agent uploads one weighted
 # temperature series and one load series.  With xi0 = (1, 0, 0), agent 1's
 # weighted share equals its temperature series, and the zero shares of
 # agents 2 and 3 match each other's.
@@ -138,11 +146,10 @@ UNMASKED_FINDINGS = [
 ]
 
 
-def test_unmasked_run_full_findings():
+def test_unmasked_run_full_findings(monkeypatch):
+    monkeypatch.setattr(PairwiseMaskSet, "mask", zero_mask)
     dataset, _, _ = synthetic_instance(K=3, T=30, M=2, T_occ=6, noise=0.1, seed=6)
-    cfg = ProtocolConfig(
-        lam=1.0, tol=1e-6, T_occ=6, seed=6, mask_sd=0.0, xi0=np.array([1.0, 0.0, 0.0])
-    )
+    cfg = ProtocolConfig(lam=1.0, tol=1e-6, T_occ=6, seed=6, xi0=np.array([1.0, 0.0, 0.0]))
     runner = ProtocolRunner(dataset, cfg)
     with pytest.raises(ProtocolError, match="privacy violation at iteration 0: 30 "):
         runner.run()
