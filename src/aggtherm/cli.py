@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -280,13 +280,8 @@ def cmd_attack(args) -> int:
 def cmd_compare(args) -> int:
     cfg = resolve_config(args)
     dataset = parse_dataset(args.data, M=cfg.order)
-    design = build_design(dataset, cfg.t_occ)
-    plain = bcd_fit(design, lam=cfg.lam, tol=cfg.tol)
-    pcfg = ProtocolConfig(
-        lam=cfg.lam, tol=cfg.tol, T_occ=cfg.t_occ, seed=cfg.seed,
-        w_mean=cfg.w_mean, w_sd=cfg.w_sd,
-    )
-    private, _ = run_protocol(dataset, pcfg)
+    plain, _ = _fit_dataset(dataset, replace(cfg, mode="plain"))
+    private, _ = _fit_dataset(dataset, replace(cfg, mode="private"))
     report = {"config": cfg.__dict__, "parameters": {}}
     worst = 0.0
     for name in ("xi", "alpha", "beta", "gamma", "theta", "tau_occ_free"):
@@ -302,6 +297,8 @@ def cmd_compare(args) -> int:
     report["max_relative_error"] = worst
     report["plain_objective"] = plain.objective
     report["private_objective"] = private.objective
+    report["plain_warnings"] = plain.warnings
+    report["private_warnings"] = private.warnings
     if args.out:
         dump_json(report, args.out)
         print(f"wrote {args.out}")

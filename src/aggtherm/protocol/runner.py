@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..estimator import FitResult, GapRecord, gap, solve_sp1_from_parts
-from ..model import AtdmParameters, ClusterDataset, lag_columns, lag_view, occupancy_tiling
+from ..estimator import FitResult, alternate, check_start, solve_sp1_from_parts
+from ..model import ClusterDataset, lag_columns, lag_view, occupancy_tiling
 from .messages import Message, Phase, decode_message, encode_message
 from .sap import (
     KIND_SAP_LOAD,
@@ -248,6 +248,7 @@ class ProtocolRunner:
         self.c3 = lag_columns(dataset.tau_out, self.M)
         self.c4 = lag_columns(dataset.h_rad, self.M)
         self.P_occ = occupancy_tiling(self.T, cfg.T_occ)
+        self._round = None  # what the dynamics step hands the weights step
 
     # -- scanning helpers -------------------------------------------------
 
@@ -271,151 +272,110 @@ class ProtocolRunner:
                 f"coordinator-visible payload(s) match private data ({shown})"
             )
 
-    # -- main loop ---------------------------------------------------------
+    # -- the two steps of one round ------------------------------------------
+
+    def _sap_step(self, l: int, xi: np.ndarray):
+        """Dynamics step of round l: secure-aggregate the agents' weighted
+        temperature and load series and solve for the dynamics.  Returns
+        (alpha, f1); ``xi`` is the round's input weights, for the penalty."""
+        masks = PairwiseMaskSet(self.cfg.seed, self.agent_ids, iteration=l)
+        for i in self.agent_ids:
+            for msg in upload_messages(self.agents[i].sap_upload(l, masks)):
+                self.bus.send(msg)
+
+        payloads, sap_sums = [], []
+        for phase in (Phase.SAP_S, Phase.SAP_LOAD):
+            groups = _group_by_sender(
+                self.bus.collect(BLA_ID, phase, l), self.agent_ids, 1, phase, l
+            )
+            shares = [groups[i][0].payload.ravel() for i in self.agent_ids]
+            for i, sh in zip(self.agent_ids, shares):
+                payloads.append((f"iter{l}/{phase.name.lower()}/agent{i}", sh))
+            sap_sums.append(sap_aggregate(shares))
+        s_sum, load_sum = sap_sums
+
+        c0_xi, c1_xi_cols, c2 = assemble_sp1_inputs(s_sum, load_sum, self.M)
+        alpha, *_unused, f1 = solve_sp1_from_parts(
+            c0_xi, c1_xi_cols, c2, self.c3, self.c4, self.P_occ, self.cfg.lam, float(xi @ xi)
+        )
+        self._round = {"payloads": payloads, "xi_in": xi.copy(), "s_sum": s_sum, "c2": c2, "f1": f1}
+        return alpha, f1
+
+    def _te_step(self, l: int, alpha: np.ndarray):
+        """Weights step of round l: broadcast the dynamics, solve the
+        transformation-masked weights subproblem, let the agents recover their
+        weights, then scan the round and record the coordinator's view.
+        Returns (xi, beta, gamma, theta, tau_occ_free, f2)."""
+        rnd = self._round
+        masks = PairwiseMaskSet(self.cfg.seed, self.agent_ids, iteration=l)
+        for i in self.agent_ids:
+            self.bus.send(Message(l, Phase.ALPHA_BROADCAST, BLA_ID, i, alpha))
+        for i in self.agent_ids:
+            inbox = self.bus.collect(i, Phase.ALPHA_BROADCAST, l)
+            if not inbox:
+                raise ProtocolError(f"agent {i} missed the dynamics broadcast at iteration {l}")
+            for msg in upload_messages(self.agents[i].te_upload(inbox[0], self.K, l, masks)):
+                self.bus.send(msg)
+
+        te_groups = _group_by_sender(
+            self.bus.collect(BLA_ID, Phase.TE_UPLOAD, l), self.agent_ids, 3, Phase.TE_UPLOAD, l
+        )
+        A1_shares = [te_groups[i][0].payload for i in self.agent_ids]
+        A2_shares = [te_groups[i][1].payload for i in self.agent_ids]
+        W_shares = [te_groups[i][2].payload.ravel() for i in self.agent_ids]
+        payloads = rnd["payloads"]
+        for i, a1, a2, wt in zip(self.agent_ids, A1_shares, A2_shares, W_shares):
+            for c in range(a1.shape[1]):
+                payloads.append((f"iter{l}/te/agent{i}/A1_col{c}", a1[:, c]))
+            for c in range(a2.shape[1]):
+                payloads.append((f"iter{l}/te/agent{i}/A2_col{c}", a2[:, c]))
+            payloads.append((f"iter{l}/te/agent{i}/w", wt))
+        A1_sum = sap_aggregate(A1_shares)
+        A2_sum = sap_aggregate(A2_shares)
+        w_sum = sap_aggregate(W_shares)
+
+        xi_bar, *coefs, f2 = solve_sp2_masked(
+            A1_sum, A2_sum, w_sum, rnd["c2"], self.c3, self.c4, self.P_occ, self.cfg.lam
+        )
+
+        for i in self.agent_ids:
+            self.bus.send(Message(l, Phase.XI_BAR_BROADCAST, BLA_ID, i, xi_bar))
+        for i in self.agent_ids:
+            inbox = self.bus.collect(i, Phase.XI_BAR_BROADCAST, l)
+            if not inbox:
+                raise ProtocolError(f"agent {i} missed the weights broadcast at iteration {l}")
+            self.bus.send(self.agents[i].xi_return_message(inbox[0], l))
+
+        xi_groups = _group_by_sender(
+            self.bus.collect(BLA_ID, Phase.XI_RETURN, l), self.agent_ids, 1, Phase.XI_RETURN, l
+        )
+        xi_new = np.array([float(xi_groups[i][0].payload.ravel()[0]) for i in self.agent_ids])
+
+        self._scan(l, payloads)
+        self.transcript.bla_view.append(
+            {
+                "iteration": l,
+                "xi_in": rnd["xi_in"],
+                "s_sum": rnd["s_sum"],
+                "c2": rnd["c2"],
+                "alpha": np.asarray(alpha, dtype=float).copy(),
+                "A1_sum": A1_sum,
+                "A2_sum": A2_sum,
+                "w_sum": w_sum,
+                "xi_bar": np.asarray(xi_bar, dtype=float).copy(),
+                "xi_recovered": xi_new.copy(),
+                "f1": rnd["f1"],
+                "f2": f2,
+            }
+        )
+        self._round = None
+        return (xi_new, *coefs, f2)
 
     def run(self) -> tuple[FitResult, ProtocolTranscript]:
-        cfg = self.cfg
-        if cfg.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if cfg.tol <= 0:
-            raise ValueError("tol must be > 0")
-        K, M = self.K, self.M
-        xi = (
-            np.full(K, 1.0 / K)
-            if cfg.xi0 is None
-            else np.asarray(cfg.xi0, dtype=float).ravel()
-        )
-        if len(xi) != K or abs(xi.sum() - 1.0) > 1e-8 or xi.min() < -1e-8:
-            raise ValueError("xi0 must be a probability vector of length K")
+        xi = check_start(self.cfg.xi0, self.K)
         for idx, i in enumerate(self.agent_ids):
             self.agents[i].xi_i = float(xi[idx])
-
-        trace: list[GapRecord] = []
-        warnings: list[str] = []
-        converged = False
-        alpha = beta = gamma_ = theta = tau_occ = None
-        f2 = np.inf
-        iterations = 0
-
-        for l in range(cfg.max_iter):
-            masks = PairwiseMaskSet(cfg.seed, self.agent_ids, iteration=l)
-            bla_payloads = []
-
-            # SAP phase: one weighted temperature series and one load series per agent
-            for i in self.agent_ids:
-                for msg in upload_messages(self.agents[i].sap_upload(l, masks)):
-                    self.bus.send(msg)
-
-            sap_sums = []
-            for phase in (Phase.SAP_S, Phase.SAP_LOAD):
-                groups = _group_by_sender(
-                    self.bus.collect(BLA_ID, phase, l), self.agent_ids, 1, phase, l
-                )
-                shares = [groups[i][0].payload.ravel() for i in self.agent_ids]
-                for i, sh in zip(self.agent_ids, shares):
-                    bla_payloads.append((f"iter{l}/{phase.name.lower()}/agent{i}", sh))
-                sap_sums.append(sap_aggregate(shares))
-            s_sum, load_sum = sap_sums
-
-            c0_xi, c1_xi_cols, c2 = assemble_sp1_inputs(s_sum, load_sum, M)
-            alpha, _b1, _g1, _t1, _u1, f1 = solve_sp1_from_parts(
-                c0_xi, c1_xi_cols, c2, self.c3, self.c4, self.P_occ, cfg.lam, float(xi @ xi)
-            )
-
-            for i in self.agent_ids:
-                self.bus.send(Message(l, Phase.ALPHA_BROADCAST, BLA_ID, i, alpha))
-
-            # TE phase
-            for i in self.agent_ids:
-                inbox = self.bus.collect(i, Phase.ALPHA_BROADCAST, l)
-                if not inbox:
-                    raise ProtocolError(f"agent {i} missed the dynamics broadcast at iteration {l}")
-                for msg in upload_messages(self.agents[i].te_upload(inbox[0], K, l, masks)):
-                    self.bus.send(msg)
-
-            te_groups = _group_by_sender(
-                self.bus.collect(BLA_ID, Phase.TE_UPLOAD, l), self.agent_ids, 3, Phase.TE_UPLOAD, l
-            )
-            A1_shares = [te_groups[i][0].payload for i in self.agent_ids]
-            A2_shares = [te_groups[i][1].payload for i in self.agent_ids]
-            W_shares = [te_groups[i][2].payload.ravel() for i in self.agent_ids]
-            for i, a1, a2, wt in zip(self.agent_ids, A1_shares, A2_shares, W_shares):
-                for c in range(a1.shape[1]):
-                    bla_payloads.append((f"iter{l}/te/agent{i}/A1_col{c}", a1[:, c]))
-                for c in range(a2.shape[1]):
-                    bla_payloads.append((f"iter{l}/te/agent{i}/A2_col{c}", a2[:, c]))
-                bla_payloads.append((f"iter{l}/te/agent{i}/w", wt))
-            A1_sum = sap_aggregate(A1_shares)
-            A2_sum = sap_aggregate(A2_shares)
-            w_sum = sap_aggregate(W_shares)
-
-            xi_bar, beta, gamma_, theta, tau_occ, f2 = solve_sp2_masked(
-                A1_sum, A2_sum, w_sum, c2, self.c3, self.c4, self.P_occ, cfg.lam
-            )
-
-            for i in self.agent_ids:
-                self.bus.send(Message(l, Phase.XI_BAR_BROADCAST, BLA_ID, i, xi_bar))
-            for i in self.agent_ids:
-                inbox = self.bus.collect(i, Phase.XI_BAR_BROADCAST, l)
-                if not inbox:
-                    raise ProtocolError(f"agent {i} missed the weights broadcast at iteration {l}")
-                self.bus.send(self.agents[i].xi_return_message(inbox[0], l))
-
-            xi_groups = _group_by_sender(
-                self.bus.collect(BLA_ID, Phase.XI_RETURN, l), self.agent_ids, 1, Phase.XI_RETURN, l
-            )
-            xi_new = np.array([float(xi_groups[i][0].payload.ravel()[0]) for i in self.agent_ids])
-
-            if xi_new.min() < -1e-6:
-                warnings.append(
-                    f"iteration {l}: recovered weight below zero (min {xi_new.min()!r})"
-                )
-            if abs(xi_new.sum() - 1.0) > 1e-8:
-                warnings.append(
-                    f"iteration {l}: recovered weights sum to {xi_new.sum()!r}"
-                )
-
-            self._scan(l, bla_payloads)
-
-            g = gap(f1, f2)
-            rec = GapRecord(f1=f1, f2=f2, gap=g, negative=f1 - f2 < 0, absolute_only=f2 == 0.0)
-            trace.append(rec)
-            if rec.negative:
-                warnings.append(f"iteration {l}: negative gap {g!r}")
-            self.transcript.bla_view.append(
-                {
-                    "iteration": l,
-                    "xi_in": xi.copy(),
-                    "s_sum": s_sum,
-                    "c2": c2,
-                    "alpha": np.asarray(alpha, dtype=float).copy(),
-                    "A1_sum": A1_sum,
-                    "A2_sum": A2_sum,
-                    "w_sum": w_sum,
-                    "xi_bar": np.asarray(xi_bar, dtype=float).copy(),
-                    "xi_recovered": xi_new.copy(),
-                    "f1": f1,
-                    "f2": f2,
-                }
-            )
-
-            xi = xi_new
-            iterations += 1
-            if g < cfg.tol:
-                converged = True
-                break
-
-        params = AtdmParameters(
-            xi=xi, alpha=alpha, beta=beta, gamma=gamma_, theta=theta, tau_occ_free=tau_occ
-        )
-        fit = FitResult(
-            params=params,
-            objective=float(f2),
-            iterations=iterations,
-            gap_trace=trace,
-            converged=converged,
-            warnings=warnings,
-        )
+        fit = alternate(self._sap_step, self._te_step, xi, self.cfg.tol, self.cfg.max_iter)
         self.transcript.fit = fit.as_dict()
         return fit, self.transcript
 

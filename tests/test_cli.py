@@ -109,6 +109,7 @@ class TestCompare:
         assert doc["max_relative_error"] < 1e-3
         assert set(doc["parameters"]) == {"xi", "alpha", "beta", "gamma", "theta",
                                           "tau_occ_free"}
+        assert doc["plain_warnings"] == [] and doc["private_warnings"] == []
 
 
 class TestCounting:
