@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..model import lag_filter
+
 __all__ = [
     "recover_tau_from_hat",
     "recover_W_from_gram",
@@ -43,13 +45,7 @@ def recover_tau_from_hat(hat_tau_per_iter: list, alpha_per_iter: list) -> np.nda
     if any(len(a) != M for a in alphas) or any(m.shape != (T, K) for m in mats):
         raise ValueError("iterations have inconsistent shapes")
 
-    A = np.zeros((T * L, T + M))
-    for l in range(L):
-        for t in range(T):
-            row = l * T + t
-            A[row, M + t] = 1.0
-            for m in range(1, M + 1):
-                A[row, M + t - m] -= alphas[l][m - 1]
+    A = np.vstack([lag_filter(np.eye(T + M), M, a) for a in alphas])
     rank = np.linalg.matrix_rank(A)
     if rank < T + M:
         raise ValueError(

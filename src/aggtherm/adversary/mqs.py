@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares, minimize
 
-from ..model import lag_view
+from ..model import lag_filter
 
 __all__ = [
     "MqsKnowns",
@@ -89,7 +89,9 @@ class MqsInstance:
             or knowns.D2.shape != (L, T, K)
         ):
             raise ValueError("known blocks have inconsistent shapes")
-        if knowns.alpha.shape != (L, M) or knowns.xi_bar.shape != (L, K):
+        if knowns.alpha.shape != (L, M) or any(
+            v.shape != (L, K) for v in (knowns.xi_in, knowns.xi_out, knowns.xi_bar)
+        ):
             raise ValueError("known vectors have inconsistent shapes")
         if true_values.tau.shape != (T + M, K) or true_values.W.shape != (L, K, K):
             raise ValueError("true values have inconsistent shapes")
@@ -124,13 +126,6 @@ class MqsInstance:
 
     # -- residual and Jacobian ----------------------------------------------
 
-    def _hat_tau(self, tau: np.ndarray, l: int) -> np.ndarray:
-        M = self.M
-        out = lag_view(tau, M, 0).copy()
-        for m in range(1, M + 1):
-            out -= self.knowns.alpha[l, m - 1] * lag_view(tau, M, m)
-        return out
-
     def residual(self, x: np.ndarray) -> np.ndarray:
         K, L, T, M = self.K, self.L, self.T, self.M
         tau, W = self.unpack(x)
@@ -143,7 +138,8 @@ class MqsInstance:
             parts.append(gram[iu, ju])
             parts.append(Wl @ np.ones(K) - self.knowns.d2[l])
             parts.append(Wl.T @ self.knowns.xi_bar[l] - self.knowns.xi_out[l])
-            parts.append(((self._hat_tau(tau, l) @ Wl.T) - self.knowns.D2[l]).ravel())
+            hat = lag_filter(tau, M, self.knowns.alpha[l])
+            parts.append(((hat @ Wl.T) - self.knowns.D2[l]).ravel())
         return np.concatenate(parts)
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
@@ -177,8 +173,8 @@ class MqsInstance:
                 )
             row += K
             # mixed rows: residual[t, j] = sum_i hat_tau[t, i] W[j, i]
-            hat = self._hat_tau(tau, l)
             alpha = self.knowns.alpha[l]
+            hat = lag_filter(tau, M, alpha)
             for t in range(T):
                 base = row + t * K
                 for j in range(K):
@@ -244,10 +240,7 @@ def make_attack_instance(
         d1[l] = tau @ xi_in[l]
         D1[l] = W[l] @ W[l].T
         d2[l] = W[l] @ np.ones(K)
-        hat = lag_view(tau, M, 0).copy()
-        for m in range(1, M + 1):
-            hat -= alpha[l, m - 1] * lag_view(tau, M, m)
-        D2[l] = hat @ W[l].T
+        D2[l] = lag_filter(tau, M, alpha[l]) @ W[l].T
     knowns = MqsKnowns(
         d1=d1, D1=D1, d2=d2, D2=D2, xi_in=xi_in, xi_out=xi_out, xi_bar=xi_bar, alpha=alpha
     )

@@ -138,6 +138,10 @@ def format_float(x) -> str:
     return format(float(x), ".17g")
 
 
+# JSON spellings of the non-finite floats, which Python's json module reads back
+_JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
 def _write_json(obj, out: io.StringIO, indent: int):
     pad = " " * indent
     if isinstance(obj, dict):
@@ -165,7 +169,8 @@ def _write_json(obj, out: io.StringIO, indent: int):
     elif isinstance(obj, (int, np.integer)):
         out.write(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        out.write(format_float(obj))
+        text = format_float(obj)
+        out.write(_JSON_NONFINITE.get(text, text))
     elif isinstance(obj, np.ndarray):
         _write_json(obj.tolist(), out, indent)
     elif isinstance(obj, str):
@@ -175,7 +180,8 @@ def _write_json(obj, out: io.StringIO, indent: int):
 
 
 def dumps_json(obj) -> str:
-    """JSON text with every float at 17 significant digits."""
+    """JSON text with every float at 17 significant digits; non-finite
+    floats are written as ``Infinity``, ``-Infinity`` and ``NaN``."""
     out = io.StringIO()
     _write_json(obj, out, 0)
     out.write("\n")

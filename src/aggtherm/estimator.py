@@ -11,12 +11,14 @@ runs it on these solvers, the private protocol on its masked rounds.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import LinAlgWarning
 
-from .model import AtdmParameters, DesignMatrices
+from .model import AtdmParameters, DesignMatrices, lag_columns, lag_filter
 
 __all__ = [
     "EstimationError",
@@ -28,7 +30,6 @@ __all__ = [
     "solve_sp2_plain",
     "solve_weights_qp",
     "solve_constrained_quadratic",
-    "hat_tau",
     "gap",
     "DESCENT_RTOL",
     "check_start",
@@ -89,9 +90,7 @@ class FitResult:
 
 
 def _residual(params: AtdmParameters, design: DesignMatrices) -> np.ndarray:
-    r = design.c0 @ params.xi
-    for m in range(1, design.M + 1):
-        r = r - params.alpha[m - 1] * (design.c1_block(m) @ params.xi)
+    r = lag_filter(design.tau @ params.xi, design.M, params.alpha)
     r = r - design.c2 @ params.beta
     r = r - design.c3 @ params.gamma
     r = r - design.c4 @ params.theta
@@ -121,8 +120,7 @@ def _split_exogenous(rest: np.ndarray, n1: int):
 
 
 def solve_sp1_from_parts(
-    y: np.ndarray,
-    lag_cols: np.ndarray,
+    s: np.ndarray,
     c2: np.ndarray,
     c3: np.ndarray,
     c4: np.ndarray,
@@ -130,14 +128,23 @@ def solve_sp1_from_parts(
     lam: float,
     xi_norm_sq: float,
 ):
-    """Weights-fixed least squares from already-aggregated regressors.
+    """Weights-fixed least squares from the weighted temperature series.
 
-    ``y`` is the weighted zero-lag state and ``lag_cols`` its lag-1..M
-    counterparts; neither requires access to per-zone data.  Returns
-    (alpha, beta, gamma, theta, tau_occ_free, f1).
+    ``s`` is the weighted series (T + M rows, lag history first), needing
+    no access to per-zone data; its lag-0 view is the target and its
+    lag-1..M views are the dynamics regressors.  M is read from ``c2``
+    (T x (M+1)).  Returns (alpha, beta, gamma, theta, tau_occ_free, f1).
     """
-    M = lag_cols.shape[1]
-    Z = np.hstack([lag_cols, c2, c3, c4, P_occ])
+    s = np.asarray(s, dtype=float)
+    M = c2.shape[1] - 1
+    if s.ndim != 1 or len(s) != c2.shape[0] + M or len(s) <= M:
+        raise ValueError(
+            f"the weighted series must be 1-D with T + M = {c2.shape[0] + M} rows, "
+            f"more than M = {M}; got shape {s.shape}"
+        )
+    s_lags = lag_columns(s, M)
+    y = s_lags[:, 0]
+    Z = np.hstack([s_lags[:, 1:], c2, c3, c4, P_occ])
     coef, *_ = np.linalg.lstsq(Z, y, rcond=None)
     resid = y - Z @ coef
     f1 = float(resid @ resid + lam * xi_norm_sq)
@@ -156,12 +163,8 @@ def solve_sp1(xi: np.ndarray, design: DesignMatrices, lam: float):
         raise ValueError("xi contains non-finite entries")
     if len(xi) != design.K:
         raise ValueError(f"xi must have {design.K} entries, got {len(xi)}")
-    lag_cols = np.column_stack(
-        [design.c1_block(m) @ xi for m in range(1, design.M + 1)]
-    )
     return solve_sp1_from_parts(
-        design.c0 @ xi,
-        lag_cols,
+        design.tau @ xi,
         design.c2,
         design.c3,
         design.c4,
@@ -249,17 +252,6 @@ def solve_weights_qp(
     return (v, *_split_exogenous(x[K:], c2.shape[1]), f)
 
 
-def hat_tau(alpha: np.ndarray, design: DesignMatrices) -> np.ndarray:
-    """Dynamics-filtered indoor temperatures: c0 minus the alpha-weighted lags."""
-    alpha = np.asarray(alpha, dtype=float).ravel()
-    if len(alpha) != design.M:
-        raise ValueError(f"alpha must have {design.M} entries, got {len(alpha)}")
-    S = design.c0.copy()
-    for m in range(1, design.M + 1):
-        S -= alpha[m - 1] * design.c1_block(m)
-    return S
-
-
 def solve_sp2_plain(alpha: np.ndarray, design: DesignMatrices, lam: float):
     """Minimize the objective over weights and coefficients with alpha fixed.
 
@@ -267,10 +259,9 @@ def solve_sp2_plain(alpha: np.ndarray, design: DesignMatrices, lam: float):
     coordinates are handled by an active-set loop on the KKT system.
     Returns (xi, beta, gamma, theta, tau_occ_free, f2).
     """
-    S = hat_tau(alpha, design)
     K = design.K
     return solve_weights_qp(
-        S,
+        lag_filter(design.tau, design.M, alpha),
         design.c2,
         design.c3,
         design.c4,
@@ -304,6 +295,21 @@ def _rises(f_new: float, f_old: float) -> bool:
     return f_new > f_old + DESCENT_RTOL * max(1.0, abs(f_old))
 
 
+def _recording_linalg_warnings(step, *args):
+    """Run ``step(*args)``; return its result and the messages of the scipy
+    LinAlgWarnings it raised.  Every warning it raised is re-issued after
+    the step, so callers that catch them still see them."""
+    caught = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", LinAlgWarning)
+            out = step(*args)
+    finally:
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+    return out, [str(w.message) for w in caught if issubclass(w.category, LinAlgWarning)]
+
+
 def alternate(sp1, sp2, xi: np.ndarray, tol: float, max_iter: int) -> FitResult:
     """Block coordinate descent from the weights ``xi`` until the gap drops below tol.
 
@@ -313,32 +319,34 @@ def alternate(sp1, sp2, xi: np.ndarray, tol: float, max_iter: int) -> FitResult:
     the ``DESCENT_RTOL`` slack; a rise aborts with EstimationError.  A rise
     within the slack is rounding noise: the trace marks its gap ``negative``
     but it is not a warning.  Warnings name rounds by l, from 0, and flag an
-    absolute-only gap, weights on or past their zero bound, and weights that
-    do not sum to one.
+    ill-conditioned weights solve (a scipy LinAlgWarning, which is re-issued),
+    an absolute-only gap, weights on or past their zero bound, and weights
+    that do not sum to one.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     trace: list[GapRecord] = []
-    warnings: list[str] = []
+    notes: list[str] = []
     converged = False
     for l in range(max_iter):
         alpha, f1 = sp1(l, xi)
         if trace and _rises(f1, f2):
             raise EstimationError(f"divergence at iteration {l}: f1={f1!r} > previous f2={f2!r}")
-        xi, beta, gamma_, theta, tau_occ, f2 = sp2(l, alpha)
+        (xi, beta, gamma_, theta, tau_occ, f2), ill = _recording_linalg_warnings(sp2, l, alpha)
         if _rises(f2, f1):
             raise EstimationError(f"divergence at iteration {l}: f2={f2!r} > f1={f1!r}")
         g = gap(f1, f2)
         rec = GapRecord(f1=f1, f2=f2, gap=g, negative=f1 - f2 < 0, absolute_only=f2 == 0.0)
         trace.append(rec)
+        notes.extend(f"iteration {l}: ill-conditioned weights solve ({msg})" for msg in ill)
         if rec.absolute_only:
-            warnings.append(f"iteration {l}: f2 == 0, absolute-only gap")
+            notes.append(f"iteration {l}: f2 == 0, absolute-only gap")
         if xi.min() <= 0.0:
-            warnings.append(f"iteration {l}: active weight bound (min xi {float(xi.min())!r})")
+            notes.append(f"iteration {l}: active weight bound (min xi {float(xi.min())!r})")
         if abs(xi.sum() - 1.0) > 1e-8:
-            warnings.append(f"iteration {l}: weights sum to {float(xi.sum())!r}")
+            notes.append(f"iteration {l}: weights sum to {float(xi.sum())!r}")
         if g < tol:
             converged = True
             break
@@ -352,7 +360,7 @@ def alternate(sp1, sp2, xi: np.ndarray, tol: float, max_iter: int) -> FitResult:
         iterations=len(trace),
         gap_trace=trace,
         converged=converged,
-        warnings=warnings,
+        warnings=notes,
     )
 
 

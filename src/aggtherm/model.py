@@ -23,6 +23,7 @@ __all__ = [
     "Metrics",
     "lag_view",
     "lag_columns",
+    "lag_filter",
     "build_lagged_views",
     "build_design",
     "aggregate_state",
@@ -95,15 +96,15 @@ class ClusterDataset:
 class DesignMatrices:
     """Constant regressor blocks of the cluster-level least squares problem.
 
-    ``c0`` is the zero-lag indoor temperature block (T x K), ``c1`` stacks
-    the lag-1..M indoor temperature blocks side by side (T x K*M), ``c2``
-    holds per-lag cluster-total loads (T x (M+1)), ``c3``/``c4`` the lagged
-    outdoor temperature and solar radiation (T x (M+1)), and ``P_occ`` tiles
-    T_occ free occupancy values over the horizon (T x T_occ, one 1 per row).
+    ``tau`` is the raw indoor temperature series ((T+M) x K, lag history
+    first); ``c0`` and ``c1_block(m)`` are its lag-0 and lag-m views
+    (T x K).  ``c2`` holds per-lag cluster-total loads (T x (M+1)),
+    ``c3``/``c4`` the lagged outdoor temperature and solar radiation
+    (T x (M+1)), and ``P_occ`` tiles T_occ free occupancy values over the
+    horizon (T x T_occ, one 1 per row).
     """
 
-    c0: np.ndarray
-    c1: np.ndarray
+    tau: np.ndarray
     c2: np.ndarray
     c3: np.ndarray
     c4: np.ndarray
@@ -112,21 +113,26 @@ class DesignMatrices:
 
     @property
     def T(self) -> int:
-        return self.c0.shape[0]
+        return self.c2.shape[0]
 
     @property
     def K(self) -> int:
-        return self.c0.shape[1]
+        return self.tau.shape[1]
 
     @property
     def M(self) -> int:
         return self.c2.shape[1] - 1
 
+    @property
+    def c0(self) -> np.ndarray:
+        """Zero-lag indoor temperature block (T x K), a view of ``tau``."""
+        return lag_view(self.tau, self.M, 0)
+
     def c1_block(self, m: int) -> np.ndarray:
-        """Lag-m indoor temperature block of c1 (T x K), 1 <= m <= M."""
+        """Lag-m indoor temperature block (T x K), 1 <= m <= M, a view of ``tau``."""
         if not 1 <= m <= self.M:
             raise ValueError(f"lag must be in 1..{self.M}, got {m}")
-        return self.c1[:, (m - 1) * self.K : m * self.K]
+        return lag_view(self.tau, self.M, m)
 
 
 @dataclass
@@ -210,6 +216,27 @@ def lag_columns(series: np.ndarray, M: int) -> np.ndarray:
     return np.column_stack([lag_view(series, M, m) for m in range(M + 1)])
 
 
+def lag_filter(series: np.ndarray, M: int, alpha) -> np.ndarray:
+    """Dynamics-filtered series: the lag-0 view minus the alpha-weighted
+    lag-1..M views, so row t is s_t - sum_m alpha_m s_{t-m}.
+
+    ``series`` is 1-D or 2-D with T + M rows; the result has T rows.  Every
+    lag filter in the package is formed here.
+    """
+    alpha = np.asarray(alpha, dtype=float).ravel()
+    if len(alpha) != M:
+        raise ValueError(f"alpha must have M={M} entries, got {len(alpha)}")
+    series = np.asarray(series, dtype=float)
+    if series.ndim not in (1, 2) or len(series) <= M:
+        raise ValueError(
+            f"series must be 1-D or 2-D with more than M={M} rows, got shape {series.shape}"
+        )
+    out = lag_view(series, M, 0).copy()
+    for m in range(1, M + 1):
+        out -= alpha[m - 1] * lag_view(series, M, m)
+    return out
+
+
 def build_lagged_views(dataset: ClusterDataset, m: int):
     """Return the lag-m views of all four series.
 
@@ -232,11 +259,11 @@ def occupancy_tiling(T: int, T_occ: int) -> np.ndarray:
 
 
 def build_design(dataset: ClusterDataset, T_occ: int) -> DesignMatrices:
-    """Assemble the constant regressor blocks c0..c4 and the occupancy tiling."""
+    """Assemble the indoor series, the constant regressor blocks c2..c4 and
+    the occupancy tiling."""
     M = dataset.M
     return DesignMatrices(
-        c0=lag_view(dataset.tau_in, M, 0).copy(),
-        c1=np.hstack([lag_view(dataset.tau_in, M, m) for m in range(1, M + 1)]),
+        tau=dataset.tau_in.copy(),
         c2=lag_columns(dataset.h_load.sum(axis=1), M),
         c3=lag_columns(dataset.tau_out, M),
         c4=lag_columns(dataset.h_rad, M),

@@ -8,9 +8,8 @@ from .runner import (
     ProtocolRunner,
     run_protocol,
 )
-from .sap import PairwiseMaskSet, assemble_sp1_inputs, sap_aggregate, sap_mask
+from .sap import PairwiseMaskSet, sap_aggregate, sap_mask
 from .te import (
-    compute_hat_tau_col,
     compute_te_uploads,
     gen_encryption_col,
     solve_sp2_masked,
@@ -33,9 +32,7 @@ __all__ = [
     "PairwiseMaskSet",
     "sap_mask",
     "sap_aggregate",
-    "assemble_sp1_inputs",
     "gen_encryption_col",
-    "compute_hat_tau_col",
     "compute_te_uploads",
     "solve_sp2_masked",
     "te_recover",

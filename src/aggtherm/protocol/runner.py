@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..estimator import FitResult, alternate, check_start, solve_sp1_from_parts
-from ..model import ClusterDataset, lag_columns, lag_view, occupancy_tiling
+from ..model import ClusterDataset, lag_columns, lag_filter, lag_view, occupancy_tiling
 from .messages import Message, Phase, decode_message, encode_message
 from .sap import (
     KIND_SAP_LOAD,
@@ -28,12 +28,11 @@ from .sap import (
     KIND_TE_A2,
     KIND_TE_W,
     PairwiseMaskSet,
-    assemble_sp1_inputs,
     decode_fixed,
     sap_aggregate,
     sap_mask,
 )
-from .te import compute_hat_tau_col, compute_te_uploads, gen_encryption_col, solve_sp2_masked, te_recover
+from .te import compute_te_uploads, gen_encryption_col, solve_sp2_masked, te_recover
 from .transcript import ProtocolTranscript, scan_payloads
 
 __all__ = [
@@ -156,8 +155,7 @@ class BuildingAgent:
         )
 
     def te_upload(self, alpha_msg: Message, K: int, iteration: int, masks: PairwiseMaskSet) -> MaskedUpload:
-        alpha = alpha_msg.payload.ravel()
-        hat_col = compute_hat_tau_col(alpha, self.tau_col)
+        hat_col = lag_filter(self.tau_col, self.M, alpha_msg.payload)
         rng = np.random.default_rng(
             np.random.SeedSequence(self.cfg.seed, spawn_key=(2000 + iteration, self.id))
         )
@@ -294,9 +292,9 @@ class ProtocolRunner:
             sap_sums.append(sap_aggregate(shares))
         s_sum, load_sum = sap_sums
 
-        c0_xi, c1_xi_cols, c2 = assemble_sp1_inputs(s_sum, load_sum, self.M)
+        c2 = lag_columns(load_sum, self.M)
         alpha, *_unused, f1 = solve_sp1_from_parts(
-            c0_xi, c1_xi_cols, c2, self.c3, self.c4, self.P_occ, self.cfg.lam, float(xi @ xi)
+            s_sum, c2, self.c3, self.c4, self.P_occ, self.cfg.lam, float(xi @ xi)
         )
         self._round = {"payloads": payloads, "xi_in": xi.copy(), "s_sum": s_sum, "c2": c2, "f1": f1}
         return alpha, f1

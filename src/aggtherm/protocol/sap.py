@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..model import lag_columns
-
 __all__ = [
     "FRAC_BITS",
     "PairwiseMaskSet",
@@ -25,7 +23,6 @@ __all__ = [
     "decode_fixed",
     "sap_mask",
     "sap_aggregate",
-    "assemble_sp1_inputs",
 ]
 
 # mask kinds: (code, sub) identifies an independent stream per pair
@@ -124,21 +121,3 @@ def sap_aggregate(shares: list) -> np.ndarray:
             raise ValueError(f"share dtype {s.dtype} does not match {first.dtype}")
         out += s
     return decode_fixed(out)
-
-
-def assemble_sp1_inputs(s_sum, load_sum, M: int):
-    """Coordinator-side regressors from the two aggregated series.
-
-    ``s_sum`` is the aggregated weighted temperature series and ``load_sum``
-    the aggregated cluster load, both of T + M rows; the coordinator slices
-    their lag-0..M views itself.  Returns (c0_xi, c1_xi_cols, c2).
-    """
-    s_sum = np.asarray(s_sum, dtype=float)
-    load_sum = np.asarray(load_sum, dtype=float)
-    if s_sum.ndim != 1 or s_sum.shape != load_sum.shape or len(s_sum) <= M:
-        raise ValueError(
-            f"need two aggregated series of equal length > M={M}, "
-            f"got {s_sum.shape} and {load_sum.shape}"
-        )
-    s_lags = lag_columns(s_sum, M)
-    return s_lags[:, 0], s_lags[:, 1:], lag_columns(load_sum, M)

@@ -12,11 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..estimator import solve_weights_qp
-from ..model import lag_view
 
 __all__ = [
     "gen_encryption_col",
-    "compute_hat_tau_col",
     "compute_te_uploads",
     "solve_sp2_masked",
     "te_recover",
@@ -26,24 +24,6 @@ __all__ = [
 def gen_encryption_col(K: int, rng: np.random.Generator, mean: float = 0.1, sd: float = 0.1):
     """One agent's private encryption column: K draws from Normal(mean, sd)."""
     return rng.normal(mean, sd, size=K)
-
-
-def compute_hat_tau_col(alpha: np.ndarray, zone_series: np.ndarray) -> np.ndarray:
-    """Filter one zone's temperature series by the fixed dynamics.
-
-    ``zone_series`` carries T + M rows (lag history first); entry t of the
-    result is the period-t value minus the alpha-weighted lagged values.
-    """
-    alpha = np.asarray(alpha, dtype=float).ravel()
-    zone_series = np.asarray(zone_series, dtype=float).ravel()
-    M = len(alpha)
-    n = len(zone_series)
-    if n <= M:
-        raise ValueError(f"series must have more than M={M} rows, got {n}")
-    out = lag_view(zone_series, M, 0).copy()
-    for m in range(1, M + 1):
-        out -= alpha[m - 1] * lag_view(zone_series, M, m)
-    return out
 
 
 def compute_te_uploads(hat_tau_col: np.ndarray, w_col: np.ndarray):

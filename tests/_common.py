@@ -35,8 +35,7 @@ def random_design(K=3, T=10, M=2, T_occ=4, seed=0):
 
 def zero_design(K, T, M, T_occ):
     return DesignMatrices(
-        c0=np.zeros((T, K)),
-        c1=np.zeros((T, K * M)),
+        tau=np.zeros((T + M, K)),
         c2=np.zeros((T, M + 1)),
         c3=np.zeros((T, M + 1)),
         c4=np.zeros((T, M + 1)),

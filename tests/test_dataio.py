@@ -142,3 +142,14 @@ class TestReportFormat:
         assert back["b"][1] == 2.5e-13
         assert back["b"][4] == 'q"uote'
         assert back["c"]["nested"] == [1.0, 2.0]
+
+    def test_json_non_finite_round_trip(self):
+        """A failed attack scenario reports an error of inf; the JSON stays
+        readable and reads back to the same values."""
+        obj = {"failed": float("inf"), "v": [-np.inf, np.float64(np.nan), 1e308 * 10, 0.5]}
+        text = dumps_json(obj)
+        assert "Infinity" in text and "NaN" in text
+        back = json.loads(text)
+        assert back["failed"] == float("inf")
+        assert back["v"][0] == -float("inf") and np.isnan(back["v"][1])
+        assert back["v"][2:] == [float("inf"), 0.5]

@@ -1,17 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgWarning
 
 import aggtherm.estimator as est
 from aggtherm.estimator import (
     EstimationError,
     bcd_fit,
     gap,
-    hat_tau,
     objective,
     solve_sp1,
     solve_sp2_plain,
 )
-from aggtherm.model import AtdmParameters
+from aggtherm.model import AtdmParameters, lag_filter
 
 from _common import random_design, random_params, synthetic_instance, zero_design
 
@@ -23,7 +25,7 @@ def objective_oracle(params, design, lam):
     for t in range(T):
         r = sum(design.c0[t, i] * params.xi[i] for i in range(K))
         for m in range(1, M + 1):
-            block = design.c1[:, (m - 1) * K : m * K]
+            block = design.c1_block(m)
             r -= params.alpha[m - 1] * sum(block[t, i] * params.xi[i] for i in range(K))
         for m in range(M + 1):
             r -= params.beta[m] * design.c2[t, m]
@@ -183,7 +185,7 @@ class TestSolveSp2Plain:
         assert abs(xi.sum() - 1.0) <= 1e-8
         assert xi.min() >= -1e-8
         # stationarity on the constraint manifold at inactive coordinates
-        S = hat_tau(alpha, d)
+        S = lag_filter(d.tau, d.M, alpha)
         A = np.hstack([S, -d.c2, -d.c3, -d.c4, -d.P_occ])
         x = np.concatenate([xi, beta, gamma, theta, tau_occ])
         g = 2 * (A.T @ (A @ x))
@@ -259,6 +261,27 @@ class TestBcdFit:
         monkeypatch.setattr(est, "solve_sp1", inflated_sp1)
         with pytest.raises(EstimationError, match="divergence"):
             est.bcd_fit(design, lam=1.0, tol=1e-14, max_iter=10)
+
+    def test_ill_conditioned_weights_solve_reported(self):
+        """A LinAlgWarning raised in a weights step is named in the fit's
+        warnings for that round and still reaches the caller; other
+        warnings pass through untouched."""
+        xi0 = np.array([0.5, 0.5])
+        coefs = (np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(1))
+
+        def sp2(l, alpha):
+            if l == 1:
+                warnings.warn("rcond = 1e-17", LinAlgWarning)
+                warnings.warn("unrelated", UserWarning)
+            return (xi0, *coefs, 0.95 - 0.1 * l)
+
+        with pytest.warns(Warning) as caught:
+            fit = est.alternate(lambda l, xi: (np.zeros(2), 1.0 - 0.1 * l), sp2, xi0, 1e-12, 3)
+        assert fit.warnings == ["iteration 1: ill-conditioned weights solve (rcond = 1e-17)"]
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (LinAlgWarning, "rcond = 1e-17"),
+            (UserWarning, "unrelated"),
+        ]
 
     @pytest.mark.parametrize("step", ["f1", "f2"])
     @pytest.mark.parametrize("factor, raises", [(0.5, False), (2.0, True)])

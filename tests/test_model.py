@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from aggtherm.model import (
     AtdmParameters,
@@ -8,12 +11,14 @@ from aggtherm.model import (
     build_design,
     build_lagged_views,
     evaluate_metrics,
+    lag_filter,
     occupancy_tiling,
     predict_aggregate,
     split_dataset,
 )
 
 from _common import random_dataset, random_design, random_params
+from test_leakage import forward_hat
 
 
 def tiny_dataset(tau_rows, K=1, T=2, M=1):
@@ -62,8 +67,9 @@ class TestBuildDesign:
     def test_shapes(self):
         ds = random_dataset(K=2, T=2, M=1, seed=2)
         d = build_design(ds, T_occ=2)
+        assert d.tau.shape == (3, 2)
         assert d.c0.shape == (2, 2)
-        assert d.c1.shape == (2, 2)
+        assert d.c1_block(1).shape == (2, 2)
         assert d.c2.shape == (2, 2)
         assert d.c3.shape == (2, 2)
         assert d.c4.shape == (2, 2)
@@ -90,6 +96,39 @@ class TestBuildDesign:
             assert np.array_equal(d.c3[:, m], out_m)
             assert np.array_equal(d.c4[:, m], rad_m)
         assert np.all(d.P_occ.sum(axis=1) == 1)
+
+
+class TestLagFilter:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        M=st.integers(1, 3),
+        T=st.integers(1, 10),
+        cols=st.sampled_from([None, 1, 2, 4]),
+    )
+    def test_matches_definition_and_filter_map(self, data, M, T, cols):
+        """The filter is the scalar-loop definition bit for bit, and equals
+        its own filter map (the filter of the identity) applied to the series."""
+        shape = (T + M,) if cols is None else (T + M, cols)
+        finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+        series = data.draw(hnp.arrays(np.float64, shape, elements=finite))
+        alpha = data.draw(hnp.arrays(np.float64, (M,), elements=st.floats(-2.0, 2.0)))
+        got = lag_filter(series, M, alpha)
+        assert got.shape == (T,) + shape[1:]
+        assert np.array_equal(got, forward_hat(series, alpha))
+        F = lag_filter(np.eye(T + M), M, alpha)
+        assert F.shape == (T, T + M)
+        scale = 1.0 + float(np.max(np.abs(series))) * (1.0 + float(np.sum(np.abs(alpha))))
+        assert np.max(np.abs(F @ series - got), initial=0.0) <= 1e-12 * scale
+        wrong = data.draw(st.sampled_from([M - 1, M + 1]))
+        with pytest.raises(ValueError, match="alpha must have"):
+            lag_filter(series, M, np.ones(wrong))
+
+    def test_input_shapes_rejected(self):
+        with pytest.raises(ValueError, match="more than M=2 rows"):
+            lag_filter(np.ones(2), 2, [0.5, 0.5])
+        with pytest.raises(ValueError, match="1-D or 2-D"):
+            lag_filter(np.ones((5, 2, 2)), 2, [0.5, 0.5])
 
 
 class TestAggregateState:

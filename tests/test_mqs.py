@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from aggtherm.adversary import (
     SweepConfig,
     attack_sweep,
+    build_mqs,
     build_mqs_from_run,
     counting_report,
     make_attack_instance,
@@ -35,6 +37,18 @@ class TestInstance:
             assert inst.n_unknowns == rep.type3_unknown_total
             assert len(inst.residual(inst.perturbed_start(np.random.default_rng(0)))) \
                 == rep.type3_equation_total
+
+    @pytest.mark.parametrize(
+        "field, rows", [("xi_in", 2), ("xi_in", 0.5), ("xi_out", 2), ("xi_out", 0.5)]
+    )
+    def test_known_vector_shapes_checked(self, field, rows):
+        """xi_in and xi_out must carry one K-vector per round, no more, no fewer."""
+        inst = make_attack_instance(K=4, L=2, T=8, M=2, seed=0)
+        v = getattr(inst.knowns, field)
+        bad = np.vstack([v, v]) if rows == 2 else v[:1]
+        knowns = dataclasses.replace(inst.knowns, **{field: bad})
+        with pytest.raises(ValueError, match="known vectors have inconsistent shapes"):
+            build_mqs(knowns, inst.true_values)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_residual_positive_away_from_truth(self, seed):

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import LinAlgWarning
 
 import aggtherm.protocol.runner as runner_mod
 from aggtherm import bcd_fit, build_design
@@ -188,6 +190,24 @@ class TestSharedChecks:
                 assert w.startswith(f"iteration {l}: active weight bound (min xi ")
                 assert "np.float64" not in w
 
+    def test_ill_conditioned_weights_solve_reported(self):
+        """On this K=32 dataset one masked weights solve raises scipy's
+        LinAlgWarning.  The private fit names it in its warnings and the
+        warning still reaches the caller; the plain fit has no such solve."""
+        seed = 1810752066
+        dataset, design, _ = synthetic_instance(K=32, T=1080, M=2, T_occ=48, noise=0.2, seed=seed)
+        plain = bcd_fit(design, lam=100.0)
+        with pytest.warns(LinAlgWarning):
+            private, _ = run_protocol(
+                dataset, ProtocolConfig(lam=100.0, T_occ=48, seed=seed, scan=False)
+            )
+        assert plain.warnings == []
+        assert len(private.warnings) == 1
+        assert re.fullmatch(
+            r"iteration \d+: ill-conditioned weights solve \(.*ill-conditioned.*\)",
+            private.warnings[0],
+        )
+
     @settings(max_examples=100, deadline=None)
     @given(
         K=st.integers(2, 6),
@@ -335,6 +355,19 @@ class TestMaskedUpload:
         assert np.allclose(got_w, W @ np.ones(3), rtol=1e-10, atol=1e-9)
         got_gram = sap_aggregate([up.A2_tilde for up in te_ups])
         assert np.allclose(got_gram, W @ W.T, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("alpha", [[0.9], [0.9, -0.2, 0.1]])
+    def test_wrong_length_dynamics_rejected(self, alpha):
+        """An agent filters its own series at its own order M, so a dynamics
+        broadcast of another length is an error, not a filter of that order."""
+        from aggtherm.protocol import Message
+        from aggtherm.protocol.runner import BuildingAgent
+
+        dataset, _, _ = synthetic_instance(K=2, T=30, M=2, T_occ=6, noise=0.1, seed=31)
+        agent = BuildingAgent(1, dataset.tau_in[:, 0], dataset.h_load[:, 0], 2, ProtocolConfig())
+        msg = Message(0, Phase.ALPHA_BROADCAST, 0, 1, np.array(alpha))
+        with pytest.raises(ValueError, match="alpha must have M=2 entries"):
+            agent.te_upload(msg, 2, 0, PairwiseMaskSet(31, [1, 2], iteration=0))
 
 
 class TestWeightsFreshness:

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from aggtherm.model import ClusterDataset, build_design
+from aggtherm.estimator import solve_sp1, solve_sp1_from_parts
+from aggtherm.model import ClusterDataset, build_design, lag_columns
 from aggtherm.protocol.sap import (
     FRAC_BITS,
     KIND_SAP_LOAD,
@@ -12,7 +13,6 @@ from aggtherm.protocol.sap import (
     KIND_TE_A1,
     KIND_TE_W,
     PairwiseMaskSet,
-    assemble_sp1_inputs,
     decode_fixed,
     encode_fixed,
     fixed_point_bound,
@@ -117,10 +117,10 @@ class TestSapMask:
             sap_aggregate([])
 
 
-def check_sliced_lags_match_design(K, T, M, seed):
+def aggregated_series(K, T, M, seed):
     """Each agent masks one weighted temperature series and one load series
-    of T + M rows; the coordinator aggregates them and slices the lags.  The
-    sliced regressors equal the centrally built design's to 1e-9 relative."""
+    of T + M rows, and the coordinator aggregates them.  Returns (design,
+    xi, s_sum, load_sum) for the same data built centrally."""
     rng = np.random.default_rng(seed)
     n = T + M
     dataset = ClusterDataset(
@@ -139,38 +139,65 @@ def check_sliced_lags_match_design(K, T, M, seed):
     load_sum = sap_aggregate(
         [sap_mask(dataset.h_load[:, i - 1], i, masks, KIND_SAP_LOAD) for i in ids]
     )
-    c0_xi, c1_xi_cols, c2 = assemble_sp1_inputs(s_sum, load_sum, M)
+    return design, xi, s_sum, load_sum
 
-    def close(got, want):
-        return np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
-    assert c0_xi.shape == (T,) and c1_xi_cols.shape == (T, M) and c2.shape == (T, M + 1)
-    assert close(c0_xi, design.c0 @ xi)
+def close(got, want):
+    return np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def check_sliced_lags_match_design(K, T, M, seed):
+    """The lag columns the coordinator slices from the two sums (the
+    dynamics-step inputs) equal the centrally built design's to 1e-9
+    relative."""
+    design, xi, s_sum, load_sum = aggregated_series(K, T, M, seed)
+    s_lags, c2 = lag_columns(s_sum, M), lag_columns(load_sum, M)
+    assert s_lags.shape == (T, M + 1) and c2.shape == (T, M + 1)
+    assert close(s_lags[:, 0], design.c0 @ xi)
     for m in range(1, M + 1):
-        assert close(c1_xi_cols[:, m - 1], design.c1_block(m) @ xi)
+        assert close(s_lags[:, m], design.c1_block(m) @ xi)
     assert close(c2, design.c2)
 
 
+def sp1_from_sums(s_sum, load_sum, M):
+    """The coordinator's dynamics step on zero exogenous regressors."""
+    c2 = lag_columns(load_sum, M)
+    T = c2.shape[0]
+    zeros = np.zeros((T, M + 1))
+    return solve_sp1_from_parts(s_sum, c2, zeros, zeros, np.ones((T, 1)), 1.0, 0.0)
+
+
 class TestAssembleSp1Inputs:
+    """The coordinator's dynamics-step inputs: ``lag_columns`` of the two
+    aggregated series, fed to ``solve_sp1_from_parts``."""
+
     def test_single_zone_degenerate(self):
         series = np.array([19.0, 20.0, 21.0, 22.0])
         xi1 = 0.37  # not 1, to make the scaling visible
-        c0_xi, c1_cols, c2 = assemble_sp1_inputs(xi1 * series, series, 1)
-        assert np.allclose(c0_xi, xi1 * series[1:])
-        assert np.allclose(c1_cols[:, 0], xi1 * series[:-1])
+        s_lags, c2 = lag_columns(xi1 * series, 1), lag_columns(series, 1)
+        assert np.allclose(s_lags[:, 0], xi1 * series[1:])
+        assert np.allclose(s_lags[:, 1], xi1 * series[:-1])
         assert np.array_equal(c2, np.column_stack([series[1:], series[:-1]]))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_central_computation(self, seed):
         check_sliced_lags_match_design(K=6, T=30, M=2, seed=seed)
+        # the dynamics step from the sums matches the plain one from the design
+        design, xi, s_sum, load_sum = aggregated_series(K=6, T=30, M=2, seed=seed)
+        got = solve_sp1_from_parts(
+            s_sum, lag_columns(load_sum, 2), design.c3, design.c4, design.P_occ, 1.0, xi @ xi
+        )
+        want = solve_sp1(xi, design, 1.0)
+        for g, w in zip(got, want):
+            assert close(np.atleast_1d(g), np.atleast_1d(w))
 
     def test_incomplete_aggregation_rejected(self):
-        with pytest.raises(ValueError):
-            assemble_sp1_inputs(np.zeros(5), np.zeros(4), 2)
-        with pytest.raises(ValueError):
-            assemble_sp1_inputs(np.zeros(2), np.zeros(2), 2)
-        with pytest.raises(ValueError):
-            assemble_sp1_inputs(np.zeros((5, 1)), np.zeros((5, 1)), 2)
+        with pytest.raises(ValueError, match="weighted series"):
+            sp1_from_sums(np.zeros(5), np.zeros(4), 2)
+        with pytest.raises(ValueError, match="weighted series"):
+            sp1_from_sums(np.zeros(2), np.zeros(2), 2)
+        with pytest.raises(ValueError, match="weighted series"):
+            sp1_from_sums(np.zeros((5, 1)), np.zeros((5, 1)), 2)
 
 
 @settings(max_examples=100, deadline=None)

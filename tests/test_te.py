@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from aggtherm.estimator import solve_sp2_plain
+from aggtherm.model import lag_filter
 from aggtherm.protocol.te import (
-    compute_hat_tau_col,
     compute_te_uploads,
     gen_encryption_col,
     solve_sp2_masked,
@@ -29,13 +29,15 @@ class TestGenEncryptionCol:
 
 
 class TestComputeHatTauCol:
+    """An agent's filtered column: ``lag_filter`` on its own 1-D series."""
+
     def test_zero_alpha_keeps_zero_lag(self):
         series = np.array([1.0, 2.0, 3.0, 4.0])
-        out = compute_hat_tau_col(np.array([0.0]), series)
+        out = lag_filter(series, 1, np.array([0.0]))
         assert out.tolist() == [2.0, 3.0, 4.0]
 
     def test_unit_alpha_constant_series(self):
-        out = compute_hat_tau_col(np.array([1.0]), np.full(6, 20.0))
+        out = lag_filter(np.full(6, 20.0), 1, np.array([1.0]))
         assert np.allclose(out, 0.0)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -44,14 +46,14 @@ class TestComputeHatTauCol:
         M, T = 2, 6
         alpha = rng.standard_normal(M)
         series = 20 + rng.standard_normal(T + M)
-        got = compute_hat_tau_col(alpha, series)
+        got = lag_filter(series, M, alpha)
         for t in range(T):
             want = series[M + t] - sum(alpha[m - 1] * series[M + t - m] for m in range(1, M + 1))
             assert np.isclose(got[t], want, rtol=1e-12)
 
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
-            compute_hat_tau_col(np.array([0.5, 0.5]), np.array([1.0, 2.0]))
+            lag_filter(np.array([1.0, 2.0]), 2, np.array([0.5, 0.5]))
 
 
 class TestComputeTeUploads:
@@ -92,9 +94,7 @@ class TestTeRecover:
 
 def masked_inputs(design, alpha, W):
     """Coordinator-visible sums for a full-knowledge W (no SAP needed here)."""
-    from aggtherm.estimator import hat_tau
-
-    S = hat_tau(alpha, design)
+    S = lag_filter(design.tau, design.M, alpha)
     A1_sum = S @ W.T
     A2_sum = W @ W.T
     w_sum = W @ np.ones(W.shape[0])
@@ -166,10 +166,8 @@ class TestMaskingDecorrelation:
     def test_weather_sharing_cluster_still_masked(self):
         # zones sharing weather keep a common mode, so the bar is looser:
         # far from the unmasked correlation of 1
-        from aggtherm.estimator import hat_tau
-
         _, design, true = synthetic_instance(K=7, T=300, M=2, T_occ=24, noise=0.2, seed=77)
-        S = hat_tau(true.alpha, design)
+        S = lag_filter(design.tau, design.M, true.alpha)
         corrs = []
         for seed in range(50):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(17,)))
