@@ -1,7 +1,6 @@
 from .messages import Message, Phase, decode_message, encode_message
 from .runner import (
     BuildingAgent,
-    MaskedUpload,
     InProcessBus,
     ProtocolConfig,
     ProtocolError,
@@ -23,7 +22,6 @@ __all__ = [
     "encode_message",
     "decode_message",
     "BuildingAgent",
-    "MaskedUpload",
     "InProcessBus",
     "ProtocolConfig",
     "ProtocolError",

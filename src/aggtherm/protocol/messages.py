@@ -5,7 +5,7 @@ Layout (all little-endian):
 ==============  =====  ========================================
 field           bytes  meaning
 ==============  =====  ========================================
-version         u16    protocol version (currently 2)
+version         u16    protocol version (currently 3)
 iteration       u32    round index
 phase           u8     Phase enum value
 sender          u32    agent id (0 = coordinator)
@@ -15,6 +15,23 @@ rows, cols      u32x2  payload dimensions (vectors are (n, 1))
 dtype           u8     payload dtype code: ``f`` = f64, ``u`` = u64
 payload         8*n    row-major payload data
 ==============  =====  ========================================
+
+Phases, in protocol order.  Each round every agent sends one message per
+upload phase and the coordinator sends each agent one message per broadcast
+phase, so a receiver tells the uploads apart by phase and sender alone:
+
+================  ====  ======================  ================================
+phase             code  sender -> receiver      payload
+================  ====  ======================  ================================
+SAP_S             0     agent -> coordinator    masked xi_i tau_i, (T+M, 1) u64
+SAP_LOAD          1     agent -> coordinator    masked load_i, (T+M, 1) u64
+ALPHA_BROADCAST   2     coordinator -> agent    alpha, (M, 1) f64
+TE_A1             3     agent -> coordinator    masked hat_i w_i^T, (T, K) u64
+TE_A2             6     agent -> coordinator    masked w_i w_i^T, (K, K) u64
+TE_W              7     agent -> coordinator    masked w_i, (K, 1) u64
+XI_BAR_BROADCAST  4     coordinator -> agent    xi_bar, (K, 1) f64
+XI_RETURN         5     agent -> coordinator    xi_i, (1, 1) f64
+================  ====  ======================  ================================
 
 Masked secure-aggregation shares travel as u64 ring elements; every other
 payload is f64.
@@ -30,7 +47,7 @@ import numpy as np
 
 __all__ = ["PROTOCOL_VERSION", "Phase", "Message", "encode_message", "decode_message"]
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 _HEADER = struct.Struct("<HIBII")
 _PAYLOAD_HEADER = struct.Struct("<IIIc")
@@ -39,10 +56,14 @@ _WIRE_DTYPES = {b"f": np.dtype("<f8"), b"u": np.dtype("<u8")}
 
 
 class Phase(IntEnum):
+    """Message phases in protocol order; the codes are the wire values."""
+
     SAP_S = 0
     SAP_LOAD = 1
     ALPHA_BROADCAST = 2
-    TE_UPLOAD = 3
+    TE_A1 = 3
+    TE_A2 = 6
+    TE_W = 7
     XI_BAR_BROADCAST = 4
     XI_RETURN = 5
 

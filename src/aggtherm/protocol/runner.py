@@ -1,15 +1,22 @@
 """Round-synchronous protocol between building agents and the coordinator.
 
-Each iteration: agents secure-aggregate their weighted temperature and raw
-load series, one masked upload of each per agent; the coordinator slices
-the lags it needs from the two sums, solves the dynamics subproblem and
-broadcasts the dynamics coefficients; agents upload transformation-masked
-outer products; the coordinator solves the transformed weights subproblem
-and broadcasts the encrypted weights; and agents return their recovered
-weights.  Masked shares are uint64 ring elements, and the coordinator
+Each round: agents secure-aggregate their weighted temperature series
+(``SAP_S``) and raw load series (``SAP_LOAD``); the coordinator slices the
+lags it needs from the two sums, solves the dynamics subproblem and
+broadcasts the dynamics coefficients (``ALPHA_BROADCAST``); agents upload
+their transformation-masked outer products (``TE_A1``, ``TE_A2``) and
+encryption column (``TE_W``); the coordinator solves the transformed
+weights subproblem and broadcasts the encrypted weights
+(``XI_BAR_BROADCAST``); and agents return their recovered weights
+(``XI_RETURN``).
+
+Every agent sends one envelope per upload phase, and the coordinator reads
+every phase through ``ProtocolRunner._collect``: one payload per agent, in
+agent order, whatever the arrival order, so nothing it does depends on the
+transport.  Masked shares are uint64 ring elements, and the coordinator
 decodes only their sums.  Every payload crosses an in-process bus through
-the binary envelope codec; the transcript records digests, coordinator-visible
-aggregates, and privacy-scan results.
+the binary envelope codec; the transcript records digests, the
+coordinator-visible aggregates, and privacy-scan results.
 """
 
 from __future__ import annotations
@@ -38,12 +45,10 @@ from .transcript import ProtocolTranscript, scan_payloads
 __all__ = [
     "ProtocolError",
     "ProtocolConfig",
-    "MaskedUpload",
     "BuildingAgent",
     "InProcessBus",
     "ProtocolRunner",
     "run_protocol",
-    "upload_messages",
 ]
 
 BLA_ID = 0
@@ -69,7 +74,8 @@ class ProtocolConfig:
 class InProcessBus:
     """Synchronous transport: every send is encoded, logged, and delivered
     through the envelope codec.  Tests can drop (phase, sender) pairs or
-    permute arrival order; aggregation results do not depend on the order."""
+    permute arrival order; the coordinator reads each phase by sender, so
+    results do not depend on the order."""
 
     def __init__(self, transcript: ProtocolTranscript, permute_seed=None, drop=None):
         self.transcript = transcript
@@ -81,14 +87,10 @@ class InProcessBus:
 
     def send(self, msg: Message):
         data = encode_message(msg)
-        rec = self.transcript.log(msg, data)
+        self.transcript.log(msg, data)
         if (msg.phase, msg.sender) in self.drop:
             return
-        delivered = decode_message(data)
-        # per-sender FIFO marker; lets receivers restore upload order even
-        # if global arrival order is permuted
-        delivered.transport_seq = rec.seq
-        self.mailboxes.setdefault(msg.receiver, []).append(delivered)
+        self.mailboxes.setdefault(msg.receiver, []).append(decode_message(data))
 
     def collect(self, receiver: int, phase: Phase, iteration: int) -> list:
         box = self.mailboxes.get(receiver, [])
@@ -99,26 +101,6 @@ class InProcessBus:
             order = self._perm_rng.permutation(len(take))
             take = [take[i] for i in order]
         return take
-
-
-@dataclass
-class MaskedUpload:
-    """One agent's masked contribution for one phase of one iteration.
-
-    The secure-aggregation fields (``s_tilde``, ``load_tilde``) are set only
-    by the aggregation phase; the transformation fields (``A1_tilde``,
-    ``A2_tilde``, ``W_tilde``) only by the encryption phase.  Every field is
-    a uint64 ring share; ``sap_aggregate`` over all agents decodes it to the
-    sum of the quantized unmasked counterparts.
-    """
-
-    agent: int
-    iteration: int
-    s_tilde: np.ndarray | None = None
-    load_tilde: np.ndarray | None = None
-    A1_tilde: np.ndarray | None = None
-    A2_tilde: np.ndarray | None = None
-    W_tilde: np.ndarray | None = None
 
 
 class BuildingAgent:
@@ -144,17 +126,23 @@ class BuildingAgent:
             self._upload_refs = {iteration: []}
         self._upload_refs[iteration].extend(refs)
 
-    def sap_upload(self, iteration: int, masks: PairwiseMaskSet) -> MaskedUpload:
+    def _masked(self, iteration: int, phase: Phase, x, masks: PairwiseMaskSet, kind: int) -> Message:
+        return Message(iteration, phase, self.id, BLA_ID, sap_mask(x, self.id, masks, kind))
+
+    def sap_upload(self, iteration: int, masks: PairwiseMaskSet) -> list:
+        """This round's ``SAP_S`` and ``SAP_LOAD`` messages: the masked
+        weighted temperature series and the masked load series."""
         share = self.xi_i * self.tau_col
         self._keep_refs(iteration, [(f"agent{self.id}/weighted_share", share)])
-        return MaskedUpload(
-            agent=self.id,
-            iteration=iteration,
-            s_tilde=sap_mask(share, self.id, masks, KIND_SAP_S),
-            load_tilde=sap_mask(self.load_col, self.id, masks, KIND_SAP_LOAD),
-        )
+        return [
+            self._masked(iteration, Phase.SAP_S, share, masks, KIND_SAP_S),
+            self._masked(iteration, Phase.SAP_LOAD, self.load_col, masks, KIND_SAP_LOAD),
+        ]
 
-    def te_upload(self, alpha_msg: Message, K: int, iteration: int, masks: PairwiseMaskSet) -> MaskedUpload:
+    def te_upload(self, alpha_msg: Message, K: int, iteration: int, masks: PairwiseMaskSet) -> list:
+        """This round's ``TE_A1``, ``TE_A2`` and ``TE_W`` messages: the masked
+        outer products of the filtered series and of a fresh encryption
+        column with that column, and the masked column."""
         hat_col = lag_filter(self.tau_col, self.M, alpha_msg.payload)
         rng = np.random.default_rng(
             np.random.SeedSequence(self.cfg.seed, spawn_key=(2000 + iteration, self.id))
@@ -169,13 +157,11 @@ class BuildingAgent:
             + [(f"{p}A1_col{c}", A1[:, c]) for c in range(A1.shape[1])]
             + [(f"{p}A2_col{c}", A2[:, c]) for c in range(A2.shape[1])],
         )
-        return MaskedUpload(
-            agent=self.id,
-            iteration=iteration,
-            A1_tilde=sap_mask(A1, self.id, masks, KIND_TE_A1),
-            A2_tilde=sap_mask(A2, self.id, masks, KIND_TE_A2),
-            W_tilde=sap_mask(self._w, self.id, masks, KIND_TE_W),
-        )
+        return [
+            self._masked(iteration, Phase.TE_A1, A1, masks, KIND_TE_A1),
+            self._masked(iteration, Phase.TE_A2, A2, masks, KIND_TE_A2),
+            self._masked(iteration, Phase.TE_W, self._w, masks, KIND_TE_W),
+        ]
 
     def private_refs(self, iteration: int) -> list:
         """Labelled private vectors for the privacy scan of ``iteration``:
@@ -193,33 +179,6 @@ class BuildingAgent:
         xi_bar = xi_bar_msg.payload.ravel()
         self.xi_i = te_recover(self._w, xi_bar)
         return Message(iteration, Phase.XI_RETURN, self.id, BLA_ID, np.array([self.xi_i]))
-
-
-def upload_messages(upload: MaskedUpload) -> list:
-    """Envelope messages for one upload, in the canonical per-phase order."""
-    msgs = []
-    if upload.s_tilde is not None:
-        msgs.append(Message(upload.iteration, Phase.SAP_S, upload.agent, BLA_ID, upload.s_tilde))
-        msgs.append(Message(upload.iteration, Phase.SAP_LOAD, upload.agent, BLA_ID, upload.load_tilde))
-    if upload.A1_tilde is not None:
-        msgs.append(Message(upload.iteration, Phase.TE_UPLOAD, upload.agent, BLA_ID, upload.A1_tilde))
-        msgs.append(Message(upload.iteration, Phase.TE_UPLOAD, upload.agent, BLA_ID, upload.A2_tilde))
-        msgs.append(Message(upload.iteration, Phase.TE_UPLOAD, upload.agent, BLA_ID, upload.W_tilde))
-    return msgs
-
-
-def _group_by_sender(msgs: list, expected_ids, expected_count: int, phase: Phase, iteration: int):
-    groups: dict[int, list] = {}
-    for m in msgs:
-        groups.setdefault(m.sender, []).append(m)
-    for g in groups.values():
-        g.sort(key=lambda m: getattr(m, "transport_seq", 0))
-    missing = [i for i in expected_ids if len(groups.get(i, [])) < expected_count]
-    if missing:
-        raise ProtocolError(
-            f"missing {phase.name} share from agent(s) {missing} at iteration {iteration}"
-        )
-    return groups
 
 
 class ProtocolRunner:
@@ -270,6 +229,41 @@ class ProtocolRunner:
                 f"coordinator-visible payload(s) match private data ({shown})"
             )
 
+    # -- reading one phase -----------------------------------------------------
+
+    def _collect(self, phase: Phase, l: int) -> list:
+        """Every agent's one ``phase`` payload of round l, in agent order.
+
+        Raises ProtocolError naming the senders when a share comes from an id
+        that is not an agent, when an agent sent a second share, or when an
+        agent's share is missing."""
+        got: dict[int, np.ndarray] = {}
+        strangers, repeats = set(), set()
+        for m in self.bus.collect(BLA_ID, phase, l):
+            if m.sender not in self.agents:
+                strangers.add(m.sender)
+            elif m.sender in got:
+                repeats.add(m.sender)
+            else:
+                got[m.sender] = m.payload
+        missing = {i for i in self.agent_ids if i not in got}
+        for problem, ids in (
+            (f"{phase.name} share from unknown sender(s)", strangers),
+            (f"duplicate {phase.name} share from agent(s)", repeats),
+            (f"missing {phase.name} share from agent(s)", missing),
+        ):
+            if ids:
+                raise ProtocolError(f"{problem} {sorted(ids)} at iteration {l}")
+        return [got[i] for i in self.agent_ids]
+
+    def _aggregate(self, phase: Phase, l: int, payloads: list) -> np.ndarray:
+        """Decoded sum of round l's ``phase`` shares; each whole share is
+        appended to ``payloads`` for the privacy scan."""
+        shares = self._collect(phase, l)
+        for i, share in zip(self.agent_ids, shares):
+            payloads.append((f"iter{l}/{phase.name.lower()}/agent{i}", share))
+        return sap_aggregate(shares)
+
     # -- the two steps of one round ------------------------------------------
 
     def _sap_step(self, l: int, xi: np.ndarray):
@@ -278,20 +272,12 @@ class ProtocolRunner:
         (alpha, f1); ``xi`` is the round's input weights, for the penalty."""
         masks = PairwiseMaskSet(self.cfg.seed, self.agent_ids, iteration=l)
         for i in self.agent_ids:
-            for msg in upload_messages(self.agents[i].sap_upload(l, masks)):
+            for msg in self.agents[i].sap_upload(l, masks):
                 self.bus.send(msg)
 
-        payloads, sap_sums = [], []
-        for phase in (Phase.SAP_S, Phase.SAP_LOAD):
-            groups = _group_by_sender(
-                self.bus.collect(BLA_ID, phase, l), self.agent_ids, 1, phase, l
-            )
-            shares = [groups[i][0].payload.ravel() for i in self.agent_ids]
-            for i, sh in zip(self.agent_ids, shares):
-                payloads.append((f"iter{l}/{phase.name.lower()}/agent{i}", sh))
-            sap_sums.append(sap_aggregate(shares))
-        s_sum, load_sum = sap_sums
-
+        payloads = []
+        s_sum = self._aggregate(Phase.SAP_S, l, payloads).ravel()
+        load_sum = self._aggregate(Phase.SAP_LOAD, l, payloads).ravel()
         c2 = lag_columns(load_sum, self.M)
         alpha, *_unused, f1 = solve_sp1_from_parts(
             s_sum, c2, self.c3, self.c4, self.P_occ, self.cfg.lam, float(xi @ xi)
@@ -312,25 +298,13 @@ class ProtocolRunner:
             inbox = self.bus.collect(i, Phase.ALPHA_BROADCAST, l)
             if not inbox:
                 raise ProtocolError(f"agent {i} missed the dynamics broadcast at iteration {l}")
-            for msg in upload_messages(self.agents[i].te_upload(inbox[0], self.K, l, masks)):
+            for msg in self.agents[i].te_upload(inbox[0], self.K, l, masks):
                 self.bus.send(msg)
 
-        te_groups = _group_by_sender(
-            self.bus.collect(BLA_ID, Phase.TE_UPLOAD, l), self.agent_ids, 3, Phase.TE_UPLOAD, l
-        )
-        A1_shares = [te_groups[i][0].payload for i in self.agent_ids]
-        A2_shares = [te_groups[i][1].payload for i in self.agent_ids]
-        W_shares = [te_groups[i][2].payload.ravel() for i in self.agent_ids]
         payloads = rnd["payloads"]
-        for i, a1, a2, wt in zip(self.agent_ids, A1_shares, A2_shares, W_shares):
-            for c in range(a1.shape[1]):
-                payloads.append((f"iter{l}/te/agent{i}/A1_col{c}", a1[:, c]))
-            for c in range(a2.shape[1]):
-                payloads.append((f"iter{l}/te/agent{i}/A2_col{c}", a2[:, c]))
-            payloads.append((f"iter{l}/te/agent{i}/w", wt))
-        A1_sum = sap_aggregate(A1_shares)
-        A2_sum = sap_aggregate(A2_shares)
-        w_sum = sap_aggregate(W_shares)
+        A1_sum = self._aggregate(Phase.TE_A1, l, payloads)
+        A2_sum = self._aggregate(Phase.TE_A2, l, payloads)
+        w_sum = self._aggregate(Phase.TE_W, l, payloads).ravel()
 
         xi_bar, *coefs, f2 = solve_sp2_masked(
             A1_sum, A2_sum, w_sum, rnd["c2"], self.c3, self.c4, self.P_occ, self.cfg.lam
@@ -344,10 +318,7 @@ class ProtocolRunner:
                 raise ProtocolError(f"agent {i} missed the weights broadcast at iteration {l}")
             self.bus.send(self.agents[i].xi_return_message(inbox[0], l))
 
-        xi_groups = _group_by_sender(
-            self.bus.collect(BLA_ID, Phase.XI_RETURN, l), self.agent_ids, 1, Phase.XI_RETURN, l
-        )
-        xi_new = np.array([float(xi_groups[i][0].payload.ravel()[0]) for i in self.agent_ids])
+        xi_new = np.array([float(p[0, 0]) for p in self._collect(Phase.XI_RETURN, l)])
 
         self._scan(l, payloads)
         self.transcript.bla_view.append(

@@ -20,11 +20,11 @@ def roundtrip(msg):
 class TestEnvelope:
     def test_matrix_roundtrip(self):
         payload = np.arange(12.0).reshape(3, 4)
-        msg = Message(iteration=2, phase=Phase.TE_UPLOAD, sender=3, receiver=0, payload=payload)
+        msg = Message(iteration=2, phase=Phase.TE_A1, sender=3, receiver=0, payload=payload)
         back = roundtrip(msg)
         assert back.version == PROTOCOL_VERSION
         assert back.iteration == 2
-        assert back.phase == Phase.TE_UPLOAD
+        assert back.phase == Phase.TE_A1
         assert (back.sender, back.receiver) == (3, 0)
         assert np.array_equal(back.payload, payload)
 
@@ -46,7 +46,8 @@ class TestEnvelope:
         data = encode_message(msg)
         # header: u16 version, u32 iteration, u8 phase, u32 sender, u32 receiver;
         # payload header: u32 count, u32 rows, u32 cols, u8 dtype code
-        assert data[:2] == (2).to_bytes(2, "little")
+        assert data[:2] == (3).to_bytes(2, "little")
+        assert data[6] == Phase.SAP_S
         assert len(data) == 15 + 13 + 8
         assert data[27:28] == b"f"
         assert data[-8:] == np.float64(1.0).tobytes()
@@ -56,6 +57,7 @@ class TestEnvelope:
                       payload=np.array([2**64 - 1], dtype=np.uint64))
         assert msg.payload.dtype == np.uint64
         data = encode_message(msg)
+        assert data[:2] == (3).to_bytes(2, "little")
         assert len(data) == 15 + 13 + 8
         assert data[27:28] == b"u"
         assert data[-8:] == b"\xff" * 8
@@ -108,17 +110,28 @@ class TestEnvelope:
                         payload=np.ones(2))
             )
         )
-        data[0:2] = (9).to_bytes(2, "little")
-        with pytest.raises(ValueError, match="version"):
-            decode_message(bytes(data))
+        for version in (2, 9):  # 2: the envelope before each TE upload had its own phase
+            data[0:2] = version.to_bytes(2, "little")
+            with pytest.raises(ValueError, match=f"unsupported protocol version {version}"):
+                decode_message(bytes(data))
 
-    def test_all_phases_roundtrip(self):
-        for phase in Phase:
-            back = roundtrip(
-                Message(iteration=5, phase=phase, sender=2, receiver=7,
-                        payload=np.array([[1.5]]))
-            )
-            assert back.phase == phase
+    @pytest.mark.parametrize("phase", list(Phase), ids=lambda p: p.name)
+    def test_all_phases_roundtrip(self, phase):
+        data = encode_message(
+            Message(iteration=5, phase=phase, sender=2, receiver=7, payload=np.array([[1.5]]))
+        )
+        assert data[6] == phase.value
+        back = decode_message(data)
+        assert back.phase is phase
+        assert (back.iteration, back.sender, back.receiver) == (5, 2, 7)
+
+    def test_phase_codes(self):
+        """The wire codes of the envelope table; the phases kept from version 2
+        keep their codes."""
+        assert {p.name: p.value for p in Phase} == {
+            "SAP_S": 0, "SAP_LOAD": 1, "ALPHA_BROADCAST": 2, "TE_A1": 3,
+            "TE_A2": 6, "TE_W": 7, "XI_BAR_BROADCAST": 4, "XI_RETURN": 5,
+        }
 
 
 _shapes = st.one_of(

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,11 +14,13 @@ from aggtherm import bcd_fit, build_design
 from aggtherm.estimator import EstimationError
 from aggtherm.protocol import (
     InProcessBus,
+    Message,
     Phase,
     ProtocolConfig,
     ProtocolError,
     ProtocolRunner,
     ProtocolTranscript,
+    decode_message,
     encode_message,
     run_protocol,
     scan_payloads,
@@ -63,10 +66,13 @@ class TestTranscript:
     def test_message_flow_structure(self, small_run):
         dataset, _, _, fit, transcript = small_run
         K, M = dataset.K, dataset.M
-        per_iter = 2 * K + K + 3 * K + K + K  # sap_s+load, alpha, te, xibar, xiret
+        per_iter = 2 * K + K + 3 * K + K + K  # sap_s+load, alpha, te_a1+a2+w, xibar, xiret
         assert len(transcript.messages) == per_iter * fit.iterations
         to_bla = {m.phase for m in transcript.messages if m.receiver == 0}
-        assert to_bla == {"sap_s", "sap_load", "te_upload", "xi_return"}
+        assert to_bla == {"sap_s", "sap_load", "te_a1", "te_a2", "te_w", "xi_return"}
+        # one message per sender and receiver per phase per round
+        per_phase = Counter((m.iteration, m.phase, m.sender, m.receiver) for m in transcript.messages)
+        assert set(per_phase.values()) == {1}
         from_bla = {m.phase for m in transcript.messages if m.sender == 0}
         assert from_bla == {"alpha_broadcast", "xi_bar_broadcast"}
         assert all(len(m.digest) == 64 for m in transcript.messages)
@@ -126,8 +132,54 @@ class TestFailureModes:
 
     def test_te_dropout_aborts(self):
         dataset, _, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.1, seed=5)
-        bus = InProcessBus(ProtocolTranscript(), drop={(Phase.TE_UPLOAD, 1)})
-        with pytest.raises(ProtocolError, match="TE_UPLOAD"):
+        bus = InProcessBus(ProtocolTranscript(), drop={(Phase.TE_A2, 1)})
+        with pytest.raises(ProtocolError, match=r"missing TE_A2 share from agent\(s\) \[1\]"):
+            run_protocol(dataset, ProtocolConfig(lam=1.0, tol=1e-6, T_occ=6, seed=5), bus=bus)
+
+    @pytest.mark.parametrize("phase", list(Phase), ids=lambda p: p.name)
+    def test_phase_dropout_aborts(self, phase):
+        """Every message of one phase from one sender is lost: the round that
+        needs it stops and names the phase and who missed it."""
+        broadcast = {Phase.ALPHA_BROADCAST: "dynamics", Phase.XI_BAR_BROADCAST: "weights"}
+        if phase in broadcast:
+            sender, message = 0, f"agent 1 missed the {broadcast[phase]} broadcast at iteration 0"
+        else:
+            sender, message = 2, rf"missing {phase.name} share from agent\(s\) \[2\] at iteration 0"
+        dataset, _, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.1, seed=5)
+        bus = InProcessBus(ProtocolTranscript(), drop={(phase, sender)})
+        with pytest.raises(ProtocolError, match=message):
+            run_protocol(dataset, ProtocolConfig(lam=1.0, tol=1e-6, T_occ=6, seed=5), bus=bus)
+
+    def test_duplicate_share_rejected(self):
+        """A second share from one agent is an error, not a share to drop."""
+
+        class TwiceBus(InProcessBus):
+            def send(self, msg):
+                super().send(msg)
+                if msg.phase == Phase.SAP_S:
+                    super().send(msg)
+
+        dataset, _, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.1, seed=5)
+        bus = TwiceBus(ProtocolTranscript())
+        with pytest.raises(
+            ProtocolError, match=r"duplicate SAP_S share from agent\(s\) \[1, 2, 3\] at iteration 0"
+        ):
+            run_protocol(dataset, ProtocolConfig(lam=1.0, tol=1e-6, T_occ=6, seed=5), bus=bus)
+
+    def test_unknown_sender_rejected(self):
+        """A share from an id that is no agent (here K+1) is an error."""
+
+        class StrangerBus(InProcessBus):
+            def send(self, msg):
+                super().send(msg)
+                if msg.phase == Phase.SAP_S and msg.sender == 1:
+                    super().send(Message(msg.iteration, msg.phase, 4, msg.receiver, msg.payload))
+
+        dataset, _, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.1, seed=5)
+        bus = StrangerBus(ProtocolTranscript())
+        with pytest.raises(
+            ProtocolError, match=r"SAP_S share from unknown sender\(s\) \[4\] at iteration 0"
+        ):
             run_protocol(dataset, ProtocolConfig(lam=1.0, tol=1e-6, T_occ=6, seed=5), bus=bus)
 
     def test_unmasked_uploads_detected_and_aborted(self, monkeypatch):
@@ -295,6 +347,30 @@ class TestOrderInvariance:
             assert np.array_equal(va["A1_sum"], vb["A1_sum"])
             assert np.array_equal(va["s_sum"], vb["s_sum"])
 
+    def test_transport_without_marker_reversed(self, small_run):
+        """A bus that only logs, encodes and decodes (no per-message marker)
+        and delivers every phase in reverse order gives the same fit and
+        transcript: the coordinator tells the uploads apart by phase and
+        sender alone."""
+
+        class ReversingBus(InProcessBus):
+            def send(self, msg):
+                data = encode_message(msg)
+                self.transcript.log(msg, data)
+                self.mailboxes.setdefault(msg.receiver, []).append(decode_message(data))
+
+            def collect(self, receiver, phase, iteration):
+                return super().collect(receiver, phase, iteration)[::-1]
+
+        dataset, _, cfg, fit, transcript = small_run
+        fit_r, tr_r = run_protocol(dataset, cfg, bus=ReversingBus(ProtocolTranscript()))
+        assert fit_r.as_dict() == fit.as_dict()
+        assert [m.digest for m in tr_r.messages] == [m.digest for m in transcript.messages]
+        for va, vb in zip(transcript.bla_view, tr_r.bla_view):
+            assert va.keys() == vb.keys()
+            for key in va:
+                assert np.array_equal(va[key], vb[key])
+
 
 class TestScanner:
     def test_flags_exact_leak(self):
@@ -322,7 +398,8 @@ class TestScanner:
 
 class TestMaskedUpload:
     def test_phase_fields_and_sum_invariance(self):
-        from aggtherm.protocol import Message
+        """Each agent upload is one envelope per phase, and each phase's
+        shares sum to its unmasked quantity."""
         from aggtherm.protocol.runner import BuildingAgent
 
         dataset, _, _ = synthetic_instance(K=3, T=50, M=2, T_occ=6, noise=0.1, seed=30)
@@ -336,31 +413,33 @@ class TestMaskedUpload:
             ag.xi_i = float(x)
         masks = PairwiseMaskSet(30, [1, 2, 3], iteration=0)
 
+        def check(ups, phases, shapes):
+            for ag, msgs in zip(agents, ups):
+                assert [m.phase for m in msgs] == phases
+                assert all((m.iteration, m.sender, m.receiver) == (0, ag.id, 0) for m in msgs)
+                assert [m.payload.shape for m in msgs] == shapes
+                assert all(m.payload.dtype == np.uint64 for m in msgs)
+            return [sap_aggregate([msgs[k].payload for msgs in ups]) for k in range(len(phases))]
+
+        # one full (T + M)-row series of each kind, not one per lag
         sap_ups = [ag.sap_upload(0, masks) for ag in agents]
-        for up in sap_ups:
-            assert up.A1_tilde is None and up.A2_tilde is None and up.W_tilde is None
-            # one full (T + M)-row series of each kind, not one per lag
-            assert up.s_tilde.shape == up.load_tilde.shape == (52,)
-        got_s = sap_aggregate([up.s_tilde for up in sap_ups])
-        assert np.allclose(got_s, dataset.tau_in @ xi, rtol=1e-10, atol=1e-9)
-        got_l = sap_aggregate([up.load_tilde for up in sap_ups])
-        assert np.allclose(got_l, dataset.h_load.sum(axis=1), rtol=1e-10, atol=1e-9)
+        got_s, got_l = check(sap_ups, [Phase.SAP_S, Phase.SAP_LOAD], [(52, 1), (52, 1)])
+        assert np.allclose(got_s.ravel(), dataset.tau_in @ xi, rtol=1e-10, atol=1e-9)
+        assert np.allclose(got_l.ravel(), dataset.h_load.sum(axis=1), rtol=1e-10, atol=1e-9)
 
         alpha_msg = Message(0, Phase.ALPHA_BROADCAST, 0, 1, np.array([0.9, -0.2]))
         te_ups = [ag.te_upload(alpha_msg, 3, 0, masks) for ag in agents]
-        for up in te_ups:
-            assert up.s_tilde is None and up.load_tilde is None
+        _, got_gram, got_w = check(
+            te_ups, [Phase.TE_A1, Phase.TE_A2, Phase.TE_W], [(50, 3), (3, 3), (3, 1)]
+        )
         W = np.column_stack([ag.w_history[0] for ag in agents])
-        got_w = sap_aggregate([up.W_tilde for up in te_ups])
-        assert np.allclose(got_w, W @ np.ones(3), rtol=1e-10, atol=1e-9)
-        got_gram = sap_aggregate([up.A2_tilde for up in te_ups])
+        assert np.allclose(got_w.ravel(), W @ np.ones(3), rtol=1e-10, atol=1e-9)
         assert np.allclose(got_gram, W @ W.T, rtol=1e-9, atol=1e-9)
 
     @pytest.mark.parametrize("alpha", [[0.9], [0.9, -0.2, 0.1]])
     def test_wrong_length_dynamics_rejected(self, alpha):
         """An agent filters its own series at its own order M, so a dynamics
         broadcast of another length is an error, not a filter of that order."""
-        from aggtherm.protocol import Message
         from aggtherm.protocol.runner import BuildingAgent
 
         dataset, _, _ = synthetic_instance(K=2, T=30, M=2, T_occ=6, noise=0.1, seed=31)

@@ -111,7 +111,9 @@ def test_scan_matches_pairwise_allclose(case):
 # of the reference.  Each agent uploads one weighted
 # temperature series and one load series.  With xi0 = (1, 0, 0), agent 1's
 # weighted share equals its temperature series, and the zero shares of
-# agents 2 and 3 match each other's.
+# agents 2 and 3 match each other's.  Each whole TE share is scanned column
+# by column, so column c of an outer-product share matches that column of
+# the agent's product.
 UNMASKED_FINDINGS = [
     ("iter0/sap_s/agent1", 0, "agent1/tau_full"),
     ("iter0/sap_s/agent1", 0, "agent1/weighted_share"),
@@ -122,27 +124,15 @@ UNMASKED_FINDINGS = [
     ("iter0/sap_load/agent1", 0, "agent1/load_full"),
     ("iter0/sap_load/agent2", 0, "agent2/load_full"),
     ("iter0/sap_load/agent3", 0, "agent3/load_full"),
-    ("iter0/te/agent1/A1_col0", 0, "agent1/A1_col0"),
-    ("iter0/te/agent1/A1_col1", 0, "agent1/A1_col1"),
-    ("iter0/te/agent1/A1_col2", 0, "agent1/A1_col2"),
-    ("iter0/te/agent1/A2_col0", 0, "agent1/A2_col0"),
-    ("iter0/te/agent1/A2_col1", 0, "agent1/A2_col1"),
-    ("iter0/te/agent1/A2_col2", 0, "agent1/A2_col2"),
-    ("iter0/te/agent1/w", 0, "agent1/w_col"),
-    ("iter0/te/agent2/A1_col0", 0, "agent2/A1_col0"),
-    ("iter0/te/agent2/A1_col1", 0, "agent2/A1_col1"),
-    ("iter0/te/agent2/A1_col2", 0, "agent2/A1_col2"),
-    ("iter0/te/agent2/A2_col0", 0, "agent2/A2_col0"),
-    ("iter0/te/agent2/A2_col1", 0, "agent2/A2_col1"),
-    ("iter0/te/agent2/A2_col2", 0, "agent2/A2_col2"),
-    ("iter0/te/agent2/w", 0, "agent2/w_col"),
-    ("iter0/te/agent3/A1_col0", 0, "agent3/A1_col0"),
-    ("iter0/te/agent3/A1_col1", 0, "agent3/A1_col1"),
-    ("iter0/te/agent3/A1_col2", 0, "agent3/A1_col2"),
-    ("iter0/te/agent3/A2_col0", 0, "agent3/A2_col0"),
-    ("iter0/te/agent3/A2_col1", 0, "agent3/A2_col1"),
-    ("iter0/te/agent3/A2_col2", 0, "agent3/A2_col2"),
-    ("iter0/te/agent3/w", 0, "agent3/w_col"),
+    *[
+        (f"iter0/te_a{n}/agent{i}", c, f"agent{i}/A{n}_col{c}")
+        for n in (1, 2)
+        for i in (1, 2, 3)
+        for c in range(3)
+    ],
+    ("iter0/te_w/agent1", 0, "agent1/w_col"),
+    ("iter0/te_w/agent2", 0, "agent2/w_col"),
+    ("iter0/te_w/agent3", 0, "agent3/w_col"),
 ]
 
 
