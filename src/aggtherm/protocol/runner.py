@@ -11,9 +11,11 @@ weights subproblem and broadcasts the encrypted weights
 (``XI_RETURN``).
 
 Every agent sends one envelope per upload phase, and the coordinator reads
-every phase through ``ProtocolRunner._collect``: one payload per agent, in
+every upload phase through ``ProtocolRunner._collect``: one payload per agent, in
 agent order, whatever the arrival order, so nothing it does depends on the
-transport.  Masked shares are uint64 ring elements, and the coordinator
+transport; each agent reads its broadcasts through
+``ProtocolRunner._broadcast``, which accepts exactly one, from the
+coordinator.  Masked shares are uint64 ring elements, and the coordinator
 decodes only their sums.  Every payload crosses an in-process bus through
 the binary envelope codec; the transcript records digests, the
 coordinator-visible aggregates, and privacy-scan results.
@@ -256,6 +258,30 @@ class ProtocolRunner:
                 raise ProtocolError(f"{problem} {sorted(ids)} at iteration {l}")
         return [got[i] for i in self.agent_ids]
 
+    def _broadcast(self, i: int, phase: Phase, l: int, what: str) -> Message:
+        """Agent i's one ``phase`` broadcast of round l (the ``what``
+        broadcast) from the coordinator.
+
+        Raises ProtocolError naming the phase and the senders when a message
+        comes from another id, when there is more than one, or when there is
+        none."""
+        inbox = self.bus.collect(i, phase, l)
+        forged = sorted(m.sender for m in inbox if m.sender != BLA_ID)
+        if forged:
+            raise ProtocolError(
+                f"{phase.name} to agent {i} from non-coordinator sender(s) {forged} at iteration {l}"
+            )
+        if len(inbox) > 1:
+            raise ProtocolError(
+                f"{len(inbox)} {phase.name} messages to agent {i} from sender(s) "
+                f"{[m.sender for m in inbox]} at iteration {l}"
+            )
+        if not inbox:
+            raise ProtocolError(
+                f"agent {i} missed the {what} broadcast at iteration {l} (no {phase.name} message)"
+            )
+        return inbox[0]
+
     def _aggregate(self, phase: Phase, l: int, payloads: list) -> np.ndarray:
         """Decoded sum of round l's ``phase`` shares; each whole share is
         appended to ``payloads`` for the privacy scan."""
@@ -295,10 +321,8 @@ class ProtocolRunner:
         for i in self.agent_ids:
             self.bus.send(Message(l, Phase.ALPHA_BROADCAST, BLA_ID, i, alpha))
         for i in self.agent_ids:
-            inbox = self.bus.collect(i, Phase.ALPHA_BROADCAST, l)
-            if not inbox:
-                raise ProtocolError(f"agent {i} missed the dynamics broadcast at iteration {l}")
-            for msg in self.agents[i].te_upload(inbox[0], self.K, l, masks):
+            alpha_msg = self._broadcast(i, Phase.ALPHA_BROADCAST, l, "dynamics")
+            for msg in self.agents[i].te_upload(alpha_msg, self.K, l, masks):
                 self.bus.send(msg)
 
         payloads = rnd["payloads"]
@@ -313,10 +337,8 @@ class ProtocolRunner:
         for i in self.agent_ids:
             self.bus.send(Message(l, Phase.XI_BAR_BROADCAST, BLA_ID, i, xi_bar))
         for i in self.agent_ids:
-            inbox = self.bus.collect(i, Phase.XI_BAR_BROADCAST, l)
-            if not inbox:
-                raise ProtocolError(f"agent {i} missed the weights broadcast at iteration {l}")
-            self.bus.send(self.agents[i].xi_return_message(inbox[0], l))
+            xi_bar_msg = self._broadcast(i, Phase.XI_BAR_BROADCAST, l, "weights")
+            self.bus.send(self.agents[i].xi_return_message(xi_bar_msg, l))
 
         xi_new = np.array([float(p[0, 0]) for p in self._collect(Phase.XI_RETURN, l)])
 

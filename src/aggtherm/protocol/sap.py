@@ -2,13 +2,15 @@
 
 Shares are elements of the ring Z_2^64.  Each agent encodes its private
 tensor as signed fixed-point with ``FRAC_BITS`` fractional bits, views it
-as uint64, and for each unordered agent pair (i, j), i < j, adds (agent i)
-or subtracts (agent j) a mask of uniform 64-bit words derived from the
-pair's seed, with wrap-around arithmetic.  The coordinator sums the shares
-mod 2^64, which cancels every mask, and decodes the sum once: it is the
-exact sum of the quantized inputs, in any share order.  Each share on its
-own is uniform over the ring.  Mask streams are keyed by iteration and are
-fresh every round.
+as uint64, and adds its net mask with wrap-around arithmetic: for each
+unordered agent pair (i, j), i < j, agent i adds and agent j subtracts a
+mask of uniform 64-bit words derived from the pair's seed.  The mask set
+generates each pair's stream once per round and hands every agent its own
+net sum.  The coordinator sums the shares mod 2^64, which cancels every
+mask, and decodes the sum once: it is the exact sum of the quantized
+inputs, in any share order.  Each share on its own is uniform over the
+ring.  Mask streams are keyed by (pair, iteration, kind, sub) and are fresh
+every round.
 """
 
 from __future__ import annotations
@@ -39,17 +41,22 @@ _SCALE = float(2**FRAC_BITS)
 class PairwiseMaskSet:
     """Deterministic pairwise mask source for one protocol iteration.
 
-    Both members of a pair reconstruct identical masks from the shared
-    seed, standing in for an out-of-band pairwise agreement.  Entries are
-    the raw uniform 64-bit output of a PCG64 stream, one independent stream
-    per (pair, iteration, kind, sub).  This is a simulation PRG, not a
-    cryptographic one.
+    Both members of a pair would reconstruct identical masks from the shared
+    seed; the set stands in for that out-of-band pairwise agreement.
+    Entries are the raw uniform 64-bit output of a PCG64 stream, one
+    independent stream per (pair, iteration, kind, sub).  This is a
+    simulation PRG, not a cryptographic one.
+
+    ``net_mask`` generates each pair's stream once per (kind, sub, shape)
+    and keeps every agent's net sum until that agent takes it, so at most
+    one pending sum per agent is held for each stream.
     """
 
     def __init__(self, master_seed: int, agent_ids, iteration: int):
         self.master_seed = master_seed
         self.agent_ids = sorted(agent_ids)
         self.iteration = iteration
+        self._pending: dict = {}  # (kind, sub, shape) -> {agent id: net mask}
 
     def mask(self, i: int, j: int, kind: int, sub: int, shape) -> np.ndarray:
         """Mask shared by pair (i, j), i < j, for one stream and shape (uint64)."""
@@ -59,6 +66,31 @@ class PairwiseMaskSet:
             self.master_seed, spawn_key=(1000 + self.iteration, kind, sub, i, j)
         )
         return np.random.PCG64(seq).random_raw(shape)
+
+    def net_mask(self, agent_id: int, kind: int, sub: int, shape) -> np.ndarray:
+        """Agent ``agent_id``'s net mask for one stream and shape (uint64):
+        the sum mod 2^64 of its pair masks toward higher ids minus those
+        toward lower ids.  The K net masks of a stream sum to zero.
+
+        The first request for a (kind, sub, shape) walks the pairs i < j
+        once and holds every agent's sum; each sum is handed out once, and a
+        repeated request for an agent generates the stream again."""
+        if agent_id not in self.agent_ids:
+            raise ValueError(f"agent {agent_id} is not in this mask set {self.agent_ids}")
+        key = (kind, sub, tuple(shape))
+        pending = self._pending.get(key)
+        if pending is None or agent_id not in pending:
+            pending = {i: np.zeros(shape, dtype=np.uint64) for i in self.agent_ids}
+            for a, i in enumerate(self.agent_ids):
+                for j in self.agent_ids[a + 1 :]:
+                    m = self.mask(i, j, kind, sub, shape)
+                    pending[i] += m
+                    pending[j] -= m
+            self._pending[key] = pending
+        net = pending.pop(agent_id)
+        if not pending:
+            del self._pending[key]
+        return net
 
 
 def fixed_point_bound(K: int) -> float:
@@ -93,17 +125,11 @@ def decode_fixed(u) -> np.ndarray:
 
 
 def sap_mask(x, agent_id: int, masks: PairwiseMaskSet, kind: int, sub: int = 0) -> np.ndarray:
-    """Encode and mask a private tensor: add pair masks toward higher ids,
-    subtract toward lower ids, mod 2^64.  Summing all K masked tensors
-    cancels every mask."""
+    """Encode and mask a private tensor: add the agent's net mask (its pair
+    masks toward higher ids minus those toward lower ids) mod 2^64.
+    Summing all K masked tensors cancels every mask."""
     out = encode_fixed(x, len(masks.agent_ids))
-    for j in masks.agent_ids:
-        if j == agent_id:
-            continue
-        if j > agent_id:
-            out += masks.mask(agent_id, j, kind, sub, out.shape)
-        else:
-            out -= masks.mask(j, agent_id, kind, sub, out.shape)
+    out += masks.net_mask(agent_id, kind, sub, out.shape)
     return out
 
 

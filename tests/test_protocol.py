@@ -106,6 +106,16 @@ class TestTranscript:
             hashlib.sha256(encode_message(msg)).hexdigest() for msg in sent
         ]
 
+    def test_stream_keying_and_share_bytes_pinned(self, small_run):
+        """One sha256 over the ordered envelope digests of the K=4 run: a change
+        to how mask streams are keyed, or to any share's bytes, shows here."""
+        *_, transcript = small_run
+        joined = "".join(m.digest for m in transcript.messages)
+        assert (
+            hashlib.sha256(joined.encode()).hexdigest()
+            == "58bf5e7d915269d6880ff5ce94252ce121eae26009db576e625c4249c1d6bbdf"
+        )
+
     def test_jsonl_serialization(self, small_run, tmp_path):
         *_, transcript = small_run
         path = tmp_path / "transcript.jsonl"
@@ -148,6 +158,41 @@ class TestFailureModes:
         dataset, _, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.1, seed=5)
         bus = InProcessBus(ProtocolTranscript(), drop={(phase, sender)})
         with pytest.raises(ProtocolError, match=message):
+            run_protocol(dataset, ProtocolConfig(lam=1.0, tol=1e-6, T_occ=6, seed=5), bus=bus)
+
+    def test_forged_broadcast_rejected(self):
+        """A weights broadcast that did not come from the coordinator, here
+        from agent 3 ahead of the real one, stops the round by name."""
+
+        class ForgingBus(InProcessBus):
+            def send(self, msg):
+                if msg.phase == Phase.XI_BAR_BROADCAST and msg.receiver == 1:
+                    super().send(Message(msg.iteration, msg.phase, 3, 1, 2.0 * msg.payload))
+                super().send(msg)
+
+        dataset, _, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.1, seed=5)
+        bus = ForgingBus(ProtocolTranscript())
+        with pytest.raises(
+            ProtocolError,
+            match=re.escape("XI_BAR_BROADCAST to agent 1 from non-coordinator sender(s) [3] at iteration 0"),
+        ):
+            run_protocol(dataset, ProtocolConfig(lam=1.0, tol=1e-6, T_occ=6, seed=5), bus=bus)
+
+    def test_repeated_broadcast_rejected(self):
+        """A second dynamics broadcast to an agent is an error, not one to drop."""
+
+        class TwiceBus(InProcessBus):
+            def send(self, msg):
+                super().send(msg)
+                if msg.phase == Phase.ALPHA_BROADCAST:
+                    super().send(msg)
+
+        dataset, _, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.1, seed=5)
+        bus = TwiceBus(ProtocolTranscript())
+        with pytest.raises(
+            ProtocolError,
+            match=re.escape("2 ALPHA_BROADCAST messages to agent 1 from sender(s) [0, 0] at iteration 0"),
+        ):
             run_protocol(dataset, ProtocolConfig(lam=1.0, tol=1e-6, T_occ=6, seed=5), bus=bus)
 
     def test_duplicate_share_rejected(self):

@@ -1,16 +1,20 @@
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from aggtherm.estimator import solve_sp1, solve_sp1_from_parts
 from aggtherm.model import ClusterDataset, build_design, lag_columns
+from aggtherm.protocol import ProtocolConfig, run_protocol
 from aggtherm.protocol.sap import (
     FRAC_BITS,
     KIND_SAP_LOAD,
     KIND_SAP_S,
     KIND_TE_A1,
+    KIND_TE_A2,
     KIND_TE_W,
     PairwiseMaskSet,
     decode_fixed,
@@ -20,12 +24,15 @@ from aggtherm.protocol.sap import (
     sap_mask,
 )
 
+from _common import synthetic_instance
 
-class FixedMasks:
-    """Stub mask source with a constant uint64 pair mask, for hand-checked examples."""
+
+class FixedMasks(PairwiseMaskSet):
+    """Mask set whose every pair mask is one constant uint64, for
+    hand-checked examples; it inherits ``net_mask``."""
 
     def __init__(self, agent_ids, value):
-        self.agent_ids = sorted(agent_ids)
+        super().__init__(0, agent_ids, iteration=0)
         self.value = value
 
     def mask(self, i, j, kind, sub, shape):
@@ -103,6 +110,11 @@ class TestSapMask:
         for sign in (1.0, -1.0):
             shares = [sap_mask(np.array([sign * top]), i, masks, KIND_TE_W) for i in range(1, K + 1)]
             assert sap_aggregate(shares)[0] == K * decode_fixed(encode_fixed([sign * top], K))[0]
+
+    def test_unknown_agent_rejected(self):
+        masks = PairwiseMaskSet(5, [1, 2, 4], iteration=0)
+        with pytest.raises(ValueError, match="agent 3 is not in this mask set"):
+            sap_mask(np.zeros(2), 3, masks, KIND_SAP_S)
 
     def test_float_shares_rejected(self):
         with pytest.raises(ValueError, match="uint64"):
@@ -241,3 +253,79 @@ def test_ring_aggregate_is_exact_in_any_order(data, K, shape, seed, iteration, k
     for x, share in zip(xs, shares):
         assert share.dtype == np.uint64
         assert not np.array_equal(share, encode_fixed(x, K))
+
+
+def reference_share(x, agent_id, masks, kind, sub):
+    """Per-pair masking: add each pair mask toward a higher id and subtract
+    each toward a lower id, one partner at a time."""
+    out = encode_fixed(x, len(masks.agent_ids))
+    for j in masks.agent_ids:
+        if j > agent_id:
+            out += masks.mask(agent_id, j, kind, sub, out.shape)
+        elif j < agent_id:
+            out -= masks.mask(j, agent_id, kind, sub, out.shape)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    ids=st.lists(st.integers(1, 100), min_size=2, max_size=8, unique=True).map(sorted),
+    shape=hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=5),
+    seed=st.integers(0, 2**32 - 1),
+    iteration=st.integers(0, 5),
+    kind=st.sampled_from([KIND_SAP_S, KIND_SAP_LOAD, KIND_TE_A1, KIND_TE_A2, KIND_TE_W]),
+    sub=st.integers(0, 2),
+)
+def test_net_mask_matches_per_pair_reference(data, ids, shape, seed, iteration, kind, sub):
+    """Every agent's share equals the per-pair loop's bit for bit, whatever
+    order the agents ask in, and a repeated request gets the same share."""
+    assume(ids[-1] - ids[0] >= len(ids))  # ids with a gap, not 1..K
+    rng = np.random.default_rng(seed)
+    xs = {i: rng.standard_normal(shape) * 20 for i in ids}
+    masks = PairwiseMaskSet(seed, ids, iteration=iteration)
+    oracle = PairwiseMaskSet(seed, ids, iteration=iteration)
+    order = data.draw(st.permutations(ids))
+    repeat = data.draw(st.sampled_from(ids))
+    order.insert(data.draw(st.integers(order.index(repeat) + 1, len(order))), repeat)
+    for i in order:
+        got = sap_mask(xs[i], i, masks, kind, sub)
+        want = reference_share(xs[i], i, oracle, kind, sub)
+        assert got.dtype == np.uint64 and got.shape == shape
+        assert got.tobytes() == want.tobytes()
+
+
+class TestMaskWork:
+    """Each pair's stream is generated once per stream and round, not once
+    by each member of the pair."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        calls = []
+        real = PairwiseMaskSet.mask
+
+        def counted(self, i, j, kind, sub, shape):
+            calls.append((self.iteration, kind, sub, i, j))
+            return real(self, i, j, kind, sub, shape)
+
+        monkeypatch.setattr(PairwiseMaskSet, "mask", counted)
+        return calls
+
+    @pytest.mark.parametrize("K", [2, 3, 7])
+    def test_one_call_per_pair_for_a_full_set_of_uploads(self, monkeypatch, K):
+        calls = self.counting(monkeypatch)
+        ids = list(range(1, K + 1))
+        masks = PairwiseMaskSet(3, ids, iteration=0)
+        for i in ids:
+            sap_mask(np.ones((4, K)), i, masks, KIND_TE_A1, sub=1)
+        assert len(calls) == K * (K - 1) // 2
+        assert sorted(c[3:] for c in calls) == [(i, j) for i in ids for j in ids if i < j]
+
+    def test_private_fit_makes_five_streams_per_pair_per_round(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        K = 4
+        dataset, _, _ = synthetic_instance(K=K, T=60, M=2, T_occ=6, noise=0.1, seed=8)
+        fit, _ = run_protocol(dataset, ProtocolConfig(lam=10.0, T_occ=6, seed=8, scan=False))
+        per_round = Counter(it for it, *_ in calls)
+        assert per_round == {l: 5 * K * (K - 1) // 2 for l in range(fit.iterations)}
+        assert len(set(calls)) == len(calls)  # no stream generated twice
