@@ -295,7 +295,8 @@ class ProtocolRunner:
     def _sap_step(self, l: int, xi: np.ndarray):
         """Dynamics step of round l: secure-aggregate the agents' weighted
         temperature and load series and solve for the dynamics.  Returns
-        (alpha, f1); ``xi`` is the round's input weights, for the penalty."""
+        (alpha, f1); ``xi`` is the round's input weights, for the penalty.
+        The round's one mask set goes on to the weights step."""
         masks = PairwiseMaskSet(self.cfg.seed, self.agent_ids, iteration=l)
         for i in self.agent_ids:
             for msg in self.agents[i].sap_upload(l, masks):
@@ -308,7 +309,10 @@ class ProtocolRunner:
         alpha, *_unused, f1 = solve_sp1_from_parts(
             s_sum, c2, self.c3, self.c4, self.P_occ, self.cfg.lam, float(xi @ xi)
         )
-        self._round = {"payloads": payloads, "xi_in": xi.copy(), "s_sum": s_sum, "c2": c2, "f1": f1}
+        self._round = {
+            "masks": masks, "payloads": payloads, "xi_in": xi.copy(),
+            "s_sum": s_sum, "c2": c2, "f1": f1,
+        }
         return alpha, f1
 
     def _te_step(self, l: int, alpha: np.ndarray):
@@ -317,7 +321,7 @@ class ProtocolRunner:
         weights, then scan the round and record the coordinator's view.
         Returns (xi, beta, gamma, theta, tau_occ_free, f2)."""
         rnd = self._round
-        masks = PairwiseMaskSet(self.cfg.seed, self.agent_ids, iteration=l)
+        masks = rnd["masks"]
         for i in self.agent_ids:
             self.bus.send(Message(l, Phase.ALPHA_BROADCAST, BLA_ID, i, alpha))
         for i in self.agent_ids:

@@ -4,16 +4,19 @@ Shares are elements of the ring Z_2^64.  Each agent encodes its private
 tensor as signed fixed-point with ``FRAC_BITS`` fractional bits, views it
 as uint64, and adds its net mask with wrap-around arithmetic: for each
 unordered agent pair (i, j), i < j, agent i adds and agent j subtracts a
-mask of uniform 64-bit words derived from the pair's seed.  The mask set
+mask of uniform 64-bit words drawn from the pair's key.  The mask set
 generates each pair's stream once per round and hands every agent its own
 net sum.  The coordinator sums the shares mod 2^64, which cancels every
 mask, and decodes the sum once: it is the exact sum of the quantized
 inputs, in any share order.  Each share on its own is uniform over the
-ring.  Mask streams are keyed by (pair, iteration, kind, sub) and are fresh
-every round.
+ring.  Every pair has one fresh key per round, and each (kind, sub) stream
+is a fixed, disjoint segment of that pair's round stream.
 """
 
 from __future__ import annotations
+
+import math
+from collections import Counter
 
 import numpy as np
 
@@ -33,19 +36,27 @@ KIND_SAP_LOAD = 1  # load series (T + M rows)
 KIND_TE_A1 = 2
 KIND_TE_A2 = 3
 KIND_TE_W = 4
+N_KINDS = KIND_TE_W + 1
+SUBS = 4  # subs per kind: stream (kind, sub) is segment kind * SUBS + sub
+SEGMENT = 2**48  # words per segment of a pair's round stream
 
 FRAC_BITS = 44  # quantization step 2^-44; rounding error at most 2^-45 per entry
 _SCALE = float(2**FRAC_BITS)
 
 
 class PairwiseMaskSet:
-    """Deterministic pairwise mask source for one protocol iteration.
+    """Deterministic pairwise mask source for one protocol round.
 
-    Both members of a pair would reconstruct identical masks from the shared
-    seed; the set stands in for that out-of-band pairwise agreement.
-    Entries are the raw uniform 64-bit output of a PCG64 stream, one
-    independent stream per (pair, iteration, kind, sub).  This is a
-    simulation PRG, not a cryptographic one.
+    Both members of a pair would reconstruct identical masks from the key
+    they agreed on; the set stands in for that out-of-band agreement.  On
+    the first request, one ``SeedSequence`` keyed by (master seed,
+    1000 + iteration) gives every pair i < j a 128-bit PCG64 state and an
+    odd increment: the pair's key for this round.  Stream (kind, sub) is
+    segment ``kind * SUBS + sub`` of ``SEGMENT`` words of the pair's
+    stream, so ``mask`` resets one generator to the pair's key and advances
+    it to the segment: requests may come in any order and repeat.  Entries
+    are raw uniform 64-bit PCG64 output.  This is a simulation PRG, not a
+    cryptographic one.
 
     ``net_mask`` generates each pair's stream once per (kind, sub, shape)
     and keeps every agent's net sum until that agent takes it, so at most
@@ -53,19 +64,55 @@ class PairwiseMaskSet:
     """
 
     def __init__(self, master_seed: int, agent_ids, iteration: int):
+        ids = sorted(agent_ids)
+        dup = sorted(i for i, n in Counter(ids).items() if n > 1)
+        if dup:
+            raise ValueError(f"duplicate agent id(s) {dup} in mask set")
         self.master_seed = master_seed
-        self.agent_ids = sorted(agent_ids)
+        self.agent_ids = ids
         self.iteration = iteration
+        self._keys = None  # (i, j) -> the pair's PCG64 state this round, on first request
+        self._gen = None  # one generator, reset to a pair's key per request
         self._pending: dict = {}  # (kind, sub, shape) -> {agent id: net mask}
+
+    def _derive_keys(self) -> None:
+        """This round's key of every pair, from one ``SeedSequence``."""
+        seq = np.random.SeedSequence(self.master_seed, spawn_key=(1000 + self.iteration,))
+        ids = self.agent_ids
+        pairs = [(i, j) for a, i in enumerate(ids) for j in ids[a + 1 :]]
+        words = seq.generate_state(4 * len(pairs), np.uint64).reshape(-1, 4).tolist()
+        self._keys = {
+            p: {
+                "bit_generator": "PCG64",
+                # a 128-bit state and increment; PCG64 needs an odd increment
+                "state": {"state": w[0] << 64 | w[1], "inc": w[2] << 64 | w[3] | 1},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            for p, w in zip(pairs, words)
+        }
+        self._gen = np.random.PCG64(seq)
 
     def mask(self, i: int, j: int, kind: int, sub: int, shape) -> np.ndarray:
         """Mask shared by pair (i, j), i < j, for one stream and shape (uint64)."""
         if not i < j:
             raise ValueError(f"pair must be ordered i < j, got ({i}, {j})")
-        seq = np.random.SeedSequence(
-            self.master_seed, spawn_key=(1000 + self.iteration, kind, sub, i, j)
-        )
-        return np.random.PCG64(seq).random_raw(shape)
+        if not 0 <= kind < N_KINDS:
+            raise ValueError(f"mask kind {kind!r} is outside 0..{N_KINDS - 1}")
+        if not 0 <= sub < SUBS:
+            raise ValueError(f"mask sub {sub!r} is outside 0..{SUBS - 1}")
+        size = math.prod(shape) if np.iterable(shape) else shape
+        if size > SEGMENT:
+            raise ValueError(f"mask stream of {size} words is longer than its segment of {SEGMENT}")
+        if self._keys is None:
+            self._derive_keys()
+        key = self._keys.get((i, j))
+        if key is None:
+            raise ValueError(f"pair ({i}, {j}) is not in this mask set {self.agent_ids}")
+        gen = self._gen
+        gen.state = key
+        gen.advance((kind * SUBS + sub) * SEGMENT)
+        return gen.random_raw(shape)
 
     def net_mask(self, agent_id: int, kind: int, sub: int, shape) -> np.ndarray:
         """Agent ``agent_id``'s net mask for one stream and shape (uint64):

@@ -53,6 +53,22 @@ class TestEquivalence:
         assert abs(fit.params.xi.sum() - 1.0) < 1e-8
         assert fit.params.xi.min() >= -1e-6
 
+    def test_fit_and_view_pinned(self, small_run):
+        """The masks cancel exactly, so the fit and the coordinator's
+        aggregates stay the same when the mask keying changes: one sha256
+        over their float64 bytes."""
+        *_, fit, transcript = small_run
+        h = hashlib.sha256()
+        for name in ("xi", "alpha", "beta", "gamma", "theta", "tau_occ_free"):
+            h.update(np.asarray(getattr(fit.params, name), dtype=float).tobytes())
+        trace = [v for g in fit.gap_trace for v in (g.f1, g.f2, g.gap)]
+        h.update(np.array([fit.objective, *trace]).tobytes())
+        for view in transcript.bla_view:
+            for key in ("s_sum", "c2", "A1_sum", "A2_sum", "w_sum", "xi_bar", "xi_recovered", "f1", "f2"):
+                h.update(np.asarray(view[key], dtype=float).tobytes())
+        assert fit.objective.hex() == "0x1.cc6794c4c7b53p+1"
+        assert h.hexdigest() == "4059335b504d00978d816cfe573918e2124fe1bc0de3789629ca00f5aae15caf"
+
     def test_deterministic_rerun(self, small_run):
         dataset, _, cfg, fit, transcript = small_run
         fit2, transcript2 = run_protocol(dataset, cfg)
@@ -113,7 +129,7 @@ class TestTranscript:
         joined = "".join(m.digest for m in transcript.messages)
         assert (
             hashlib.sha256(joined.encode()).hexdigest()
-            == "58bf5e7d915269d6880ff5ce94252ce121eae26009db576e625c4249c1d6bbdf"
+            == "3ca14468a96e44e3d8035cfaaed273d963699c1c4e2738cf121715b6d17b5911"
         )
 
     def test_jsonl_serialization(self, small_run, tmp_path):

@@ -16,6 +16,8 @@ from aggtherm.protocol.sap import (
     KIND_TE_A1,
     KIND_TE_A2,
     KIND_TE_W,
+    SEGMENT,
+    SUBS,
     PairwiseMaskSet,
     decode_fixed,
     encode_fixed,
@@ -90,6 +92,30 @@ class TestSapMask:
         masks = PairwiseMaskSet(5, [1, 2], iteration=0)
         with pytest.raises(ValueError):
             masks.mask(2, 1, KIND_SAP_S, 0, (3,))
+
+    def test_duplicate_agent_ids_rejected(self):
+        with pytest.raises(ValueError, match=r"duplicate agent id\(s\) \[2\]"):
+            PairwiseMaskSet(1, [1, 2, 2], 0)
+
+    @pytest.mark.parametrize(
+        "kind, sub, shape, match",
+        [
+            (99, 0, (3,), "mask kind 99 is outside"),
+            (-1, 0, (3,), "mask kind -1 is outside"),
+            (KIND_SAP_S, -1, (3,), "mask sub -1 is outside"),
+            (KIND_SAP_S, SUBS, (3,), f"mask sub {SUBS} is outside"),
+            (KIND_TE_A1, 0, (2**24, 2**24 + 1), f"{SEGMENT + 2**24} words is longer than its segment"),
+        ],
+    )
+    def test_stream_outside_the_layout_rejected(self, kind, sub, shape, match):
+        masks = PairwiseMaskSet(1, [1, 2], 0)
+        with pytest.raises(ValueError, match=match):
+            masks.mask(1, 2, kind, sub, shape)
+
+    def test_unknown_pair_rejected(self):
+        masks = PairwiseMaskSet(5, [1, 2, 4], iteration=0)
+        with pytest.raises(ValueError, match=r"pair \(1, 3\) is not in this mask set"):
+            masks.mask(1, 3, KIND_SAP_S, 0, (3,))
 
     def test_out_of_range_input_rejected(self):
         K = 4
@@ -296,8 +322,8 @@ def test_net_mask_matches_per_pair_reference(data, ids, shape, seed, iteration, 
 
 
 class TestMaskWork:
-    """Each pair's stream is generated once per stream and round, not once
-    by each member of the pair."""
+    """Each pair's key is derived once per round, and each of its streams is
+    generated once per round, not once by each member of the pair."""
 
     @staticmethod
     def counting(monkeypatch):
@@ -320,6 +346,60 @@ class TestMaskWork:
             sap_mask(np.ones((4, K)), i, masks, KIND_TE_A1, sub=1)
         assert len(calls) == K * (K - 1) // 2
         assert sorted(c[3:] for c in calls) == [(i, j) for i in ids for j in ids if i < j]
+
+    def test_same_request_same_words_in_any_order(self):
+        """Each stream is random access into its pair's round stream: a
+        request gets the same words whatever was asked before it, and again
+        when repeated."""
+        ids = [1, 3, 4, 7]
+        requests = [
+            ((i, j), kind, sub)
+            for a, i in enumerate(ids)
+            for j in ids[a + 1 :]
+            for kind in (KIND_SAP_S, KIND_TE_A1, KIND_TE_W)
+            for sub in (0, SUBS - 1)
+        ]
+        want = {r: PairwiseMaskSet(11, ids, 2).mask(*r[0], r[1], r[2], (3, 2)) for r in requests}
+        order = np.random.default_rng(0).permutation(len(requests)).tolist()
+        masks = PairwiseMaskSet(11, ids, 2)
+        for k in order + order[:5]:
+            r = requests[k]
+            assert masks.mask(*r[0], r[1], r[2], (3, 2)).tobytes() == want[r].tobytes()
+
+    def test_shapes_share_the_head_of_a_segment(self):
+        masks = PairwiseMaskSet(11, [1, 2], 0)
+        long = masks.mask(1, 2, KIND_TE_A2, 1, (4, 5))
+        assert np.array_equal(masks.mask(1, 2, KIND_TE_A2, 1, (7,)), long.ravel()[:7])
+
+    def test_neighbouring_segments_and_rounds_differ(self):
+        masks = PairwiseMaskSet(11, [1, 2], 0)
+        segments = [(kind, sub) for kind in range(KIND_TE_W + 1) for sub in range(SUBS)]
+        words = [masks.mask(1, 2, kind, sub, (8,)) for kind, sub in segments]
+        for a, b in zip(words, words[1:]):  # includes (kind, SUBS - 1) -> (kind + 1, 0)
+            assert not np.array_equal(a, b)
+        assert len({w.tobytes() for w in words}) == len(words)
+        for l in range(3):
+            this = PairwiseMaskSet(11, [1, 2], l).mask(1, 2, KIND_SAP_S, 0, (8,))
+            after = PairwiseMaskSet(11, [1, 2], l + 1).mask(1, 2, KIND_SAP_S, 0, (8,))
+            assert not np.array_equal(this, after)
+
+    def test_private_fit_derives_round_keys_once_per_round(self, monkeypatch):
+        """One ``SeedSequence`` keyed by (seed, 1000 + round) per round, and no
+        other mask key derivation."""
+        rounds = []
+        real = np.random.SeedSequence
+
+        def counted(*args, **kwargs):
+            key = kwargs.get("spawn_key", ())
+            if key and 1000 <= key[0] < 2000:
+                assert len(key) == 1
+                rounds.append(key[0] - 1000)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counted)
+        dataset, _, _ = synthetic_instance(K=4, T=60, M=2, T_occ=6, noise=0.1, seed=8)
+        fit, _ = run_protocol(dataset, ProtocolConfig(lam=10.0, T_occ=6, seed=8, scan=False))
+        assert rounds == list(range(fit.iterations))
 
     def test_private_fit_makes_five_streams_per_pair_per_round(self, monkeypatch):
         calls = self.counting(monkeypatch)
