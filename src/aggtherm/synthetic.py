@@ -6,6 +6,12 @@ coefficients are arranged so that the xi-weighted combination of the zone
 recursions reproduces the target aggregate model exactly: the aggregate
 measurement residual at the target parameters is the injected Gaussian
 noise, and exactly zero when ``noise_sigma`` is zero.
+
+The simulation is vectorised over zones: it loops over periods only and
+steps all K zones as one vector.  Each entry still sees the same
+floating-point operations in the same order, and the random stream is drawn
+in the same order, as a scalar per-(period, zone) transcription, so a given
+seed gives the same bits either way.
 """
 
 from __future__ import annotations
@@ -58,20 +64,23 @@ def _weather(rng: np.random.Generator, rows: int, per_day: int):
 
 
 def _zone_loads(rng, rows: int, K: int, per_day: int):
-    """Per-zone heating load: daily pattern plus independent AR(1) variation."""
+    """Per-zone heating load: daily pattern plus independent AR(1) variation.
+
+    One ``standard_normal((K, rows))`` draw consumes the stream exactly as K
+    per-zone draws of ``rows`` would, and the AR(1) recursion takes one
+    K-vector step per row, so every zone's series matches a per-zone loop
+    bit for bit.
+    """
     t = np.arange(rows)
     base = rng.uniform(3.0, 8.0, size=K)
     amp = rng.uniform(0.5, 2.0, size=K)
     phase = rng.uniform(0.0, 2 * np.pi, size=K)
-    loads = np.empty((rows, K))
-    for i in range(K):
-        pattern = base[i] + amp[i] * np.sin(2 * np.pi * t / per_day + phase[i])
-        ar = np.zeros(rows)
-        e = rng.standard_normal(rows) * 0.8
-        for s in range(1, rows):
-            ar[s] = 0.7 * ar[s - 1] + e[s]
-        loads[:, i] = np.clip(pattern + ar, 0.1, None)
-    return loads
+    pattern = base + amp * np.sin((2 * np.pi * t / per_day)[:, None] + phase)
+    e = np.ascontiguousarray(rng.standard_normal((K, rows)).T) * 0.8
+    ar = np.zeros((rows, K))
+    for s in range(1, rows):
+        ar[s] = 0.7 * ar[s - 1] + e[s]
+    return np.clip(pattern + ar, 0.1, None)
 
 
 def generate_synthetic(
@@ -100,11 +109,21 @@ def generate_synthetic(
     Raises
     ------
     ValueError
-        If the target autoregressive dynamics are unstable or xi has
+        Before any draw, if K, T, M or ``T_occ`` is below 1, ``dt_minutes``
+        is not finite and positive, or a noise level is negative or NaN; and
+        if the target autoregressive dynamics are unstable or xi has
         (near-)zero entries, which the construction cannot support.
     """
-    if noise_sigma < 0:
+    if K < 1 or T < 1 or M < 1:
+        raise ValueError(f"need K >= 1, T >= 1, M >= 1, got K={K}, T={T}, M={M}")
+    if not noise_sigma >= 0:
         raise ValueError("noise_sigma must be >= 0")
+    if not zone_noise_sigma >= 0:
+        raise ValueError(f"zone_noise_sigma must be >= 0, got {zone_noise_sigma}")
+    if T_occ < 1:
+        raise ValueError(f"T_occ must be >= 1, got {T_occ}")
+    if not (np.isfinite(dt_minutes) and dt_minutes > 0):
+        raise ValueError(f"dt_minutes must be finite and > 0, got {dt_minutes}")
     if true_params is None:
         true_params = default_true_params(K, M, T_occ, seed)
     if true_params.K != K or true_params.M != M or len(true_params.tau_occ_free) != T_occ:
@@ -146,20 +165,27 @@ def generate_synthetic(
         eta = rng.standard_normal((T, K)) * zone_noise_sigma
         eta -= np.outer((eta @ xi) / (xi @ xi), xi)
 
+    # Each period adds, per zone: occupancy + eps + eta, the alpha lag terms,
+    # then beta/gamma/theta products lag by lag.  Everything but the lag terms
+    # is known up front, so it is formed for all periods at once and the loop
+    # adds it in that same order, one K-vector per term.
+    exo = np.empty((T, 3 * (M + 1), K))
+    for m in range(M + 1):
+        lag = slice(M - m, rows - m)  # rows r - m for r = M .. rows - 1
+        exo[:, 3 * m] = beta_z[:, m] * h_load[lag]
+        exo[:, 3 * m + 1] = gamma_z[:, m] * tau_out[lag, None]
+        exo[:, 3 * m + 2] = theta_z[:, m] * h_rad[lag, None]
+    alpha = true_params.alpha
+
     tau_in = np.empty((rows, K))
     tau_in[:M] = 20.0 + rng.uniform(-1.0, 1.0, size=K)[None, :]
-    for t in range(T):
-        r = M + t  # row of period t+1
-        slot = t % T_occ
-        for i in range(K):
-            v = occ_z[i, slot] + eps[t] + eta[t, i]
-            for m in range(1, M + 1):
-                v += true_params.alpha[m - 1] * tau_in[r - m, i]
-            for m in range(M + 1):
-                v += beta_z[i, m] * h_load[r - m, i]
-                v += gamma_z[i, m] * tau_out[r - m]
-                v += theta_z[i, m] * h_rad[r - m]
-            tau_in[r, i] = v
+    tau_in[M:] = occ_z.T[np.arange(T) % T_occ] + eps[:, None] + eta
+    for r in range(M, rows):
+        v = tau_in[r]
+        for m in range(1, M + 1):
+            v += alpha[m - 1] * tau_in[r - m]
+        for term in exo[r - M]:
+            v += term
     if not np.all(np.isfinite(tau_in)):
         raise ValueError("zone simulation diverged; check target dynamics")
 

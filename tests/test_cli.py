@@ -197,3 +197,9 @@ class TestErrors:
         bad = tmp_path / "bad.csv"
         bad.write_text("timestamp,outdoor_c\n2020-01-01,1\n")
         assert cmd_dispatch(["fit", "--data", str(bad)]) == 2
+
+    def test_generate_zero_t_occ(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert cmd_dispatch(["generate", "--out", str(out), "--t-occ", "0"]) == 2
+        assert capsys.readouterr().err.strip() == "error: T_occ must be >= 1, got 0"
+        assert not out.exists()
