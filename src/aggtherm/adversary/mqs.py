@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
 
 from ..model import lag_filter
 
@@ -312,6 +311,10 @@ def solve_mqs(
         )
     if method not in ("lbfgs", "trf"):
         raise ValueError(f"unknown method {method!r}")
+    # imported here, outside the timed solve: loading scipy.optimize costs
+    # about 0.3 s and 13 MiB, which runs that never attack should not pay
+    from scipy.optimize import least_squares, minimize
+
     t0 = time.perf_counter()
     try:
         if method == "trf":

@@ -129,7 +129,7 @@ class TestTranscript:
         joined = "".join(m.digest for m in transcript.messages)
         assert (
             hashlib.sha256(joined.encode()).hexdigest()
-            == "3ca14468a96e44e3d8035cfaaed273d963699c1c4e2738cf121715b6d17b5911"
+            == "d00269637273f43169e8022522dcde23080d4d7ff0db72e6cb710dab4c4ab489"
         )
 
     def test_jsonl_serialization(self, small_run, tmp_path):

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -153,6 +154,87 @@ class TestSapMask:
             sap_aggregate([np.zeros(3), np.zeros(4)])
         with pytest.raises(ValueError):
             sap_aggregate([])
+
+
+def ctr_keystream(key: bytes, segment: int, n_words: int) -> np.ndarray:
+    """The first ``n_words`` words of AES-128-CTR under ``key`` from the
+    segment's first counter block, read as little-endian 64-bit words."""
+    from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+
+    first = (segment * SEGMENT // 2).to_bytes(16, "big")
+    enc = Cipher(algorithms.AES(key), modes.CTR(first)).encryptor()
+    n_blocks = -(-n_words // 2)
+    return np.frombuffer(enc.update(bytes(16 * n_blocks)), dtype="<u8")[:n_words]
+
+
+class TestAesCounterLayout:
+    """Known answers: each mask is a segment of the pair's AES-128-CTR
+    keystream, under a key cut from the round's one ``SeedSequence``."""
+
+    IDS = [2, 5, 9]
+    PAIRS = [(2, 5), (2, 9), (5, 9)]
+
+    def round_keys(self, seed, iteration):
+        state = np.random.SeedSequence(seed, spawn_key=(1000 + iteration,)).generate_state(4 * len(self.PAIRS))
+        raw = state.astype("<u4").tobytes()
+        return {p: raw[16 * n : 16 * (n + 1)] for n, p in enumerate(self.PAIRS)}
+
+    @pytest.mark.parametrize("seed, iteration", [(17, 0), (17, 3), (2**40 + 5, 1)])
+    @pytest.mark.parametrize("n_words", [1, 2, 7, 10])
+    def test_mask_is_the_pair_keys_ctr_keystream(self, seed, iteration, n_words):
+        keys = self.round_keys(seed, iteration)
+        masks = PairwiseMaskSet(seed, self.IDS, iteration)
+        for pair, key in keys.items():
+            for kind, sub in [(KIND_SAP_S, 0), (KIND_TE_A1, 2), (KIND_TE_W, SUBS - 1)]:
+                want = ctr_keystream(key, kind * SUBS + sub, n_words)
+                got = masks.mask(*pair, kind, sub, (n_words,))
+                assert got.dtype == np.uint64 and got.shape == (n_words,)
+                assert got.tobytes() == want.tobytes(), (pair, kind, sub)
+
+    def test_shaped_mask_is_the_keystream_in_row_major_order(self):
+        keys = self.round_keys(4, 2)
+        masks = PairwiseMaskSet(4, self.IDS, 2)
+        got = masks.mask(5, 9, KIND_TE_A2, 1, (3, 5))
+        want = ctr_keystream(keys[5, 9], KIND_TE_A2 * SUBS + 1, 15).reshape(3, 5)
+        assert got.shape == (3, 5) and np.array_equal(got, want)
+
+
+class TestMaskShapes:
+    """``mask`` and ``net_mask`` read a shape the same way: an int is a 1-D
+    shape, and a negative or non-integer dimension is refused."""
+
+    def test_int_and_tuple_shapes_agree(self):
+        masks = PairwiseMaskSet(3, [1, 2, 3], 0)
+        assert np.array_equal(masks.mask(1, 2, KIND_SAP_S, 0, 5), masks.mask(1, 2, KIND_SAP_S, 0, (5,)))
+        assert np.array_equal(
+            masks.mask(1, 3, KIND_TE_A1, 1, (np.int64(2), 3)), masks.mask(1, 3, KIND_TE_A1, 1, [2, 3])
+        )
+        by_int = PairwiseMaskSet(3, [1, 2, 3], 0)
+        by_tuple = PairwiseMaskSet(3, [1, 2, 3], 0)
+        for i in (2, 1, 3):
+            got = by_int.net_mask(i, KIND_SAP_S, 0, 5)
+            assert got.shape == (5,) and np.array_equal(got, by_tuple.net_mask(i, KIND_SAP_S, 0, (5,)))
+
+    def test_empty_shapes(self):
+        masks = PairwiseMaskSet(3, [1, 2], 0)
+        assert masks.mask(1, 2, KIND_SAP_S, 0, (0, 3)).shape == (0, 3)
+        assert masks.net_mask(2, KIND_SAP_S, 0, 0).shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(-1,), (3, -2), -4, (2.5,), 2.0, (3, None), "ab", [1.0]])
+    def test_bad_shape_rejected_by_both(self, shape):
+        masks = PairwiseMaskSet(3, [1, 2], 0)
+        match = re.escape(f"mask shape {shape!r} must have non-negative integer dimensions")
+        with pytest.raises(ValueError, match=match):
+            masks.mask(1, 2, KIND_SAP_S, 0, shape)
+        with pytest.raises(ValueError, match=match):
+            masks.net_mask(1, KIND_SAP_S, 0, shape)
+
+    def test_float_dimensions_rejected_after_their_int_twin(self):
+        """A cached stream of (5,) does not let (5.0,) through."""
+        masks = PairwiseMaskSet(3, [1, 2], 0)
+        masks.mask(1, 2, KIND_SAP_S, 0, (5,))
+        with pytest.raises(ValueError, match="mask shape"):
+            masks.mask(1, 2, KIND_SAP_S, 0, (5.0,))
 
 
 def aggregated_series(K, T, M, seed):
