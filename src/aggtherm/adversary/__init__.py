@@ -2,6 +2,7 @@ from .counting import CountingReport, counting_report
 from .leakage import (
     GramNotRankOneError,
     estimate_share_mean,
+    filtered_gram_from_view,
     recover_tau_from_hat,
     recover_W_from_gram,
 )
@@ -26,6 +27,7 @@ __all__ = [
     "recover_tau_from_hat",
     "recover_W_from_gram",
     "estimate_share_mean",
+    "filtered_gram_from_view",
     "AttackResult",
     "MqsInstance",
     "MqsKnowns",

@@ -6,7 +6,9 @@ the raw temperatures once it has seen two iterations with distinct
 dynamics, and a raw rank-1 Gram upload betrays its generating encryption
 column up to a sign that the weight-recovery relation then fixes.  A third
 shows why masks must be uniform: averaging masked copies of one share
-estimates the zone's mean when the masks are zero-mean real draws.
+estimates the zone's mean when the masks are zero-mean real draws.  A
+fourth needs no careless protocol: the aggregates the coordinator is meant
+to see give the Gram of the filtered per-zone series in closed form.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ __all__ = [
     "recover_tau_from_hat",
     "recover_W_from_gram",
     "estimate_share_mean",
+    "filtered_gram_from_view",
     "GramNotRankOneError",
 ]
 
@@ -120,3 +123,15 @@ def estimate_share_mean(shares: list) -> float:
     if not copies:
         raise ValueError("need at least one masked copy")
     return float(np.concatenate(copies).mean())
+
+
+def filtered_gram_from_view(entry: dict) -> np.ndarray:
+    """The T x T Gram Ĥ_l Ĥ_lᵀ of round l's filtered per-zone temperatures,
+    from one ``bla_view`` entry of a protocol transcript.
+
+    The round's aggregates are ``A1_sum`` = Ĥ_l W_lᵀ and ``A2_sum`` = W_l W_lᵀ
+    for the invertible encryption matrix W_l, so A1 A2⁻¹ A1ᵀ = Ĥ_l Ĥ_lᵀ: one
+    K x K solve, at any K, whatever the masks.
+    """
+    A1 = np.asarray(entry["A1_sum"], dtype=float)
+    return A1 @ np.linalg.solve(np.asarray(entry["A2_sum"], dtype=float), A1.T)

@@ -75,50 +75,41 @@ class ProtocolTranscript:
                 fh.write(dumps_json(rec.as_dict()).replace("\n", "") + "\n")
 
 
-def _signatures(columns: np.ndarray):
-    """Per-column (mean, std) prefilter signatures; columns is (n, count)."""
-    return columns.mean(axis=0), columns.std(axis=0)
-
-
-# relative slack on the prefilter bounds, for rounding in the signatures
-_SIGNATURE_SLACK = 1e-9
+# most rows of a reference length compared before the full np.allclose
+_PROBES = 8
 
 
 def _reference_sets(private_vectors, rtol: float, atol: float) -> dict:
-    """Group the private vectors by length; per length, the reference matrix
-    with its labels, signatures and the prefilter tolerance of each signature.
-
-    A column ``a`` with ``np.allclose(a, ref)`` has |a_i - ref_i| <= atol +
-    rtol |ref_i| for every i, so its mean lies within atol + rtol mean|ref|
-    of the reference's, and its std within atol + rtol rms(ref).  The
-    tolerances are those bounds, so the prefilter drops no such column."""
+    """Group the private vectors by length; per length, their labels, the
+    vectors, the probe rows (up to ``_PROBES``, spread over the length with
+    the first and last included), the vectors' values there (probes x 1 x
+    refs) and ``np.isclose``'s tolerance atol + rtol |b| at each such value
+    b, -inf where b is not finite (there only equality is close)."""
     by_len: dict[int, list] = {}
     for label, vec in private_vectors:
         v = np.asarray(vec, dtype=float).ravel()
         by_len.setdefault(len(v), []).append((label, v))
     sets = {}
     for n, refs in by_len.items():
-        ref_mat = np.column_stack([v for _, v in refs])
-        rm, rs = _signatures(ref_mat)
-        rtol_slack = rtol + _SIGNATURE_SLACK
-        sets[n] = (
-            [label for label, _ in refs],
-            ref_mat,
-            rm,
-            rs,
-            atol + rtol_slack * np.abs(ref_mat).mean(axis=0),
-            atol + rtol_slack * np.sqrt((ref_mat**2).mean(axis=0)),
-        )
+        rows = np.linspace(0, n - 1, min(n, _PROBES)).round().astype(np.intp)
+        vecs = [v for _, v in refs]
+        probe = np.array([v[rows] for v in vecs]).T[:, None, :]
+        tol = np.where(np.isfinite(probe), atol + rtol * np.abs(probe), -np.inf)
+        sets[n] = ([label for label, _ in refs], vecs, rows, probe, tol)
     return sets
 
 
 def scan_payloads(payloads, private_vectors, rtol: float = 1e-6, atol: float = 1e-8):
     """Find coordinator-visible vectors that equal a private vector.
 
-    ``payloads`` is a list of (label, array); every column of each array is
-    compared against every private vector of matching length.  A cheap
-    (mean, std) prefilter, built once per length and applied to all of a
-    payload's columns at once, keeps the exact pairwise comparison sparse.
+    ``payloads`` is a list of (label, array) with arrays of at most two
+    dimensions (a scalar is one 1 x 1 column); every column of each array is
+    compared against every private vector of matching length.  A column and
+    a reference are a finding when ``np.allclose`` holds for them.  Each
+    payload's columns are first compared with all references at a few probe
+    rows under ``np.isclose``'s rule, in one step; only the pairs close at
+    every probe row get the full ``np.allclose``.  Since ``np.allclose`` is
+    ``np.isclose`` at every row, the probe step drops no finding.
     Returns (checked, findings): the number of payload columns that had
     references of their length, and a list of (payload_label, column_index,
     private_label) findings in payload, column, reference order.
@@ -128,17 +119,19 @@ def scan_payloads(payloads, private_vectors, rtol: float = 1e-6, atol: float = 1
     checked = 0
     for label, arr in payloads:
         arr = np.asarray(arr, dtype=float)
-        if arr.ndim == 1:
+        if arr.ndim > 2:
+            raise ValueError(f"scan payload {label!r} has {arr.ndim} dimensions, expected at most 2")
+        if arr.ndim < 2:
             arr = arr.reshape(-1, 1)
         ref_set = sets.get(arr.shape[0])
         if ref_set is None:
             continue
-        labels, ref_mat, rm, rs, mean_tol, std_tol = ref_set
-        pm, ps = _signatures(arr)
+        labels, vecs, rows, probe, tol = ref_set
         checked += arr.shape[1]
-        candidates = np.abs(pm[:, None] - rm) <= mean_tol
-        candidates &= np.abs(ps[:, None] - rs) <= std_tol
-        for c, r in zip(*np.nonzero(candidates)):
-            if np.allclose(arr[:, c], ref_mat[:, r], rtol=rtol, atol=atol):
+        a = arr[rows][:, :, None]  # probes x columns x 1
+        with np.errstate(over="ignore", invalid="ignore"):  # huge or infinite entries
+            close = (np.abs(a - probe) <= tol) | (a == probe)
+        for c, r in zip(*np.nonzero(close.all(axis=0))):
+            if np.allclose(arr[:, c], vecs[r], rtol=rtol, atol=atol):
                 findings.append((label, int(c), labels[r]))
     return checked, findings

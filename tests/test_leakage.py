@@ -5,9 +5,12 @@ from aggtherm import generate_synthetic
 from aggtherm.adversary import (
     GramNotRankOneError,
     estimate_share_mean,
+    filtered_gram_from_view,
     recover_tau_from_hat,
     recover_W_from_gram,
 )
+from aggtherm.model import lag_filter
+from aggtherm.protocol import ProtocolConfig, ProtocolRunner
 from aggtherm.protocol.sap import (
     KIND_SAP_LOAD,
     KIND_TE_A2,
@@ -15,6 +18,8 @@ from aggtherm.protocol.sap import (
     decode_fixed,
     sap_mask,
 )
+
+from _common import synthetic_instance
 
 
 def forward_hat(tau, alpha):
@@ -172,3 +177,22 @@ class TestShareMean:
     def test_no_copies_rejected(self):
         with pytest.raises(ValueError):
             estimate_share_mean([])
+
+
+class TestFilteredGram:
+    """Finding: the coordinator's legitimate aggregates of one round give the
+    Gram of the filtered per-zone temperatures in closed form, at any K, and
+    the privacy scan (exact copies only) stays clean while they do."""
+
+    @pytest.mark.parametrize("K,T,T_occ", [(4, 120, 12), (32, 1080, 48)])
+    def test_every_round_recovers_the_gram(self, K, T, T_occ):
+        dataset, _, _ = synthetic_instance(K=K, T=T, M=2, T_occ=T_occ, noise=0.2, seed=1)
+        runner = ProtocolRunner(dataset, ProtocolConfig(lam=100.0, tol=1e-6, T_occ=T_occ, seed=1))
+        runner.run()
+        view = runner.transcript.bla_view
+        assert len(view) >= 2 and runner.transcript.scan_findings == []
+        for entry in view:
+            hat = lag_filter(dataset.tau_in, dataset.M, entry["alpha"])
+            truth = hat @ hat.T
+            got = filtered_gram_from_view(entry)
+            assert np.linalg.norm(got - truth) <= 1e-8 * np.linalg.norm(truth)

@@ -1,6 +1,8 @@
 """The privacy scan: the prefiltered scanner against a brute-force pairwise
 ``np.allclose`` scan, and the full findings of an unmasked protocol run."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,55 +40,87 @@ def pairwise_scan_payloads(payloads, private_vectors, rtol=1e-6, atol=1e-8):
     return checked, findings
 
 
-REF_LENGTHS = [3, 5, 8]
+# lengths 0 and 1 are edge cases; 20 has rows between the scanner's probe
+# rows, so a column can pass every probe row and still fail np.allclose
+REF_LENGTHS = [0, 1, 3, 5, 8, 20]
+RTOL, ATOL = 1e-6, 1e-8
 
 
 @st.composite
 def scan_cases(draw):
-    """Private vectors of a few lengths (with duplicates, zero and constant
-    vectors), and payloads of those lengths and one unmatched length whose
-    columns are noise, exact copies, or copies perturbed across the
-    tolerance."""
+    """Private vectors of a few lengths (with duplicates, zero, constant,
+    non-finite and huge vectors), and payloads of those lengths and one
+    unmatched length whose columns are noise, exact copies, copies perturbed
+    across the tolerance, copies with one row just past it, or copies within
+    it at every row."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     refs = []
     for r in range(draw(st.integers(1, 10))):
         n = draw(st.sampled_from(REF_LENGTHS))
         same = [v for _, v in refs if len(v) == n]
-        kind = draw(st.sampled_from(["normal", "centred", "small", "zeros", "const", "duplicate"]))
+        kind = draw(
+            st.sampled_from(
+                ["normal", "centred", "small", "zeros", "const", "duplicate", "inf", "nan", "huge"]
+            )
+        )
         if kind == "duplicate" and same:
             v = same[draw(st.integers(0, len(same) - 1))].copy()
         elif kind == "centred":
             v = rng.standard_normal(n) * 20.0
-            v -= v.mean()  # mean 0, large entries: np.allclose allows a large mean shift
+            v -= v.mean() if n else 0.0  # mean 0, large entries
         elif kind == "small":
             v = rng.standard_normal(n) * 0.5  # small entries: atol weighs against rtol
         elif kind == "zeros":
             v = np.zeros(n)
         elif kind == "const":
             v = np.full(n, 20.0)
+        elif kind in ("inf", "nan"):
+            v = 20.0 + rng.standard_normal(n)
+            bad = rng.random(n) < 0.3
+            v[bad] = rng.choice([np.inf, -np.inf], bad.sum()) if kind == "inf" else np.nan
+        elif kind == "huge":
+            v = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(200.0, 300.0, n)
         else:
             v = 20.0 + rng.standard_normal(n) * draw(st.sampled_from([0.01, 1.0, 5.0]))
         refs.append((f"ref{r}", v))
 
     def column(n):
         same = [v for _, v in refs if len(v) == n]
-        kind = draw(st.sampled_from(["noise", "leak", "scaled", "shifted", "stretched", "jittered"]))
+        kind = draw(
+            st.sampled_from(
+                ["noise", "leak", "scaled", "shifted", "stretched", "jittered", "moved", "within"]
+            )
+        )
         if kind == "noise" or not same:
             return 20.0 + rng.standard_normal(n) * 10.0
         v = same[draw(st.integers(0, len(same) - 1))]
+        col = v.copy()
+        finite = np.isfinite(v)
+        tol = ATOL + RTOL * np.abs(v[finite])  # np.isclose's tolerance per finite row
         if kind == "leak":
-            return v.copy()
-        # log-uniform across the tolerances (rtol 1e-6, atol 1e-8); the last
-        # two kinds stay within np.allclose for eps <= 1e-6 while moving the
-        # mean or std signature up to the prefilter's bound
+            return col
+        if kind == "moved":
+            # one row (a probe row or not) just past the tolerance: no finding
+            rows = np.flatnonzero(finite)
+            if len(rows):
+                i = rng.choice(rows)
+                col[i] += rng.choice([-1.0, 1.0]) * (ATOL + RTOL * abs(v[i])) * 1.001
+            return col
+        if kind == "within":
+            # every finite row moved by up to 0.99 of its tolerance: a finding
+            col[finite] += rng.uniform(-0.99, 0.99, len(tol)) * tol
+            return col
+        # log-uniform across the tolerances; for eps <= 1e-6 the last two
+        # kinds stay within np.allclose however large the entries
         eps = 10.0 ** rng.uniform(-8.5, -5.5)
         if kind == "scaled":
             return v * (1.0 + eps)
         if kind == "shifted":
             return v + eps
-        if kind == "stretched":
-            return v + eps * np.abs(v)
-        return v + eps * np.abs(v) * rng.uniform(-1.0, 1.0, n)
+        with np.errstate(invalid="ignore"):  # -inf + inf is a NaN entry
+            if kind == "stretched":
+                return v + eps * np.abs(v)
+            return v + eps * np.abs(v) * rng.uniform(-1.0, 1.0, n)
 
     payloads = []
     for p in range(draw(st.integers(0, 6))):
@@ -104,6 +138,40 @@ def scan_cases(draw):
 def test_scan_matches_pairwise_allclose(case):
     payloads, refs = case
     assert scan_payloads(payloads, refs) == pairwise_scan_payloads(payloads, refs)
+
+
+@pytest.mark.parametrize(
+    "ref",
+    [
+        np.array([20.0, np.inf, 21.0, -np.inf]),
+        np.array([1e200, -3e250, 1e300, 2e154]),
+        np.array([np.nan, 20.0, 21.0, 22.0]),
+        np.array([]),
+        np.array([20.5]),
+    ],
+    ids=["inf", "huge", "nan", "empty", "single"],
+)
+def test_exact_copy_matches_pairwise_without_warnings(ref):
+    """An exact copy is a finding wherever np.allclose says so: with infinite
+    entries, with entries whose squares overflow, and at lengths 0 and 1; a
+    NaN entry is never close.  No warning is raised on the way."""
+    payloads = [("p", np.column_stack([ref, ref])), ("q", ref)]
+    refs = [("r", ref)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = scan_payloads(payloads, refs)
+    assert got == pairwise_scan_payloads(payloads, refs)
+    assert got[1] == ([] if np.isnan(ref).any() else [("p", 0, "r"), ("p", 1, "r"), ("q", 0, "r")])
+
+
+def test_scalar_payload_is_one_column():
+    assert scan_payloads([("s", np.float64(20.0))], [("r", [20.0])]) == (1, [("s", 0, "r")])
+
+
+@pytest.mark.parametrize("value", [20.0, 5.0], ids=["candidate", "no_candidate"])
+def test_three_dimensional_payload_rejected(value):
+    with pytest.raises(ValueError, match="'cube' has 3 dimensions"):
+        scan_payloads([("cube", np.full((2, 1, 1), value))], [("r", [20.0, 20.0])])
 
 
 # Findings of the unmasked run below, whose zero masks leave each share
