@@ -4,7 +4,10 @@ Evaluates the regularized least-squares objective and solves the two
 block-coordinate subproblems in the clear: the weights-fixed problem is an
 unconstrained linear least squares over the remaining coefficients, and the
 dynamics-fixed problem is an equality-constrained convex QP over the zone
-weights (with an active-set fallback for the nonnegativity bounds).
+weights (with an active-set fallback for the nonnegativity bounds).  Both
+remove the free occupancy levels in closed form: the levels are slot means
+of the residual, so each subproblem solves only its other unknowns on
+slot-demeaned columns (``_project_out_slots``).
 ``alternate`` is the alternating loop both fit modes share: ``bcd_fit``
 runs it on these solvers, the private protocol on its masked rounds.
 """
@@ -114,9 +117,27 @@ def objective(params: AtdmParameters, design: DesignMatrices, lam: float) -> flo
 
 
 def _split_exogenous(rest: np.ndarray, n1: int):
-    """(beta, gamma, theta, tau_occ_free) from coefficients stacked in the
-    column order c2 | c3 | c4 | P_occ, each of the first three n1 wide."""
-    return rest[:n1], rest[n1 : 2 * n1], rest[2 * n1 : 3 * n1], rest[3 * n1 :]
+    """(beta, gamma, theta) from coefficients stacked in the column order
+    c2 | c3 | c4, each n1 wide."""
+    return rest[:n1], rest[n1 : 2 * n1], rest[2 * n1 :]
+
+
+def _project_out_slots(P_occ: np.ndarray, blocks: list):
+    """Remove the occupancy block from the columns of ``blocks``.
+
+    ``P_occ`` is the T x T_occ slot indicator, one 1 per row.  Returns the
+    blocks side by side (X, T x p) minus each row's slot mean, and the slot
+    means (T_occ x p); a slot with no rows has mean 0.  For any
+    coefficients c the occupancy levels that minimize ||X c - P_occ u|| are
+    u = means @ c, and the residual left is the projected X times c
+    (Frisch-Waugh-Lovell), so the occupancy levels drop out of both
+    subproblems.
+    """
+    X = np.hstack(blocks)
+    counts = np.ones(len(X)) @ P_occ
+    means = (P_occ.T @ X) / np.maximum(counts, 1.0)[:, None]
+    X -= P_occ @ means
+    return X, means
 
 
 def solve_sp1_from_parts(
@@ -133,7 +154,12 @@ def solve_sp1_from_parts(
     ``s`` is the weighted series (T + M rows, lag history first), needing
     no access to per-zone data; its lag-0 view is the target and its
     lag-1..M views are the dynamics regressors.  M is read from ``c2``
-    (T x (M+1)).  Returns (alpha, beta, gamma, theta, tau_occ_free, f1).
+    (T x (M+1)).  The target and the M + 3(M+1) regressor columns are
+    slot-demeaned and solved by least squares, minimum-norm when the
+    demeaned columns are rank-deficient (for example a constant exogenous
+    column, which demeaning zeroes); the occupancy levels are then the slot
+    means of the target minus the fitted regressors, 0 for a slot with no
+    rows.  Returns (alpha, beta, gamma, theta, tau_occ_free, f1).
     """
     s = np.asarray(s, dtype=float)
     M = c2.shape[1] - 1
@@ -142,21 +168,23 @@ def solve_sp1_from_parts(
             f"the weighted series must be 1-D with T + M = {c2.shape[0] + M} rows, "
             f"more than M = {M}; got shape {s.shape}"
         )
-    s_lags = lag_columns(s, M)
-    y = s_lags[:, 0]
-    Z = np.hstack([s_lags[:, 1:], c2, c3, c4, P_occ])
+    X, means = _project_out_slots(P_occ, [lag_columns(s, M), c2, c3, c4])
+    y, Z = X[:, 0], X[:, 1:]
     coef, *_ = np.linalg.lstsq(Z, y, rcond=None)
     resid = y - Z @ coef
     f1 = float(resid @ resid + lam * xi_norm_sq)
-    return (coef[:M], *_split_exogenous(coef[M:], c2.shape[1]), f1)
+    tau_occ = means[:, 0] - means[:, 1:] @ coef
+    return (coef[:M], *_split_exogenous(coef[M:], c2.shape[1]), tau_occ, f1)
 
 
 def solve_sp1(xi: np.ndarray, design: DesignMatrices, lam: float):
     """Minimize the objective over all coefficients with the zone weights fixed.
 
-    Returns (alpha, beta, gamma, theta, tau_occ_free, f1); rank-deficient
-    regressors resolve to the minimum-norm solution.  f1 includes the
-    (constant) weight penalty term.
+    Returns (alpha, beta, gamma, theta, tau_occ_free, f1), solved as in
+    ``solve_sp1_from_parts``: with rank-deficient regressors, alpha, beta,
+    gamma and theta have minimum norm and the occupancy levels follow from
+    them, which need not be the minimum-norm solution over all
+    coefficients.  f1 includes the (constant) weight penalty term.
     """
     xi = np.asarray(xi, dtype=float).ravel()
     if not np.all(np.isfinite(xi)):
@@ -216,9 +244,16 @@ def solve_weights_qp(
 ):
     """Shared weights-block QP: min ||S v - c2 b - c3 g - c4 th - P u||^2 + v'reg v
     subject to cvec'v = 1 (and optionally v >= 0 via an active set).
+
+    The occupancy levels u are eliminated first: the columns [S, -c2, -c3,
+    -c4] are slot-demeaned, so the KKT system has K + 3(M+1) unknowns (plus
+    one row per weight fixed at its bound), and u is the slot means of
+    S v - c2 b - c3 g - c4 th, 0 for a slot with no rows.  Weights fixed by
+    the active set are returned as exactly 0.  Returns (v, beta, gamma,
+    theta, tau_occ_free, f).
     """
     K = S.shape[1]
-    A = np.hstack([S, -c2, -c3, -c4, -P_occ])
+    A, means = _project_out_slots(P_occ, [S, -c2, -c3, -c4])
     n = A.shape[1]
     H = A.T @ A
     H[:K, :K] += reg
@@ -231,6 +266,7 @@ def solve_weights_qp(
         C = np.vstack([e] + [np.eye(n)[i] for i in fixed]) if fixed else e[None, :]
         d = np.concatenate([[1.0], np.zeros(len(fixed))])
         x, w = solve_constrained_quadratic(H, g, C, d)
+        x[fixed] = 0.0  # the bound holds exactly, not to the solve's rounding
         v = x[:K]
         if not nonneg:
             break
@@ -249,7 +285,7 @@ def solve_weights_qp(
 
     resid = A @ x
     f = float(resid @ resid + v @ reg @ v)
-    return (v, *_split_exogenous(x[K:], c2.shape[1]), f)
+    return (v, *_split_exogenous(x[K:], c2.shape[1]), means @ x, f)
 
 
 def solve_sp2_plain(alpha: np.ndarray, design: DesignMatrices, lam: float):

@@ -42,7 +42,7 @@ from .sap import (
     sap_mask,
 )
 from .te import compute_te_uploads, gen_encryption_col, solve_sp2_masked, te_recover
-from .transcript import ProtocolTranscript, scan_payloads
+from .transcript import ProtocolTranscript, ScanReferences, scan_payloads
 
 __all__ = [
     "ProtocolError",
@@ -115,6 +115,11 @@ class BuildingAgent:
         self.M = M
         self.cfg = cfg
         self.xi_i: float | None = None  # assigned by the coordinator at setup
+        p = f"agent{agent_id}/"
+        self._series_refs = [(p + "tau_full", self.tau_col), (p + "load_full", self.load_col)]
+        for m in range(M + 1):
+            self._series_refs.append((f"{p}tau_lag{m}", lag_view(self.tau_col, M, m)))
+            self._series_refs.append((f"{p}load_lag{m}", lag_view(self.load_col, M, m)))
         self.w_history: dict[int, np.ndarray] = {}
         self._w: np.ndarray | None = None
         self._upload_refs: dict[int, list] = {}  # iteration -> labelled upload intermediates
@@ -167,15 +172,14 @@ class BuildingAgent:
 
     def private_refs(self, iteration: int) -> list:
         """Labelled private vectors for the privacy scan of ``iteration``:
-        the full series, their lag views, and what this agent computed for
-        that iteration's uploads (weighted share, filtered series,
-        encryption column, outer-product columns)."""
-        p = f"agent{self.id}/"
-        refs = [(p + "tau_full", self.tau_col), (p + "load_full", self.load_col)]
-        for m in range(self.M + 1):
-            refs.append((f"{p}tau_lag{m}", lag_view(self.tau_col, self.M, m)))
-            refs.append((f"{p}load_lag{m}", lag_view(self.load_col, self.M, m)))
-        return refs + self._upload_refs.get(iteration, [])
+        the full series and their lag views, then ``upload_refs``."""
+        return self._series_refs + self.upload_refs(iteration)
+
+    def upload_refs(self, iteration: int) -> list:
+        """What this agent computed for ``iteration``'s uploads (weighted
+        share, filtered series, encryption column, outer-product columns),
+        labelled the same in every round."""
+        return self._upload_refs.get(iteration, [])
 
     def xi_return_message(self, xi_bar_msg: Message, iteration: int) -> Message:
         xi_bar = xi_bar_msg.payload.ravel()
@@ -208,6 +212,7 @@ class ProtocolRunner:
         self.c4 = lag_columns(dataset.h_rad, self.M)
         self.P_occ = occupancy_tiling(self.T, cfg.T_occ)
         self._round = None  # what the dynamics step hands the weights step
+        self._scan_refs: ScanReferences | None = None  # built by the first scan
 
     # -- scanning helpers -------------------------------------------------
 
@@ -216,12 +221,19 @@ class ProtocolRunner:
 
     def _scan(self, iteration: int, bla_payloads: list):
         """Compare the fixed-point decoding of every share the coordinator
-        received with the agents' references; decoded one payload at a time."""
+        received with the agents' references.  The references are built in
+        the first scanned round; later rounds refresh only the upload
+        intermediates, as the series do not change.  Shares are decoded at
+        the probe rows and in the columns that pass them only."""
         if not self.cfg.scan:
             return
-        refs = self._private_refs(iteration)
-        decoded = ((label, decode_fixed(share)) for label, share in bla_payloads)
-        checked, findings = scan_payloads(decoded, refs)
+        if self._scan_refs is None:
+            self._scan_refs = ScanReferences(self._private_refs(iteration))
+        else:
+            self._scan_refs.update(
+                [ref for i in self.agent_ids for ref in self.agents[i].upload_refs(iteration)]
+            )
+        checked, findings = scan_payloads(bla_payloads, self._scan_refs, decode=decode_fixed)
         self.transcript.scan_checked += checked
         if findings:
             self.transcript.scan_findings.extend(findings)

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import LinAlgWarning
 
 import aggtherm.estimator as est
@@ -13,7 +15,7 @@ from aggtherm.estimator import (
     solve_sp1,
     solve_sp2_plain,
 )
-from aggtherm.model import AtdmParameters, lag_filter
+from aggtherm.model import AtdmParameters, lag_columns, lag_filter, occupancy_tiling
 
 from _common import random_design, random_params, synthetic_instance, zero_design
 
@@ -336,3 +338,129 @@ class TestBcdFit:
         doc = json.loads(dumps_json(fit.as_dict()))
         assert doc["converged"] is True
         assert len(doc["gap_trace"]) == fit.iterations
+
+
+def dense_sp1(s, c2, c3, c4, P_occ, lam, xi_norm_sq):
+    """The dynamics step as one minimum-norm least squares over every
+    column, the occupancy indicators included: (Z, y, coefficients, f1)."""
+    M = c2.shape[1] - 1
+    s_lags = lag_columns(s, M)
+    Z, y = np.hstack([s_lags[:, 1:], c2, c3, c4, P_occ]), s_lags[:, 0]
+    coef, *_ = np.linalg.lstsq(Z, y, rcond=None)
+    resid = y - Z @ coef
+    return Z, y, coef, float(resid @ resid + lam * xi_norm_sq)
+
+
+def dense_weights_qp(S, c2, c3, c4, P_occ, reg, cvec, nonneg):
+    """The weights step with the occupancy levels as KKT unknowns, each KKT
+    system solved by minimum-norm least squares and bounds by the same
+    active-set rule: (A, x = [v, beta, gamma, theta, u], fixed weights, f2)."""
+    K = S.shape[1]
+    A = np.hstack([S, -c2, -c3, -c4, -P_occ])
+    n = A.shape[1]
+    H = A.T @ A
+    H[:K, :K] += reg
+    fixed = []
+    for _ in range(2 * K + 1):
+        C = np.vstack([np.concatenate([cvec, np.zeros(n - K)])] + [np.eye(n)[i] for i in fixed])
+        kkt = np.block([[2.0 * H, C.T], [C, np.zeros((len(C), len(C)))]])
+        rhs = np.concatenate([np.zeros(n), [1.0], np.zeros(len(fixed))])
+        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+        x, w = sol[:n], sol[n:]
+        if not nonneg:
+            break
+        violated = [i for i in range(K) if i not in fixed and x[i] < -1e-9]
+        if violated:
+            fixed.append(min(violated, key=lambda i: x[i]))
+            continue
+        if fixed and (-w[1:]).min() < -1e-9:
+            fixed.pop(int(np.argmin(-w[1:])))
+            continue
+        break
+    x[fixed] = 0.0
+    resid = A @ x
+    return A, x, sorted(fixed), float(resid @ resid + x[:K] @ reg @ x[:K])
+
+
+@st.composite
+def occupancy_problems(draw):
+    """Random dynamics- and weights-step inputs whose horizon T is below,
+    equal to or not a multiple of T_occ, a third with a constant exogenous
+    column (collinear with the occupancy indicators)."""
+    K, M, T_occ = draw(st.integers(1, 4)), draw(st.integers(1, 2)), draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(["below", "equal", "ragged", "ragged", "ragged", "ragged"]))
+    if kind == "below":
+        T = draw(st.integers(1, T_occ - 1))
+    elif kind == "equal":
+        T = T_occ
+    else:
+        T = T_occ * draw(st.integers(1, 10)) + draw(st.integers(1, T_occ - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c2, c3, c4 = (rng.standard_normal((T, M + 1)) for _ in range(3))
+    if draw(st.integers(0, 2)) == 0:
+        c3[:, draw(st.integers(0, M))] = draw(st.sampled_from([-3.0, 0.5, 20.0]))
+    nonneg = draw(st.booleans())
+    return {
+        "s": 20.0 + rng.standard_normal(T + M),
+        # columns near one common series push weights below zero
+        "S": np.outer(rng.standard_normal(T), rng.uniform(0.2, 2.0, K))
+        + draw(st.sampled_from([0.1, 1.0])) * rng.standard_normal((T, K)),
+        "c2": c2, "c3": c3, "c4": c4,
+        "P_occ": occupancy_tiling(T, T_occ),
+        "lam": draw(st.sampled_from([0.0, 0.1, 10.0])),
+        "cvec": np.ones(K) if nonneg else rng.uniform(0.5, 1.5, K),
+        "nonneg": nonneg,
+    }
+
+
+def _rel(a, b, scale):
+    return float(np.max(np.abs(np.asarray(a) - np.asarray(b)), initial=0.0)) / scale
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")  # singular draws
+class TestOccupancyProjectionOracle:
+    """Projecting the occupancy slots out gives the dense solves' objective
+    and fitted values (the weights step's residual) always, and their
+    coefficients and active set when the dense columns have full rank.  On
+    rank-deficient draws only the non-occupancy coefficients have minimum
+    norm, so the coefficients may differ from the dense minimum-norm ones."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=occupancy_problems())
+    def test_dynamics_step_matches_dense_lstsq(self, p):
+        args = (p["s"], p["c2"], p["c3"], p["c4"], p["P_occ"], p["lam"], 0.3)
+        *blocks, f1 = est.solve_sp1_from_parts(*args)
+        Z, y, coef, f1_ref = dense_sp1(*args)
+        x = np.concatenate(blocks)
+        assert abs(f1 - f1_ref) <= 1e-9 * (float(y @ y) + p["lam"] * 0.3)
+        # relative to the terms that cancel in the fitted values
+        assert _rel(Z @ x, Z @ coef, max(np.max(np.abs(y)), np.max(np.abs(Z) @ np.abs(coef)))) <= 1e-9
+        tau_occ, P = blocks[-1], p["P_occ"]
+        assert np.all(tau_occ[P.sum(axis=0) == 0] == 0.0)
+        if np.linalg.matrix_rank(Z) == Z.shape[1]:
+            assert _rel(x, coef, np.max(np.abs(coef))) <= 1e-6
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=occupancy_problems())
+    def test_weights_step_matches_dense_kkt(self, p):
+        S, c2, c3, c4, P = p["S"], p["c2"], p["c3"], p["c4"], p["P_occ"]
+        K = S.shape[1]
+        reg = p["lam"] * np.eye(K)
+        v, beta, gamma, theta, tau_occ, f2 = est.solve_weights_qp(
+            S, c2, c3, c4, P, reg, p["cvec"], p["nonneg"]
+        )
+        A, x_ref, fixed_ref, f2_ref = dense_weights_qp(S, c2, c3, c4, P, reg, p["cvec"], p["nonneg"])
+        x = np.concatenate([v, beta, gamma, theta, tau_occ])
+        scale = float(np.sum(S * S)) + float(np.trace(reg))
+        assert abs(f2 - f2_ref) <= 1e-9 * scale
+        assert abs(p["cvec"] @ v - 1.0) <= 1e-9
+        assert np.all(tau_occ[P.sum(axis=0) == 0] == 0.0)
+        # the residual A x is the same at every minimizer (f is strictly
+        # convex in it), even where the weights themselves are not unique;
+        # relative to the terms that cancel in it
+        assert _rel(A @ x, A @ x_ref, np.max(np.abs(A) @ np.abs(x_ref))) <= 1e-9
+        if p["nonneg"]:
+            assert v.min() >= -1e-9
+        if np.linalg.matrix_rank(A) == A.shape[1]:
+            assert list(np.flatnonzero(v == 0.0)) == fixed_ref
+            assert _rel(x, x_ref, np.max(np.abs(x_ref))) <= 1e-6

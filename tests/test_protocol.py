@@ -53,6 +53,32 @@ class TestEquivalence:
         assert abs(fit.params.xi.sum() - 1.0) < 1e-8
         assert fit.params.xi.min() >= -1e-6
 
+    def test_fit_matches_dense_occupancy_solve(self, small_run):
+        """The fit's values as the dense solves over the occupancy columns
+        gave them (before the slot projection), to 1e-10 relative per block."""
+        *_, fit, _ = small_run
+        want = {
+            "xi": ["0x1.4266575f8ba95p-2", "0x1.3818977e3e694p-2", "0x1.ac1e612f154c1p-3",
+                   "0x1.5ee3c115550d1p-3"],
+            "alpha": ["0x1.24df594d1ac30p+0", "-0x1.2f31e33d90aadp-2"],
+            "beta": ["0x1.f38c34b91d4bbp-5", "0x1.a7afde12643d9p-6", "0x1.699d07ba84888p-7"],
+            "gamma": ["0x1.df729a92323a0p-6", "0x1.949a3b45eb560p-4", "-0x1.e5ff4e3e35b0ap-6"],
+            "theta": ["0x1.ca8a6ddc0914cp-3", "0x1.6ab8abde768fcp-2", "-0x1.6f8506d1168e0p-2"],
+            "tau_occ_free": [
+                "0x1.e14e02adae7f1p-3", "0x1.8d0631f7f1768p-2", "0x1.0a0c873406003p-1",
+                "0x1.5548af073da98p-2", "0x1.90e4d18113858p-2", "0x1.61577e67b90b0p-2",
+                "0x1.06fef565ea390p-2", "0x1.19fccc71106b0p-3", "0x1.0bb8610eeb000p-6",
+                "0x1.8b549b5077e00p-4", "0x1.43393398fd220p-3", "0x1.3c21aa3bef500p-3",
+            ],
+        }
+        for name, hexes in want.items():
+            ref = np.array([float.fromhex(h) for h in hexes])
+            got = getattr(fit.params, name)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref)), name
+        ref_obj = float.fromhex("0x1.cc6794c4c7b53p+1")
+        assert abs(fit.objective - ref_obj) <= 1e-10 * ref_obj
+
     def test_fit_and_view_pinned(self, small_run):
         """The masks cancel exactly, so the fit and the coordinator's
         aggregates stay the same when the mask keying changes: one sha256
@@ -66,8 +92,8 @@ class TestEquivalence:
         for view in transcript.bla_view:
             for key in ("s_sum", "c2", "A1_sum", "A2_sum", "w_sum", "xi_bar", "xi_recovered", "f1", "f2"):
                 h.update(np.asarray(view[key], dtype=float).tobytes())
-        assert fit.objective.hex() == "0x1.cc6794c4c7b53p+1"
-        assert h.hexdigest() == "4059335b504d00978d816cfe573918e2124fe1bc0de3789629ca00f5aae15caf"
+        assert fit.objective.hex() == "0x1.cc6794c4c7ccep+1"
+        assert h.hexdigest() == "8dd6d76c0a6128edb7f41a0d60d022be436d132686336202db75fb1a2fcabf73"
 
     def test_deterministic_rerun(self, small_run):
         dataset, _, cfg, fit, transcript = small_run
@@ -129,7 +155,7 @@ class TestTranscript:
         joined = "".join(m.digest for m in transcript.messages)
         assert (
             hashlib.sha256(joined.encode()).hexdigest()
-            == "d00269637273f43169e8022522dcde23080d4d7ff0db72e6cb710dab4c4ab489"
+            == "77aa77f0cc18656e6b34c9485fa0a48903a508cd905bb82c67e79ac6e545f8f3"
         )
 
     def test_jsonl_serialization(self, small_run, tmp_path):
@@ -303,17 +329,30 @@ class TestSharedChecks:
                 assert w.startswith(f"iteration {l}: active weight bound (min xi ")
                 assert "np.float64" not in w
 
-    def test_ill_conditioned_weights_solve_reported(self):
-        """On this K=32 dataset one masked weights solve raises scipy's
-        LinAlgWarning.  The private fit names it in its warnings and the
-        warning still reaches the caller; the plain fit has no such solve."""
-        seed = 1810752066
-        dataset, design, _ = synthetic_instance(K=32, T=1080, M=2, T_occ=48, noise=0.2, seed=seed)
-        plain = bcd_fit(design, lam=100.0)
+    def test_ill_conditioned_weights_solve_reported(self, monkeypatch):
+        """Round 1 gives agents 1 and 2 encryption columns that agree to
+        1e-6 of a draw's spread, so that round's W is nearly singular and its
+        masked weights solve raises scipy's LinAlgWarning.  The private fit
+        names it in its warnings and the warning still reaches the caller;
+        the plain fit has no such solve."""
+        real = runner_mod.gen_encryption_col
+        drawn = []
+
+        def nearly_parallel(K, rng, mean, sd):
+            w = real(K, rng, mean, sd)
+            l, i = divmod(len(drawn), K)  # agents draw in order, once per round
+            if (l, i) == (1, 1):
+                w = drawn[-1] + 1e-6 * (w - mean)
+            drawn.append(w)
+            return w
+
+        monkeypatch.setattr(runner_mod, "gen_encryption_col", nearly_parallel)
+        dataset, design, _ = synthetic_instance(K=4, T=120, M=2, T_occ=12, noise=0.1, seed=21)
+        plain = bcd_fit(design, lam=10.0)
+        runner = ProtocolRunner(dataset, ProtocolConfig(lam=10.0, T_occ=12, seed=21, scan=False))
         with pytest.warns(LinAlgWarning):
-            private, _ = run_protocol(
-                dataset, ProtocolConfig(lam=100.0, T_occ=48, seed=seed, scan=False)
-            )
+            private, _ = runner.run()
+        assert np.linalg.cond(np.column_stack(drawn[4:8])) > 1e5
         assert plain.warnings == []
         assert len(private.warnings) == 1
         assert re.fullmatch(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aggtherm.protocol.runner as runner_mod
 from aggtherm.protocol import (
     PairwiseMaskSet,
     ProtocolConfig,
@@ -15,6 +16,8 @@ from aggtherm.protocol import (
     ProtocolRunner,
     scan_payloads,
 )
+from aggtherm.protocol.sap import decode_fixed, encode_fixed
+from aggtherm.protocol.transcript import ScanReferences
 
 from _common import synthetic_instance, zero_mask
 
@@ -138,6 +141,77 @@ def scan_cases(draw):
 def test_scan_matches_pairwise_allclose(case):
     payloads, refs = case
     assert scan_payloads(payloads, refs) == pairwise_scan_payloads(payloads, refs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scan_cases())
+def test_updated_references_scan_like_fresh_ones(case):
+    """References built from stale vectors and then updated scan exactly
+    as references built from the current vectors."""
+    payloads, refs = case
+    stale = ScanReferences([(label, np.full(len(v), 7.0)) if r % 2 else (label, v)
+                            for r, (label, v) in enumerate(refs)])
+    stale.update(refs[1::2])
+    assert scan_payloads(payloads, stale) == pairwise_scan_payloads(payloads, refs)
+
+
+def test_reference_update_rejects_unknown_ambiguous_and_resized_labels():
+    refs = ScanReferences([("a", [1.0, 2.0]), ("b", [3.0]), ("b", [4.0])])
+    for label, vec, match in [("c", [1.0, 2.0], "'c'"), ("b", [5.0], "'b'"),
+                              ("a", [1.0], "'a' has 1 rows, held with 2")]:
+        with pytest.raises(ValueError, match=match):
+            refs.update([(label, vec)])
+
+
+def test_decode_reads_probe_rows_and_passing_columns_only():
+    """Shares are decoded at the probe rows, and in full only in the
+    columns that pass them; findings are those of the decoded shares."""
+    rng = np.random.default_rng(3)
+    secret = 20.0 + rng.standard_normal(200)
+    floats = np.column_stack([rng.standard_normal(200), secret, secret + 1.0])
+    refs = [("s", secret), ("t", rng.standard_normal(200))]
+    decoded_rows = []
+
+    def counting_decode(u):
+        decoded_rows.append(u.shape[0])
+        return decode_fixed(u)
+
+    shares = [("share", encode_fixed(floats, 3))]
+    got = scan_payloads(shares, refs, decode=counting_decode)
+    assert got == scan_payloads([("share", decode_fixed(shares[0][1]))], refs)
+    assert got == (3, [("share", 1, "s")])
+    assert decoded_rows == [8, 200]
+
+
+def test_later_round_leak_found_with_updated_references(monkeypatch):
+    """Masks vanish from round 1 on, so round 1 leaks after a clean round 0;
+    the runner's scan, on references built in round 0 and updated in round 1,
+    finds what the pairwise scan finds on round 1's decoded shares."""
+    real_mask = PairwiseMaskSet.mask
+
+    def mask_until_round_1(self, i, j, kind, sub, shape):
+        if self.iteration >= 1:
+            return zero_mask(self, i, j, kind, sub, shape)
+        return real_mask(self, i, j, kind, sub, shape)
+
+    scanned = []  # per round: the decoded shares and the agents' references then
+    real_scan = runner_mod.scan_payloads
+
+    def recording_scan(payloads, refs, **kw):
+        decoded = [(label, decode_fixed(share)) for label, share in payloads]
+        scanned.append((decoded, runner._private_refs(len(scanned))))
+        return real_scan(payloads, refs, **kw)
+
+    monkeypatch.setattr(PairwiseMaskSet, "mask", mask_until_round_1)
+    monkeypatch.setattr(runner_mod, "scan_payloads", recording_scan)
+    dataset, _, _ = synthetic_instance(K=3, T=30, M=2, T_occ=6, noise=0.1, seed=6)
+    runner = ProtocolRunner(dataset, ProtocolConfig(lam=1.0, tol=1e-12, T_occ=6, seed=6))
+    with pytest.raises(ProtocolError, match="privacy violation at iteration 1: "):
+        runner.run()
+    checked, want = zip(*(pairwise_scan_payloads(*round_) for round_ in scanned))
+    assert want[0] == [] and len(want[1]) > 0
+    assert runner.transcript.scan_findings == want[1]
+    assert runner.transcript.scan_checked == sum(checked)
 
 
 @pytest.mark.parametrize(
