@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import LinAlgWarning
 
-from .model import AtdmParameters, DesignMatrices, lag_columns, lag_filter
+from .model import AtdmParameters, DesignMatrices, lag_columns, lag_filter, occupancy_slots
 
 __all__ = [
     "EstimationError",
@@ -97,7 +97,7 @@ def _residual(params: AtdmParameters, design: DesignMatrices) -> np.ndarray:
     r = r - design.c2 @ params.beta
     r = r - design.c3 @ params.gamma
     r = r - design.c4 @ params.theta
-    r = r - design.P_occ @ params.tau_occ_free
+    r = r - params.tau_occ_free[occupancy_slots(design.T, design.T_occ)]
     return r
 
 
@@ -105,13 +105,7 @@ def objective(params: AtdmParameters, design: DesignMatrices, lam: float) -> flo
     """Sum of squared model residuals plus the lam * ||xi||^2 penalty."""
     if lam < 0:
         raise ValueError("penalty must be >= 0")
-    if params.K != design.K or params.M != design.M:
-        raise ValueError(
-            f"parameter dims (K={params.K}, M={params.M}) do not match design "
-            f"(K={design.K}, M={design.M})"
-        )
-    if len(params.tau_occ_free) != design.T_occ:
-        raise ValueError("tau_occ_free length does not match design T_occ")
+    design.check_params(params)
     r = _residual(params, design)
     return float(r @ r + lam * (params.xi @ params.xi))
 
@@ -122,21 +116,23 @@ def _split_exogenous(rest: np.ndarray, n1: int):
     return rest[:n1], rest[n1 : 2 * n1], rest[2 * n1 :]
 
 
-def _project_out_slots(P_occ: np.ndarray, blocks: list):
+def _project_out_slots(T_occ: int, blocks: list):
     """Remove the occupancy block from the columns of ``blocks``.
 
-    ``P_occ`` is the T x T_occ slot indicator, one 1 per row.  Returns the
-    blocks side by side (X, T x p) minus each row's slot mean, and the slot
-    means (T_occ x p); a slot with no rows has mean 0.  For any
-    coefficients c the occupancy levels that minimize ||X c - P_occ u|| are
-    u = means @ c, and the residual left is the projected X times c
-    (Frisch-Waugh-Lovell), so the occupancy levels drop out of both
-    subproblems.
+    Row t belongs to occupancy slot t mod T_occ.  Returns the blocks side
+    by side (X, T x p) minus each row's slot mean, and the slot means
+    (T_occ x p); a slot with no rows has mean 0.  For any coefficients c
+    the slot levels u that best fit X c are u = means @ c, and the residual
+    left is the projected X times c (Frisch-Waugh-Lovell), so the occupancy
+    levels drop out of both subproblems.
     """
     X = np.hstack(blocks)
-    counts = np.ones(len(X)) @ P_occ
-    means = (P_occ.T @ X) / np.maximum(counts, 1.0)[:, None]
-    X -= P_occ @ means
+    slots = occupancy_slots(len(X), T_occ)
+    whole = len(X) - len(X) % T_occ
+    sums = X[:whole].reshape(-1, T_occ, X.shape[1]).sum(axis=0)
+    sums[: len(X) - whole] += X[whole:]
+    means = sums / np.maximum(np.bincount(slots, minlength=T_occ), 1)[:, None]
+    X -= means[slots]
     return X, means
 
 
@@ -145,7 +141,7 @@ def solve_sp1_from_parts(
     c2: np.ndarray,
     c3: np.ndarray,
     c4: np.ndarray,
-    P_occ: np.ndarray,
+    T_occ: int,
     lam: float,
     xi_norm_sq: float,
 ):
@@ -154,12 +150,12 @@ def solve_sp1_from_parts(
     ``s`` is the weighted series (T + M rows, lag history first), needing
     no access to per-zone data; its lag-0 view is the target and its
     lag-1..M views are the dynamics regressors.  M is read from ``c2``
-    (T x (M+1)).  The target and the M + 3(M+1) regressor columns are
-    slot-demeaned and solved by least squares, minimum-norm when the
-    demeaned columns are rank-deficient (for example a constant exogenous
-    column, which demeaning zeroes); the occupancy levels are then the slot
-    means of the target minus the fitted regressors, 0 for a slot with no
-    rows.  Returns (alpha, beta, gamma, theta, tau_occ_free, f1).
+    (T x (M+1)); row t has occupancy slot t mod ``T_occ``.  The target and
+    the M + 3(M+1) regressor columns are slot-demeaned and solved by least
+    squares, minimum-norm when the demeaned columns are rank-deficient (for
+    example a constant exogenous column, which demeaning zeroes); the
+    occupancy levels are then the slot means of the target minus the
+    fitted regressors, 0 for a slot with no rows.  Returns (alpha, beta, gamma, theta, tau_occ_free, f1).
     """
     s = np.asarray(s, dtype=float)
     M = c2.shape[1] - 1
@@ -168,7 +164,7 @@ def solve_sp1_from_parts(
             f"the weighted series must be 1-D with T + M = {c2.shape[0] + M} rows, "
             f"more than M = {M}; got shape {s.shape}"
         )
-    X, means = _project_out_slots(P_occ, [lag_columns(s, M), c2, c3, c4])
+    X, means = _project_out_slots(T_occ, [lag_columns(s, M), c2, c3, c4])
     y, Z = X[:, 0], X[:, 1:]
     coef, *_ = np.linalg.lstsq(Z, y, rcond=None)
     resid = y - Z @ coef
@@ -196,7 +192,7 @@ def solve_sp1(xi: np.ndarray, design: DesignMatrices, lam: float):
         design.c2,
         design.c3,
         design.c4,
-        design.P_occ,
+        design.T_occ,
         lam,
         float(xi @ xi),
     )
@@ -237,13 +233,13 @@ def solve_weights_qp(
     c2: np.ndarray,
     c3: np.ndarray,
     c4: np.ndarray,
-    P_occ: np.ndarray,
+    T_occ: int,
     reg: np.ndarray,
     cvec: np.ndarray,
     nonneg: bool,
 ):
-    """Shared weights-block QP: min ||S v - c2 b - c3 g - c4 th - P u||^2 + v'reg v
-    subject to cvec'v = 1 (and optionally v >= 0 via an active set).
+    """Shared weights-block QP: min ||S v - c2 b - c3 g - c4 th - u[t mod T_occ]||^2
+    + v'reg v subject to cvec'v = 1 (and optionally v >= 0 via an active set).
 
     The occupancy levels u are eliminated first: the columns [S, -c2, -c3,
     -c4] are slot-demeaned, so the KKT system has K + 3(M+1) unknowns (plus
@@ -253,7 +249,7 @@ def solve_weights_qp(
     theta, tau_occ_free, f).
     """
     K = S.shape[1]
-    A, means = _project_out_slots(P_occ, [S, -c2, -c3, -c4])
+    A, means = _project_out_slots(T_occ, [S, -c2, -c3, -c4])
     n = A.shape[1]
     H = A.T @ A
     H[:K, :K] += reg
@@ -301,7 +297,7 @@ def solve_sp2_plain(alpha: np.ndarray, design: DesignMatrices, lam: float):
         design.c2,
         design.c3,
         design.c4,
-        design.P_occ,
+        design.T_occ,
         lam * np.eye(K),
         np.ones(K),
         nonneg=True,

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
     "lag_columns",
     "lag_filter",
     "build_lagged_views",
+    "occupancy_slots",
     "build_design",
     "aggregate_state",
     "predict_aggregate",
@@ -100,15 +102,14 @@ class DesignMatrices:
     first); ``c0`` and ``c1_block(m)`` are its lag-0 and lag-m views
     (T x K).  ``c2`` holds per-lag cluster-total loads (T x (M+1)),
     ``c3``/``c4`` the lagged outdoor temperature and solar radiation
-    (T x (M+1)), and ``P_occ`` tiles T_occ free occupancy values over the
-    horizon (T x T_occ, one 1 per row).
+    (T x (M+1)), and ``T_occ`` is the period of the occupancy term: row t
+    uses free level ``occupancy_slots(T, T_occ)[t]``.
     """
 
     tau: np.ndarray
     c2: np.ndarray
     c3: np.ndarray
     c4: np.ndarray
-    P_occ: np.ndarray
     T_occ: int
 
     @property
@@ -133,6 +134,12 @@ class DesignMatrices:
         if not 1 <= m <= self.M:
             raise ValueError(f"lag must be in 1..{self.M}, got {m}")
         return lag_view(self.tau, self.M, m)
+
+    def check_params(self, params: AtdmParameters) -> None:
+        """Raise ValueError unless ``params`` has this design's K, M and T_occ."""
+        got, want = (params.K, params.M, len(params.tau_occ_free)), (self.K, self.M, self.T_occ)
+        if got != want:
+            raise ValueError(f"parameter dims (K, M, T_occ) = {got} do not match design {want}")
 
 
 @dataclass
@@ -249,25 +256,24 @@ def build_lagged_views(dataset: ClusterDataset, m: int):
     )
 
 
-def occupancy_tiling(T: int, T_occ: int) -> np.ndarray:
-    """Binary T x T_occ map selecting occupancy slot ((t-1) mod T_occ) per row."""
-    if T_occ < 1:
+def occupancy_slots(T: int, T_occ: int) -> np.ndarray:
+    """Occupancy slot of each of the T periods: row t (from 0) uses free
+    level t mod T_occ.  Raises TypeError for a non-integer ``T_occ``."""
+    if operator.index(T_occ) < 1:
         raise ValueError(f"T_occ must be >= 1, got {T_occ}")
-    P = np.zeros((T, T_occ))
-    P[np.arange(T), np.arange(T) % T_occ] = 1.0
-    return P
+    return np.arange(T) % T_occ
 
 
 def build_design(dataset: ClusterDataset, T_occ: int) -> DesignMatrices:
-    """Assemble the indoor series, the constant regressor blocks c2..c4 and
-    the occupancy tiling."""
+    """Assemble the indoor series and the constant regressor blocks c2..c4;
+    rejects a ``T_occ`` that ``occupancy_slots`` rejects."""
+    occupancy_slots(dataset.T, T_occ)
     M = dataset.M
     return DesignMatrices(
         tau=dataset.tau_in.copy(),
         c2=lag_columns(dataset.h_load.sum(axis=1), M),
         c3=lag_columns(dataset.tau_out, M),
         c4=lag_columns(dataset.h_rad, M),
-        P_occ=occupancy_tiling(dataset.T, T_occ),
         T_occ=T_occ,
     )
 
@@ -289,7 +295,8 @@ def predict_aggregate(
     """Simulate the aggregate state forward over the design horizon.
 
     The recursion feeds its own predictions back into the temperature lags;
-    loads, weather and occupancy come from the design matrices.
+    loads, weather and occupancy come from the design matrices.  Parameters
+    that do not fit the design raise ValueError (``check_params``).
 
     Parameters
     ----------
@@ -305,7 +312,9 @@ def predict_aggregate(
     ndarray, shape (T,)
         Predicted aggregate state for periods 1..T.
     """
+    design.check_params(params)
     M, T = params.M, design.T
+    slots = occupancy_slots(T, design.T_occ)
     init_history = np.asarray(init_history, dtype=float).ravel()
     if len(init_history) != M:
         raise ValueError(f"init_history must have {M} entries, got {len(init_history)}")
@@ -324,7 +333,7 @@ def predict_aggregate(
                 value += params.gamma[m] * design.c3[t, m]
             for m in range(M + 1):
                 value += params.theta[m] * design.c4[t, m]
-            value += params.tau_occ_free[t % design.T_occ]
+            value += params.tau_occ_free[slots[t]]
             if not np.isfinite(value):
                 raise FloatingPointError(
                     f"prediction diverged at period {t + 1} (model unstable)"

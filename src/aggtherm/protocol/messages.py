@@ -17,8 +17,9 @@ payload         8*n    row-major payload data
 ==============  =====  ========================================
 
 Phases, in protocol order.  Each round every agent sends one message per
-upload phase and the coordinator sends each agent one message per broadcast
-phase, so a receiver tells the uploads apart by phase and sender alone:
+upload phase (``SAP_LOAD`` in round 0 only) and the coordinator sends each
+agent one message per broadcast phase, so a receiver tells the uploads apart
+by phase and sender alone:
 
 ================  ====  ======================  ================================
 phase             code  sender -> receiver      payload

@@ -1,12 +1,12 @@
 """Round-synchronous protocol between building agents and the coordinator.
 
 Each round: agents secure-aggregate their weighted temperature series
-(``SAP_S``) and raw load series (``SAP_LOAD``); the coordinator slices the
-lags it needs from the two sums, solves the dynamics subproblem and
-broadcasts the dynamics coefficients (``ALPHA_BROADCAST``); agents upload
-their transformation-masked outer products (``TE_A1``, ``TE_A2``) and
-encryption column (``TE_W``); the coordinator solves the transformed
-weights subproblem and broadcasts the encrypted weights
+(``SAP_S``), and in round 0 only their raw load series (``SAP_LOAD``); the
+coordinator slices the lags it needs from the sums, solves the dynamics
+subproblem and broadcasts the dynamics coefficients (``ALPHA_BROADCAST``);
+agents upload their transformation-masked outer products (``TE_A1``,
+``TE_A2``) and encryption column (``TE_W``); the coordinator solves the
+transformed weights subproblem and broadcasts the encrypted weights
 (``XI_BAR_BROADCAST``); and agents return their recovered weights
 (``XI_RETURN``).
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..estimator import FitResult, alternate, check_start, solve_sp1_from_parts
-from ..model import ClusterDataset, lag_columns, lag_filter, lag_view, occupancy_tiling
+from ..model import ClusterDataset, lag_columns, lag_filter, lag_view, occupancy_slots
 from .messages import Message, Phase, decode_message, encode_message
 from .sap import (
     KIND_SAP_LOAD,
@@ -137,14 +137,15 @@ class BuildingAgent:
         return Message(iteration, phase, self.id, BLA_ID, sap_mask(x, self.id, masks, kind))
 
     def sap_upload(self, iteration: int, masks: PairwiseMaskSet) -> list:
-        """This round's ``SAP_S`` and ``SAP_LOAD`` messages: the masked
-        weighted temperature series and the masked load series."""
+        """This round's ``SAP_S`` message, the masked weighted temperature
+        series, and in round 0 the ``SAP_LOAD`` message, the masked load
+        series, which does not change between rounds."""
         share = self.xi_i * self.tau_col
         self._keep_refs(iteration, [(f"agent{self.id}/weighted_share", share)])
-        return [
-            self._masked(iteration, Phase.SAP_S, share, masks, KIND_SAP_S),
-            self._masked(iteration, Phase.SAP_LOAD, self.load_col, masks, KIND_SAP_LOAD),
-        ]
+        msgs = [self._masked(iteration, Phase.SAP_S, share, masks, KIND_SAP_S)]
+        if iteration == 0:
+            msgs.append(self._masked(iteration, Phase.SAP_LOAD, self.load_col, masks, KIND_SAP_LOAD))
+        return msgs
 
     def te_upload(self, alpha_msg: Message, K: int, iteration: int, masks: PairwiseMaskSet) -> list:
         """This round's ``TE_A1``, ``TE_A2`` and ``TE_W`` messages: the masked
@@ -207,10 +208,11 @@ class ProtocolRunner:
         self.transcript = ProtocolTranscript()
         self.bus = bus if bus is not None else InProcessBus(self.transcript)
         self.bus.transcript = self.transcript
-        # coordinator-held exogenous regressors
+        occupancy_slots(self.T, cfg.T_occ)  # a bad T_occ stops the run before any upload
+        # coordinator-held exogenous regressors; c2 is summed from round 0's loads
+        self.c2 = None
         self.c3 = lag_columns(dataset.tau_out, self.M)
         self.c4 = lag_columns(dataset.h_rad, self.M)
-        self.P_occ = occupancy_tiling(self.T, cfg.T_occ)
         self._round = None  # what the dynamics step hands the weights step
         self._scan_refs: ScanReferences | None = None  # built by the first scan
 
@@ -306,9 +308,10 @@ class ProtocolRunner:
 
     def _sap_step(self, l: int, xi: np.ndarray):
         """Dynamics step of round l: secure-aggregate the agents' weighted
-        temperature and load series and solve for the dynamics.  Returns
-        (alpha, f1); ``xi`` is the round's input weights, for the penalty.
-        The round's one mask set goes on to the weights step."""
+        temperature series (and in round 0 their loads, for ``c2``) and solve
+        for the dynamics.  Returns (alpha, f1); ``xi`` is the round's input
+        weights, for the penalty.  The round's one mask set goes on to the
+        weights step."""
         masks = PairwiseMaskSet(self.cfg.seed, self.agent_ids, iteration=l)
         for i in self.agent_ids:
             for msg in self.agents[i].sap_upload(l, masks):
@@ -316,14 +319,13 @@ class ProtocolRunner:
 
         payloads = []
         s_sum = self._aggregate(Phase.SAP_S, l, payloads).ravel()
-        load_sum = self._aggregate(Phase.SAP_LOAD, l, payloads).ravel()
-        c2 = lag_columns(load_sum, self.M)
+        if l == 0:
+            self.c2 = lag_columns(self._aggregate(Phase.SAP_LOAD, l, payloads).ravel(), self.M)
         alpha, *_unused, f1 = solve_sp1_from_parts(
-            s_sum, c2, self.c3, self.c4, self.P_occ, self.cfg.lam, float(xi @ xi)
+            s_sum, self.c2, self.c3, self.c4, self.cfg.T_occ, self.cfg.lam, float(xi @ xi)
         )
         self._round = {
-            "masks": masks, "payloads": payloads, "xi_in": xi.copy(),
-            "s_sum": s_sum, "c2": c2, "f1": f1,
+            "masks": masks, "payloads": payloads, "xi_in": xi.copy(), "s_sum": s_sum, "f1": f1,
         }
         return alpha, f1
 
@@ -347,7 +349,7 @@ class ProtocolRunner:
         w_sum = self._aggregate(Phase.TE_W, l, payloads).ravel()
 
         xi_bar, *coefs, f2 = solve_sp2_masked(
-            A1_sum, A2_sum, w_sum, rnd["c2"], self.c3, self.c4, self.P_occ, self.cfg.lam
+            A1_sum, A2_sum, w_sum, self.c2, self.c3, self.c4, self.cfg.T_occ, self.cfg.lam
         )
 
         for i in self.agent_ids:
@@ -364,7 +366,7 @@ class ProtocolRunner:
                 "iteration": l,
                 "xi_in": rnd["xi_in"],
                 "s_sum": rnd["s_sum"],
-                "c2": rnd["c2"],
+                "c2": self.c2,
                 "alpha": np.asarray(alpha, dtype=float).copy(),
                 "A1_sum": A1_sum,
                 "A2_sum": A2_sum,

@@ -201,14 +201,14 @@ def encode_fixed(x, K: int) -> np.ndarray:
     ``fixed_point_bound(K)``, instead of letting it wrap."""
     x = np.asarray(x, dtype=float)
     bound = fixed_point_bound(K)
-    inside = np.abs(x) < bound
-    if not inside.all():
-        bad = x[~inside].ravel()[0]
+    if x.size and not (x.max() < bound and x.min() > -bound):  # NaN fails both
+        bad = x[~(np.abs(x) < bound)].ravel()[0]
         raise ValueError(
             f"entry {bad!r} is non-finite or outside the fixed-point range "
             f"|x| < {bound!r} (2^{62 - FRAC_BITS}/K for K={K})"
         )
-    return np.rint(x * _SCALE).astype(np.int64).view(np.uint64)
+    scaled = x * _SCALE  # exact: a power-of-two scale
+    return np.rint(scaled, out=scaled).astype(np.int64).view(np.uint64)
 
 
 def decode_fixed(u) -> np.ndarray:

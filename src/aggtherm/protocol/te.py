@@ -42,14 +42,14 @@ def solve_sp2_masked(
     c2: np.ndarray,
     c3: np.ndarray,
     c4: np.ndarray,
-    P_occ: np.ndarray,
+    T_occ: int,
     lam: float,
 ):
     """Coordinator-side solve of the transformed weights subproblem.
 
-    Minimizes ||A1_sum v - c2 b - c3 g - c4 th - P_occ u||^2 + lam v'A2_sum v
-    subject to w_sum'v = 1.  Returns (xi_bar, beta, gamma, theta,
-    tau_occ_free, f2).
+    Minimizes ||A1_sum v - c2 b - c3 g - c4 th - u[t mod T_occ]||^2
+    + lam v'A2_sum v subject to w_sum'v = 1.  Returns (xi_bar, beta, gamma,
+    theta, tau_occ_free, f2).
     """
     A1_sum = np.asarray(A1_sum, dtype=float)
     A2_sum = np.asarray(A2_sum, dtype=float)
@@ -64,7 +64,7 @@ def solve_sp2_masked(
         raise ValueError("aggregated encryption-column sum is zero")
     A2_sym = 0.5 * (A2_sum + A2_sum.T)
     return solve_weights_qp(
-        A1_sum, c2, c3, c4, P_occ, lam * A2_sym, w_sum, nonneg=False
+        A1_sum, c2, c3, c4, T_occ, lam * A2_sym, w_sum, nonneg=False
     )
 
 

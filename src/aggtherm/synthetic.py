@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import AtdmParameters, ClusterDataset
+from .model import AtdmParameters, ClusterDataset, occupancy_slots
 
 __all__ = ["default_true_params", "generate_synthetic"]
 
@@ -120,8 +120,7 @@ def generate_synthetic(
         raise ValueError("noise_sigma must be >= 0")
     if not zone_noise_sigma >= 0:
         raise ValueError(f"zone_noise_sigma must be >= 0, got {zone_noise_sigma}")
-    if T_occ < 1:
-        raise ValueError(f"T_occ must be >= 1, got {T_occ}")
+    slots = occupancy_slots(T, T_occ)
     if not (np.isfinite(dt_minutes) and dt_minutes > 0):
         raise ValueError(f"dt_minutes must be finite and > 0, got {dt_minutes}")
     if true_params is None:
@@ -179,7 +178,7 @@ def generate_synthetic(
 
     tau_in = np.empty((rows, K))
     tau_in[:M] = 20.0 + rng.uniform(-1.0, 1.0, size=K)[None, :]
-    tau_in[M:] = occ_z.T[np.arange(T) % T_occ] + eps[:, None] + eta
+    tau_in[M:] = occ_z.T[slots] + eps[:, None] + eta
     for r in range(M, rows):
         v = tau_in[r]
         for m in range(1, M + 1):

@@ -3,7 +3,7 @@
 import numpy as np
 
 from aggtherm import build_design, generate_synthetic
-from aggtherm.model import ClusterDataset, DesignMatrices, occupancy_tiling
+from aggtherm.model import ClusterDataset, DesignMatrices
 
 
 def synthetic_instance(K=4, T=120, M=2, T_occ=12, noise=0.1, seed=0):
@@ -39,7 +39,6 @@ def zero_design(K, T, M, T_occ):
         c2=np.zeros((T, M + 1)),
         c3=np.zeros((T, M + 1)),
         c4=np.zeros((T, M + 1)),
-        P_occ=occupancy_tiling(T, T_occ),
         T_occ=T_occ,
     )
 

@@ -140,7 +140,7 @@ def test_criterion_4_te_reparameterization_exactness():
                 S -= true.alpha[m - 1] * design.c1_block(m)
             xi_bar, *_rest2, f2_m = solve_sp2_masked(
                 S @ W.T, W @ W.T, W @ np.ones(K),
-                design.c2, design.c3, design.c4, design.P_occ, lam,
+                design.c2, design.c3, design.c4, design.T_occ, lam,
             )
             assert abs(f2_m - f2_p) / f2_p < 1e-6, f"seed {seed}: objective mismatch"
             xi_rec = W.T @ xi_bar

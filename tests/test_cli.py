@@ -203,3 +203,12 @@ class TestErrors:
         assert cmd_dispatch(["generate", "--out", str(out), "--t-occ", "0"]) == 2
         assert capsys.readouterr().err.strip() == "error: T_occ must be >= 1, got 0"
         assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["plain", "private"])
+    def test_fit_zero_t_occ(self, data_csv, tmp_path, capsys, mode):
+        out = tmp_path / "fit"
+        code = cmd_dispatch(["fit", "--data", str(data_csv), "--mode", mode,
+                             "--t-occ", "0", "--out-dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == "error: T_occ must be >= 1, got 0"
+        assert not (out / "fit_result.json").exists()

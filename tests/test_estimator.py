@@ -15,7 +15,7 @@ from aggtherm.estimator import (
     solve_sp1,
     solve_sp2_plain,
 )
-from aggtherm.model import AtdmParameters, lag_columns, lag_filter, occupancy_tiling
+from aggtherm.model import AtdmParameters, lag_columns, lag_filter
 
 from _common import random_design, random_params, synthetic_instance, zero_design
 
@@ -188,7 +188,7 @@ class TestSolveSp2Plain:
         assert xi.min() >= -1e-8
         # stationarity on the constraint manifold at inactive coordinates
         S = lag_filter(d.tau, d.M, alpha)
-        A = np.hstack([S, -d.c2, -d.c3, -d.c4, -d.P_occ])
+        A = np.hstack([S, -d.c2, -d.c3, -d.c4, -occupancy_indicator(d.T, d.T_occ)])
         x = np.concatenate([xi, beta, gamma, theta, tau_occ])
         g = 2 * (A.T @ (A @ x))
         g[:4] += 2 * lam * xi
@@ -340,23 +340,32 @@ class TestBcdFit:
         assert len(doc["gap_trace"]) == fit.iterations
 
 
-def dense_sp1(s, c2, c3, c4, P_occ, lam, xi_norm_sq):
+def occupancy_indicator(T, T_occ):
+    """The dense T x T_occ slot indicator: row t has its one 1 in column
+    t mod T_occ."""
+    P = np.zeros((T, T_occ))
+    P[np.arange(T), np.arange(T) % T_occ] = 1.0
+    return P
+
+
+def dense_sp1(s, c2, c3, c4, T_occ, lam, xi_norm_sq):
     """The dynamics step as one minimum-norm least squares over every
     column, the occupancy indicators included: (Z, y, coefficients, f1)."""
     M = c2.shape[1] - 1
     s_lags = lag_columns(s, M)
+    P_occ = occupancy_indicator(len(c2), T_occ)
     Z, y = np.hstack([s_lags[:, 1:], c2, c3, c4, P_occ]), s_lags[:, 0]
     coef, *_ = np.linalg.lstsq(Z, y, rcond=None)
     resid = y - Z @ coef
     return Z, y, coef, float(resid @ resid + lam * xi_norm_sq)
 
 
-def dense_weights_qp(S, c2, c3, c4, P_occ, reg, cvec, nonneg):
+def dense_weights_qp(S, c2, c3, c4, T_occ, reg, cvec, nonneg):
     """The weights step with the occupancy levels as KKT unknowns, each KKT
     system solved by minimum-norm least squares and bounds by the same
     active-set rule: (A, x = [v, beta, gamma, theta, u], fixed weights, f2)."""
     K = S.shape[1]
-    A = np.hstack([S, -c2, -c3, -c4, -P_occ])
+    A = np.hstack([S, -c2, -c3, -c4, -occupancy_indicator(len(S), T_occ)])
     n = A.shape[1]
     H = A.T @ A
     H[:K, :K] += reg
@@ -406,7 +415,7 @@ def occupancy_problems(draw):
         "S": np.outer(rng.standard_normal(T), rng.uniform(0.2, 2.0, K))
         + draw(st.sampled_from([0.1, 1.0])) * rng.standard_normal((T, K)),
         "c2": c2, "c3": c3, "c4": c4,
-        "P_occ": occupancy_tiling(T, T_occ),
+        "T_occ": T_occ,
         "lam": draw(st.sampled_from([0.0, 0.1, 10.0])),
         "cvec": np.ones(K) if nonneg else rng.uniform(0.5, 1.5, K),
         "nonneg": nonneg,
@@ -428,14 +437,14 @@ class TestOccupancyProjectionOracle:
     @settings(max_examples=300, deadline=None)
     @given(p=occupancy_problems())
     def test_dynamics_step_matches_dense_lstsq(self, p):
-        args = (p["s"], p["c2"], p["c3"], p["c4"], p["P_occ"], p["lam"], 0.3)
+        args = (p["s"], p["c2"], p["c3"], p["c4"], p["T_occ"], p["lam"], 0.3)
         *blocks, f1 = est.solve_sp1_from_parts(*args)
         Z, y, coef, f1_ref = dense_sp1(*args)
         x = np.concatenate(blocks)
         assert abs(f1 - f1_ref) <= 1e-9 * (float(y @ y) + p["lam"] * 0.3)
         # relative to the terms that cancel in the fitted values
         assert _rel(Z @ x, Z @ coef, max(np.max(np.abs(y)), np.max(np.abs(Z) @ np.abs(coef)))) <= 1e-9
-        tau_occ, P = blocks[-1], p["P_occ"]
+        tau_occ, P = blocks[-1], occupancy_indicator(len(y), p["T_occ"])
         assert np.all(tau_occ[P.sum(axis=0) == 0] == 0.0)
         if np.linalg.matrix_rank(Z) == Z.shape[1]:
             assert _rel(x, coef, np.max(np.abs(coef))) <= 1e-6
@@ -443,13 +452,14 @@ class TestOccupancyProjectionOracle:
     @settings(max_examples=300, deadline=None)
     @given(p=occupancy_problems())
     def test_weights_step_matches_dense_kkt(self, p):
-        S, c2, c3, c4, P = p["S"], p["c2"], p["c3"], p["c4"], p["P_occ"]
+        S, c2, c3, c4, T_occ = p["S"], p["c2"], p["c3"], p["c4"], p["T_occ"]
+        P = occupancy_indicator(len(S), T_occ)
         K = S.shape[1]
         reg = p["lam"] * np.eye(K)
         v, beta, gamma, theta, tau_occ, f2 = est.solve_weights_qp(
-            S, c2, c3, c4, P, reg, p["cvec"], p["nonneg"]
+            S, c2, c3, c4, T_occ, reg, p["cvec"], p["nonneg"]
         )
-        A, x_ref, fixed_ref, f2_ref = dense_weights_qp(S, c2, c3, c4, P, reg, p["cvec"], p["nonneg"])
+        A, x_ref, fixed_ref, f2_ref = dense_weights_qp(S, c2, c3, c4, T_occ, reg, p["cvec"], p["nonneg"])
         x = np.concatenate([v, beta, gamma, theta, tau_occ])
         scale = float(np.sum(S * S)) + float(np.trace(reg))
         assert abs(f2 - f2_ref) <= 1e-9 * scale

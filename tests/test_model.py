@@ -12,7 +12,7 @@ from aggtherm.model import (
     build_lagged_views,
     evaluate_metrics,
     lag_filter,
-    occupancy_tiling,
+    occupancy_slots,
     predict_aggregate,
     split_dataset,
 )
@@ -80,9 +80,26 @@ class TestBuildDesign:
         d = build_design(ds, T_occ=2)
         assert d.c2[:, 0].tolist() == [3.0, 7.0]
 
-    def test_occupancy_tiling(self):
-        P = occupancy_tiling(4, 2)
-        assert P.tolist() == [[1, 0], [0, 1], [1, 0], [0, 1]]
+    def test_occupancy_slots(self):
+        assert occupancy_slots(4, 2).tolist() == [0, 1, 0, 1]
+        assert occupancy_slots(5, 3).tolist() == [0, 1, 2, 0, 1]
+        assert occupancy_slots(2, 48).tolist() == [0, 1]
+        assert occupancy_slots(3, np.int64(1)).tolist() == [0, 0, 0]
+        assert occupancy_slots(4, 2).dtype.kind == "i"
+
+    @pytest.mark.parametrize("t_occ", [0, -3])
+    def test_occupancy_period_below_one_rejected(self, t_occ):
+        with pytest.raises(ValueError, match=rf"^T_occ must be >= 1, got {t_occ}$"):
+            occupancy_slots(4, t_occ)
+        with pytest.raises(ValueError, match=rf"^T_occ must be >= 1, got {t_occ}$"):
+            build_design(random_dataset(K=2, T=4, M=1), T_occ=t_occ)
+
+    @pytest.mark.parametrize("t_occ", [2.0, 2.5, "2", None])
+    def test_non_integer_occupancy_period_rejected(self, t_occ):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            occupancy_slots(4, t_occ)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            build_design(random_dataset(K=2, T=4, M=1), T_occ=t_occ)
 
     def test_invariants_on_random_data(self):
         ds = random_dataset(K=3, T=7, M=2, seed=3)
@@ -95,7 +112,8 @@ class TestBuildDesign:
             assert np.allclose(d.c2[:, m], load_m @ np.ones(3))
             assert np.array_equal(d.c3[:, m], out_m)
             assert np.array_equal(d.c4[:, m], rad_m)
-        assert np.all(d.P_occ.sum(axis=1) == 1)
+        slots = occupancy_slots(d.T, d.T_occ)
+        assert slots.shape == (7,) and slots.min() == 0 and slots.max() == 2
 
 
 class TestLagFilter:
@@ -222,6 +240,20 @@ class TestPredictAggregate:
         p = random_params(K=3, M=2, T_occ=4, seed=seed)
         init = np.random.default_rng(seed).uniform(18, 22, 2)
         assert np.array_equal(predict_aggregate(p, d, init), predict_oracle(p, d, init))
+
+    @pytest.mark.parametrize("K, M, T_occ", [(3, 1, 4), (2, 2, 4), (3, 2, 6), (3, 2, 3)])
+    def test_mismatched_parameters_rejected(self, K, M, T_occ):
+        """Parameters of another size, order or occupancy period than the
+        design are refused, by the forward simulation as by ``objective``."""
+        from aggtherm.estimator import objective
+
+        d = random_design(K=3, T=10, M=2, T_occ=4, seed=1)
+        p = random_params(K=K, M=M, T_occ=T_occ, seed=1)
+        match = rf"^parameter dims \(K, M, T_occ\) = \({K}, {M}, {T_occ}\) do not match design \(3, 2, 4\)$"
+        with pytest.raises(ValueError, match=match):
+            predict_aggregate(p, d, np.full(M, 20.0))
+        with pytest.raises(ValueError, match=match):
+            objective(p, d, 1.0)
 
     def test_unstable_reports_period(self):
         from _common import zero_design

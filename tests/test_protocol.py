@@ -108,8 +108,11 @@ class TestTranscript:
     def test_message_flow_structure(self, small_run):
         dataset, _, _, fit, transcript = small_run
         K, M = dataset.K, dataset.M
-        per_iter = 2 * K + K + 3 * K + K + K  # sap_s+load, alpha, te_a1+a2+w, xibar, xiret
-        assert len(transcript.messages) == per_iter * fit.iterations
+        per_iter = K + K + 3 * K + K + K  # sap_s, alpha, te_a1+a2+w, xibar, xiret
+        # the load series is uploaded once, in round 0
+        assert len(transcript.messages) == per_iter * fit.iterations + K
+        load_rounds = Counter(m.iteration for m in transcript.messages if m.phase == "sap_load")
+        assert load_rounds == {0: K}
         to_bla = {m.phase for m in transcript.messages if m.receiver == 0}
         assert to_bla == {"sap_s", "sap_load", "te_a1", "te_a2", "te_w", "xi_return"}
         # one message per sender and receiver per phase per round
@@ -118,6 +121,10 @@ class TestTranscript:
         from_bla = {m.phase for m in transcript.messages if m.sender == 0}
         assert from_bla == {"alpha_broadcast", "xi_bar_broadcast"}
         assert all(len(m.digest) == 64 for m in transcript.messages)
+        # every round fits with round 0's cluster-load regressors
+        c2 = transcript.bla_view[0]["c2"]
+        assert fit.iterations > 1
+        assert all(np.array_equal(view["c2"], c2) for view in transcript.bla_view[1:])
 
     def test_bla_view_aggregates(self, small_run):
         dataset, design, cfg, fit, transcript = small_run
@@ -155,7 +162,7 @@ class TestTranscript:
         joined = "".join(m.digest for m in transcript.messages)
         assert (
             hashlib.sha256(joined.encode()).hexdigest()
-            == "77aa77f0cc18656e6b34c9485fa0a48903a508cd905bb82c67e79ac6e545f8f3"
+            == "99b540220fe53a04d05c8dbdc8982f1c5055f0449998ebb0fbc96f3ef87ee36e"
         )
 
     def test_jsonl_serialization(self, small_run, tmp_path):
@@ -422,6 +429,17 @@ class TestConfigPaths:
         # one zone has no mask partner: its shares would reach the coordinator unmasked
         with pytest.raises(ValueError, match="at least 2 zones"):
             ProtocolRunner(random_dataset(K=1, T=20), ProtocolConfig(T_occ=4))
+
+    @pytest.mark.parametrize("t_occ, error, match", [
+        (0, ValueError, r"^T_occ must be >= 1, got 0$"),
+        (6.0, TypeError, "cannot be interpreted as an integer"),
+    ])
+    def test_bad_occupancy_period_rejected_before_any_upload(self, t_occ, error, match):
+        dataset, _, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.1, seed=18)
+        bus = InProcessBus(ProtocolTranscript())
+        with pytest.raises(error, match=match):
+            ProtocolRunner(dataset, ProtocolConfig(T_occ=t_occ, seed=18), bus=bus).run()
+        assert bus.transcript.messages == [] and bus.mailboxes == {}
 
     def test_zero_iterations_rejected(self):
         dataset, _, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.1, seed=18)

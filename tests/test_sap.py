@@ -284,7 +284,7 @@ def sp1_from_sums(s_sum, load_sum, M):
     c2 = lag_columns(load_sum, M)
     T = c2.shape[0]
     zeros = np.zeros((T, M + 1))
-    return solve_sp1_from_parts(s_sum, c2, zeros, zeros, np.ones((T, 1)), 1.0, 0.0)
+    return solve_sp1_from_parts(s_sum, c2, zeros, zeros, 1, 1.0, 0.0)
 
 
 class TestAssembleSp1Inputs:
@@ -305,7 +305,7 @@ class TestAssembleSp1Inputs:
         # the dynamics step from the sums matches the plain one from the design
         design, xi, s_sum, load_sum = aggregated_series(K=6, T=30, M=2, seed=seed)
         got = solve_sp1_from_parts(
-            s_sum, lag_columns(load_sum, 2), design.c3, design.c4, design.P_occ, 1.0, xi @ xi
+            s_sum, lag_columns(load_sum, 2), design.c3, design.c4, design.T_occ, 1.0, xi @ xi
         )
         want = solve_sp1(xi, design, 1.0)
         for g, w in zip(got, want):
@@ -483,11 +483,14 @@ class TestMaskWork:
         fit, _ = run_protocol(dataset, ProtocolConfig(lam=10.0, T_occ=6, seed=8, scan=False))
         assert rounds == list(range(fit.iterations))
 
-    def test_private_fit_makes_five_streams_per_pair_per_round(self, monkeypatch):
+    def test_private_fit_makes_one_stream_per_pair_per_upload(self, monkeypatch):
+        """Five uploads in round 0 (the weighted series, the load, the three
+        TE uploads) and four after it, as the load is uploaded once."""
         calls = self.counting(monkeypatch)
         K = 4
         dataset, _, _ = synthetic_instance(K=K, T=60, M=2, T_occ=6, noise=0.1, seed=8)
         fit, _ = run_protocol(dataset, ProtocolConfig(lam=10.0, T_occ=6, seed=8, scan=False))
         per_round = Counter(it for it, *_ in calls)
-        assert per_round == {l: 5 * K * (K - 1) // 2 for l in range(fit.iterations)}
+        assert fit.iterations > 1
+        assert per_round == {l: (5 if l == 0 else 4) * K * (K - 1) // 2 for l in range(fit.iterations)}
         assert len(set(calls)) == len(calls)  # no stream generated twice

@@ -231,3 +231,7 @@ class TestInputValidation:
         kwargs = dict(K=3, T=20, M=2, T_occ=6, seed=0) | bad
         with pytest.raises(ValueError, match=match):
             generate_synthetic(**kwargs)
+
+    def test_non_integer_t_occ_rejected_before_drawing(self):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            generate_synthetic(K=3, T=20, M=2, T_occ=6.0, seed=0)

@@ -107,7 +107,7 @@ class TestSolveSp2Masked:
         K = design.K
         plain = solve_sp2_plain(true.alpha, design, 5.0)
         A1, A2, w = masked_inputs(design, true.alpha, np.eye(K))
-        masked = solve_sp2_masked(A1, A2, w, design.c2, design.c3, design.c4, design.P_occ, 5.0)
+        masked = solve_sp2_masked(A1, A2, w, design.c2, design.c3, design.c4, design.T_occ, 5.0)
         assert np.allclose(masked[0], plain[0], atol=1e-12)
         assert np.isclose(masked[5], plain[5], rtol=1e-12)
 
@@ -122,7 +122,7 @@ class TestSolveSp2Masked:
         assert xi_p.min() > 1e-6  # bound inactive, else the premise fails
         A1, A2, w = masked_inputs(design, true.alpha, W)
         xi_bar, b_m, g_m, t_m, u_m, f2_m = solve_sp2_masked(
-            A1, A2, w, design.c2, design.c3, design.c4, design.P_occ, lam
+            A1, A2, w, design.c2, design.c3, design.c4, design.T_occ, lam
         )
         assert np.isclose(f2_m, f2_p, rtol=1e-6)
         xi_rec = W.T @ xi_bar
@@ -136,7 +136,7 @@ class TestSolveSp2Masked:
         with pytest.raises(ValueError, match="asymmetric"):
             solve_sp2_masked(
                 np.zeros((20, 3)), A2, np.ones(3),
-                design.c2, design.c3, design.c4, design.P_occ, 1.0,
+                design.c2, design.c3, design.c4, design.T_occ, 1.0,
             )
 
     def test_zero_w_sum_rejected(self):
@@ -144,7 +144,7 @@ class TestSolveSp2Masked:
         with pytest.raises(ValueError, match="zero"):
             solve_sp2_masked(
                 np.zeros((20, 3)), np.eye(3), np.zeros(3),
-                design.c2, design.c3, design.c4, design.P_occ, 1.0,
+                design.c2, design.c3, design.c4, design.T_occ, 1.0,
             )
 
 
