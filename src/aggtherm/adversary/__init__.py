@@ -9,12 +9,9 @@ from .leakage import (
 from .mqs import (
     AttackResult,
     MqsInstance,
-    MqsKnowns,
     MqsTruth,
     SweepConfig,
     attack_sweep,
-    build_mqs,
-    build_mqs_from_run,
     make_attack_instance,
     solve_mqs,
     write_sweep_csv,
@@ -30,12 +27,9 @@ __all__ = [
     "filtered_gram_from_view",
     "AttackResult",
     "MqsInstance",
-    "MqsKnowns",
     "MqsTruth",
     "SweepConfig",
     "attack_sweep",
-    "build_mqs",
-    "build_mqs_from_run",
     "make_attack_instance",
     "solve_mqs",
     "write_sweep_csv",

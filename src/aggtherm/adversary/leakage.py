@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..model import lag_filter
+from ..protocol.transcript import RoundView
 
 __all__ = [
     "recover_tau_from_hat",
@@ -125,13 +126,13 @@ def estimate_share_mean(shares: list) -> float:
     return float(np.concatenate(copies).mean())
 
 
-def filtered_gram_from_view(entry: dict) -> np.ndarray:
+def filtered_gram_from_view(view: RoundView) -> np.ndarray:
     """The T x T Gram Ĥ_l Ĥ_lᵀ of round l's filtered per-zone temperatures,
-    from one ``bla_view`` entry of a protocol transcript.
+    from that round's ``RoundView``.
 
     The round's aggregates are ``A1_sum`` = Ĥ_l W_lᵀ and ``A2_sum`` = W_l W_lᵀ
     for the invertible encryption matrix W_l, so A1 A2⁻¹ A1ᵀ = Ĥ_l Ĥ_lᵀ: one
     K x K solve, at any K, whatever the masks.
     """
-    A1 = np.asarray(entry["A1_sum"], dtype=float)
-    return A1 @ np.linalg.solve(np.asarray(entry["A2_sum"], dtype=float), A1.T)
+    A1 = view.A1_sum
+    return A1 @ np.linalg.solve(view.A2_sum, A1.T)

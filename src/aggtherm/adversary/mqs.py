@@ -3,10 +3,11 @@ system, and its numerical attack.
 
 Unknowns are the raw temperature block (one (T+M) x K matrix, lags
 realized as shifted views) and one K x K encryption matrix per iteration.
-Knowns are everything the coordinator legitimately sees: the aggregate
-weighted temperature series, Gram sums, column sums, weight-recovery
-relations, and the filtered-temperature products.  The attack minimizes the squared residual
-of all equation blocks with an analytic Jacobian.
+Knowns are the coordinator's view of each round (``RoundView``): the
+aggregate weighted temperature series, Gram sums, column sums,
+weight-recovery relations, and the filtered-temperature products.  The
+attack minimizes the squared residual of all equation blocks with an
+analytic Jacobian.
 """
 
 from __future__ import annotations
@@ -17,34 +18,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..model import lag_filter
+from ..protocol.transcript import RoundView
 
 __all__ = [
-    "MqsKnowns",
     "MqsTruth",
     "MqsInstance",
     "AttackResult",
     "SweepConfig",
-    "build_mqs",
     "make_attack_instance",
-    "build_mqs_from_run",
     "solve_mqs",
     "attack_sweep",
     "write_sweep_csv",
 ]
 
-
-@dataclass
-class MqsKnowns:
-    """Coordinator-visible quantities, one leading axis entry per iteration."""
-
-    d1: np.ndarray  # (L, T+M) aggregate weighted temperature series
-    D1: np.ndarray  # (L, K, K) Gram sums
-    d2: np.ndarray  # (L, K) encryption-column sums
-    D2: np.ndarray  # (L, T, K) filtered-temperature products
-    xi_in: np.ndarray  # (L, K) weights the aggregates were formed with
-    xi_out: np.ndarray  # (L, K) weights recovered through the encryption
-    xi_bar: np.ndarray  # (L, K) encrypted weight vectors
-    alpha: np.ndarray  # (L, M) dynamics broadcast per iteration
+# the attack instances' draws: temperatures Normal(TAU_MEAN, TAU_SD),
+# encryption entries Normal(W_MEAN, W_SD) as in the protocol's defaults
+TAU_MEAN, TAU_SD = 20.0, 1.0
+W_MEAN, W_SD = 0.1, 0.1
+PERTURBATION = 1.0  # half-width of the uniform start perturbation
+GRAD_TOL = 1e-8
 
 
 @dataclass
@@ -74,26 +66,37 @@ class AttackResult:
 
 
 class MqsInstance:
-    """Assembled residual system with packing helpers and analytic Jacobian."""
+    """Assembled residual system with packing helpers and analytic Jacobian.
 
-    def __init__(self, knowns: MqsKnowns, true_values: MqsTruth):
-        self.knowns = knowns
-        self.true_values = true_values
-        L, K = knowns.d2.shape
-        T, M = knowns.D2.shape[1], knowns.alpha.shape[1]
+    ``views`` holds one ``RoundView`` per round; each field is stacked once
+    over the rounds, as ``self.<field>`` with a leading round axis.  K and T
+    are read from round 0's ``A1_sum`` and M from its ``alpha``; a field of
+    another shape in any round raises ValueError naming it.
+    """
+
+    def __init__(self, views, true_values: MqsTruth):
+        self.views = tuple(views)
+        if not self.views:
+            raise ValueError("need the view of at least one round")
+        L = len(self.views)
+        T, K = np.shape(self.views[0].A1_sum)
+        M = np.size(self.views[0].alpha)
         self.K, self.L, self.T, self.M = K, L, T, M
-        if (
-            knowns.d1.shape != (L, T + M)
-            or knowns.D1.shape != (L, K, K)
-            or knowns.D2.shape != (L, T, K)
-        ):
-            raise ValueError("known blocks have inconsistent shapes")
-        if knowns.alpha.shape != (L, M) or any(
-            v.shape != (L, K) for v in (knowns.xi_in, knowns.xi_out, knowns.xi_bar)
-        ):
-            raise ValueError("known vectors have inconsistent shapes")
-        if true_values.tau.shape != (T + M, K) or true_values.W.shape != (L, K, K):
-            raise ValueError("true values have inconsistent shapes")
+        shapes = {
+            "xi_in": (K,), "s_sum": (T + M,), "alpha": (M,), "A1_sum": (T, K),
+            "A2_sum": (K, K), "w_sum": (K,), "xi_bar": (K,), "xi_recovered": (K,),
+        }
+        for name, shape in shapes.items():
+            rounds = [np.asarray(getattr(v, name), dtype=float) for v in self.views]
+            for l, a in enumerate(rounds):
+                if a.shape != shape:
+                    raise ValueError(f"round {l}: {name} has shape {a.shape}, expected {shape}")
+            setattr(self, name, np.stack(rounds))
+        self.true_values = true_values
+        for name, shape in (("tau", (T + M, K)), ("W", (L, K, K))):
+            got = np.shape(getattr(true_values, name))
+            if got != shape:
+                raise ValueError(f"true {name} has shape {got}, expected {shape}")
         self.n_tau = (T + M) * K
         self.n_unknowns = self.n_tau + L * K * K
         self._triu = np.triu_indices(K)
@@ -119,9 +122,9 @@ class MqsInstance:
         W = x[self.n_tau :].reshape(L, K, K)
         return tau, W
 
-    def perturbed_start(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+    def perturbed_start(self, rng: np.random.Generator) -> np.ndarray:
         x = self.pack(self.true_values.tau, self.true_values.W)
-        return x + rng.uniform(-scale, scale, size=x.shape)
+        return x + rng.uniform(-PERTURBATION, PERTURBATION, size=x.shape)
 
     # -- residual and Jacobian ----------------------------------------------
 
@@ -132,13 +135,13 @@ class MqsInstance:
         iu, ju = self._triu
         for l in range(L):
             Wl = W[l]
-            parts.append(tau @ self.knowns.xi_in[l] - self.knowns.d1[l])
-            gram = Wl @ Wl.T - self.knowns.D1[l]
+            parts.append(tau @ self.xi_in[l] - self.s_sum[l])
+            gram = Wl @ Wl.T - self.A2_sum[l]
             parts.append(gram[iu, ju])
-            parts.append(Wl @ np.ones(K) - self.knowns.d2[l])
-            parts.append(Wl.T @ self.knowns.xi_bar[l] - self.knowns.xi_out[l])
-            hat = lag_filter(tau, M, self.knowns.alpha[l])
-            parts.append(((hat @ Wl.T) - self.knowns.D2[l]).ravel())
+            parts.append(Wl @ np.ones(K) - self.w_sum[l])
+            parts.append(Wl.T @ self.xi_bar[l] - self.xi_recovered[l])
+            hat = lag_filter(tau, M, self.alpha[l])
+            parts.append(((hat @ Wl.T) - self.A1_sum[l]).ravel())
         return np.concatenate(parts)
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
@@ -153,7 +156,7 @@ class MqsInstance:
             w_off = self.n_tau + l * K * K
             # aggregate rows: d/dtau[p, i] = xi_in[i]
             for p in range(T + M):
-                J[row + p, p * K : (p + 1) * K] = self.knowns.xi_in[l]
+                J[row + p, p * K : (p + 1) * K] = self.xi_in[l]
             row += T + M
             # gram rows (upper triangle)
             for n in range(n_pairs):
@@ -168,11 +171,11 @@ class MqsInstance:
             # weight-recovery rows: residual_i = sum_j W[j, i] xi_bar[j]
             for j in range(K):
                 J[row : row + K, w_off + j * K : w_off + (j + 1) * K] += (
-                    np.eye(K) * self.knowns.xi_bar[l, j]
+                    np.eye(K) * self.xi_bar[l, j]
                 )
             row += K
             # mixed rows: residual[t, j] = sum_i hat_tau[t, i] W[j, i]
-            alpha = self.knowns.alpha[l]
+            alpha = self.alpha[l]
             hat = lag_filter(tau, M, alpha)
             for t in range(T):
                 base = row + t * K
@@ -188,11 +191,6 @@ class MqsInstance:
         return J
 
 
-def build_mqs(knowns: MqsKnowns, true_values: MqsTruth) -> MqsInstance:
-    """Assemble and self-check the inference system."""
-    return MqsInstance(knowns, true_values)
-
-
 def make_attack_instance(
     K: int = 6,
     L: int = 3,
@@ -200,96 +198,48 @@ def make_attack_instance(
     M: int = 2,
     seed: int = 0,
     w_like_tau: bool = False,
-    tau_mean: float = 20.0,
-    tau_sd: float = 1.0,
-    w_mean: float = 0.1,
-    w_sd: float = 0.1,
 ) -> MqsInstance:
-    """Standalone known/unknown generator for the attack experiments.
+    """Standalone view/truth generator for the attack experiments.
 
-    Temperatures are Normal(tau_mean, tau_sd); encryption matrices follow
+    Temperatures are Normal(TAU_MEAN, TAU_SD); encryption matrices follow
     the protocol distribution unless ``w_like_tau`` applies the temperature
     distribution to them as well.  Weight vectors are chained across
-    iterations exactly as a protocol run would produce them.
+    iterations exactly as a protocol run would produce them, and each
+    round's view is formed from them as the protocol's sums would be.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3000,)))
-    tau = rng.normal(tau_mean, tau_sd, size=(T + M, K))
+    tau = rng.normal(TAU_MEAN, TAU_SD, size=(T + M, K))
     if w_like_tau:
-        W = rng.normal(tau_mean, tau_sd, size=(L, K, K))
+        W = rng.normal(TAU_MEAN, TAU_SD, size=(L, K, K))
     else:
-        W = rng.normal(w_mean, w_sd, size=(L, K, K))
+        W = rng.normal(W_MEAN, W_SD, size=(L, K, K))
 
-    xi_in = np.zeros((L, K))
-    xi_out = np.zeros((L, K))
-    xi_bar = np.zeros((L, K))
     alpha = rng.normal(0.0, 0.5, size=(L, M))
     xi = rng.dirichlet(np.ones(K))
+    views = []
     for l in range(L):
-        xi_in[l] = xi
-        xi_next = rng.dirichlet(np.ones(K))
-        xi_bar[l] = np.linalg.solve(W[l].T, xi_next)
-        xi_out[l] = W[l].T @ xi_bar[l]
-        xi = xi_out[l]
-
-    d1 = np.zeros((L, T + M))
-    D1 = np.zeros((L, K, K))
-    d2 = np.zeros((L, K))
-    D2 = np.zeros((L, T, K))
-    for l in range(L):
-        d1[l] = tau @ xi_in[l]
-        D1[l] = W[l] @ W[l].T
-        d2[l] = W[l] @ np.ones(K)
-        D2[l] = lag_filter(tau, M, alpha[l]) @ W[l].T
-    knowns = MqsKnowns(
-        d1=d1, D1=D1, d2=d2, D2=D2, xi_in=xi_in, xi_out=xi_out, xi_bar=xi_bar, alpha=alpha
-    )
-    return build_mqs(knowns, MqsTruth(tau=tau, W=W))
-
-
-def build_mqs_from_run(runner) -> MqsInstance:
-    """Replay a finished protocol run as an inference instance.
-
-    Takes a ProtocolRunner after run(); the coordinator-visible aggregates
-    become the knowns, and the dataset plus the agents' private encryption
-    columns become the evaluation truth.
-    """
-    view = runner.transcript.bla_view
-    if not view:
-        raise ValueError("protocol run has no recorded iterations")
-    K, T, M = runner.K, runner.T, runner.M
-    L = len(view)
-    d1 = np.zeros((L, T + M))
-    D1 = np.zeros((L, K, K))
-    d2 = np.zeros((L, K))
-    D2 = np.zeros((L, T, K))
-    xi_in = np.zeros((L, K))
-    xi_out = np.zeros((L, K))
-    xi_bar = np.zeros((L, K))
-    alpha = np.zeros((L, M))
-    W = np.zeros((L, K, K))
-    for l, v in enumerate(view):
-        d1[l] = v["s_sum"]
-        D1[l] = v["A2_sum"]
-        d2[l] = v["w_sum"]
-        D2[l] = v["A1_sum"]
-        xi_in[l] = v["xi_in"]
-        xi_out[l] = v["xi_recovered"]
-        xi_bar[l] = v["xi_bar"]
-        alpha[l] = v["alpha"]
-        W[l] = np.column_stack(
-            [runner.agents[i].w_history[l] for i in runner.agent_ids]
+        xi_bar = np.linalg.solve(W[l].T, rng.dirichlet(np.ones(K)))
+        xi_out = W[l].T @ xi_bar
+        views.append(
+            RoundView(
+                xi_in=xi,
+                s_sum=tau @ xi,
+                alpha=alpha[l],
+                A1_sum=lag_filter(tau, M, alpha[l]) @ W[l].T,
+                A2_sum=W[l] @ W[l].T,
+                w_sum=W[l] @ np.ones(K),
+                xi_bar=xi_bar,
+                xi_recovered=xi_out,
+            )
         )
-    knowns = MqsKnowns(
-        d1=d1, D1=D1, d2=d2, D2=D2, xi_in=xi_in, xi_out=xi_out, xi_bar=xi_bar, alpha=alpha
-    )
-    return build_mqs(knowns, MqsTruth(tau=runner.dataset.tau_in.copy(), W=W))
+        xi = xi_out
+    return MqsInstance(views, MqsTruth(tau=tau, W=W))
 
 
 def solve_mqs(
     instance: MqsInstance,
     init: np.ndarray,
     max_iter: int = 500,
-    grad_tol: float = 1e-8,
     method: str = "lbfgs",
 ) -> AttackResult:
     """Gradient-based minimization of the squared residual system.
@@ -323,7 +273,7 @@ def solve_mqs(
                 init,
                 jac=instance.jacobian,
                 method="trf",
-                gtol=grad_tol,
+                gtol=GRAD_TOL,
                 xtol=1e-12,
                 ftol=1e-12,
                 max_nfev=max_iter,
@@ -343,7 +293,7 @@ def solve_mqs(
                 init,
                 jac=True,
                 method="L-BFGS-B",
-                options={"maxiter": max_iter, "gtol": grad_tol},
+                options={"maxiter": max_iter, "gtol": GRAD_TOL},
             )
             x = res.x
             fun = instance.residual(x)
@@ -381,9 +331,7 @@ class SweepConfig:
     T_list: tuple = (1, 2, 3, 4, 6, 12, 24, 48)
     scenarios: int = 20
     seed: int = 0
-    perturbation: float = 1.0
     max_iter: int = 500
-    grad_tol: float = 1e-8
     w_like_tau: bool = False
     method: str = "lbfgs"
 
@@ -410,10 +358,8 @@ def attack_sweep(cfg: SweepConfig):
             rng = np.random.default_rng(
                 np.random.SeedSequence(cfg.seed, spawn_key=(4000, T, s))
             )
-            init = inst.perturbed_start(rng, cfg.perturbation)
-            result = solve_mqs(
-                inst, init, max_iter=cfg.max_iter, grad_tol=cfg.grad_tol, method=cfg.method
-            )
+            init = inst.perturbed_start(rng)
+            result = solve_mqs(inst, init, max_iter=cfg.max_iter, method=cfg.method)
             rows.append(
                 {
                     "case_T": T,

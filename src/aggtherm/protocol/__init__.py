@@ -14,7 +14,7 @@ from .te import (
     solve_sp2_masked,
     te_recover,
 )
-from .transcript import ProtocolTranscript, scan_payloads
+from .transcript import ProtocolTranscript, RoundView, scan_payloads
 
 __all__ = [
     "Message",
@@ -35,5 +35,6 @@ __all__ = [
     "solve_sp2_masked",
     "te_recover",
     "ProtocolTranscript",
+    "RoundView",
     "scan_payloads",
 ]

@@ -42,7 +42,7 @@ from .sap import (
     sap_mask,
 )
 from .te import compute_te_uploads, gen_encryption_col, solve_sp2_masked, te_recover
-from .transcript import ProtocolTranscript, ScanReferences, scan_payloads
+from .transcript import ProtocolTranscript, RoundView, ScanReferences, scan_payloads
 
 __all__ = [
     "ProtocolError",
@@ -321,12 +321,11 @@ class ProtocolRunner:
         s_sum = self._aggregate(Phase.SAP_S, l, payloads).ravel()
         if l == 0:
             self.c2 = lag_columns(self._aggregate(Phase.SAP_LOAD, l, payloads).ravel(), self.M)
+            self.transcript.c2 = self.c2
         alpha, *_unused, f1 = solve_sp1_from_parts(
             s_sum, self.c2, self.c3, self.c4, self.cfg.T_occ, self.cfg.lam, float(xi @ xi)
         )
-        self._round = {
-            "masks": masks, "payloads": payloads, "xi_in": xi.copy(), "s_sum": s_sum, "f1": f1,
-        }
+        self._round = {"masks": masks, "payloads": payloads, "xi_in": xi.copy(), "s_sum": s_sum}
         return alpha, f1
 
     def _te_step(self, l: int, alpha: np.ndarray):
@@ -362,20 +361,16 @@ class ProtocolRunner:
 
         self._scan(l, payloads)
         self.transcript.bla_view.append(
-            {
-                "iteration": l,
-                "xi_in": rnd["xi_in"],
-                "s_sum": rnd["s_sum"],
-                "c2": self.c2,
-                "alpha": np.asarray(alpha, dtype=float).copy(),
-                "A1_sum": A1_sum,
-                "A2_sum": A2_sum,
-                "w_sum": w_sum,
-                "xi_bar": np.asarray(xi_bar, dtype=float).copy(),
-                "xi_recovered": xi_new.copy(),
-                "f1": rnd["f1"],
-                "f2": f2,
-            }
+            RoundView(
+                xi_in=rnd["xi_in"],
+                s_sum=rnd["s_sum"],
+                alpha=np.asarray(alpha, dtype=float).copy(),
+                A1_sum=A1_sum,
+                A2_sum=A2_sum,
+                w_sum=w_sum,
+                xi_bar=np.asarray(xi_bar, dtype=float).copy(),
+                xi_recovered=xi_new.copy(),
+            )
         )
         self._round = None
         return (xi_new, *coefs, f2)

@@ -15,7 +15,7 @@ from ..dataio import dumps_json
 from .messages import Message, Phase
 from .messages import encode_message  # noqa: F401  unused here; perfbench/tracer.py patches it by this name
 
-__all__ = ["MessageRecord", "ProtocolTranscript", "ScanReferences", "scan_payloads"]
+__all__ = ["MessageRecord", "RoundView", "ProtocolTranscript", "ScanReferences", "scan_payloads"]
 
 
 @dataclass
@@ -40,17 +40,36 @@ class MessageRecord:
         }
 
 
+@dataclass(frozen=True)
+class RoundView:
+    """What the coordinator sees in one BCD round, for K zones, T periods and
+    model order M.  Here τ is the (T+M) x K indoor series, Ĥ = F_α τ its
+    filtered rows and W the round's K x K encryption matrix, agent i's
+    column in column i."""
+
+    xi_in: np.ndarray  # (K,) weights the round's aggregates are formed with
+    s_sum: np.ndarray  # (T+M,) aggregate weighted series τ ξ_in
+    alpha: np.ndarray  # (M,) dynamics broadcast
+    A1_sum: np.ndarray  # (T, K) filtered-series products Ĥ Wᵀ
+    A2_sum: np.ndarray  # (K, K) encryption Gram W Wᵀ
+    w_sum: np.ndarray  # (K,) encryption-column sums W 1
+    xi_bar: np.ndarray  # (K,) encrypted weights broadcast
+    xi_recovered: np.ndarray  # (K,) weights the agents return, Wᵀ ξ̄
+
+
 @dataclass
 class ProtocolTranscript:
     """Everything observable about one protocol run.
 
-    ``messages`` logs every envelope (digests only); ``bla_view`` holds the
-    aggregates the coordinator legitimately derives each iteration;
+    ``messages`` logs every envelope (digests only); ``bla_view`` holds one
+    ``RoundView`` per round; ``c2`` is the cluster-load regressor block the
+    coordinator sums from round 0's loads and fits every round with;
     ``scan_checked``/``scan_findings`` summarize the privacy scan.
     """
 
     messages: list = field(default_factory=list)
-    bla_view: list = field(default_factory=list)
+    bla_view: list[RoundView] = field(default_factory=list)
+    c2: np.ndarray | None = None
     fit: dict | None = None
     scan_checked: int = 0
     scan_findings: list = field(default_factory=list)

@@ -62,6 +62,19 @@ def random_params(K, M, T_occ, seed=0, simplex=True):
     )
 
 
+def run_truth(runner):
+    """The evaluation truth of a finished protocol run: the dataset's indoor
+    series, and per round the encryption matrix whose column i is agent i's
+    column.  Only a test reads agent state; attacks get the view alone."""
+    from aggtherm.adversary import MqsTruth
+
+    W = [
+        np.column_stack([runner.agents[i].w_history[l] for i in runner.agent_ids])
+        for l in range(len(runner.transcript.bla_view))
+    ]
+    return MqsTruth(tau=runner.dataset.tau_in.copy(), W=np.array(W))
+
+
 def zero_mask(self, i, j, kind, sub, shape):
     """Stand-in for ``PairwiseMaskSet.mask`` that masks nothing: shares are
     then the plain fixed-point encodings, which the privacy scan must catch."""

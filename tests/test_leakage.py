@@ -192,7 +192,7 @@ class TestFilteredGram:
         view = runner.transcript.bla_view
         assert len(view) >= 2 and runner.transcript.scan_findings == []
         for entry in view:
-            hat = lag_filter(dataset.tau_in, dataset.M, entry["alpha"])
+            hat = lag_filter(dataset.tau_in, dataset.M, entry.alpha)
             truth = hat @ hat.T
             got = filtered_gram_from_view(entry)
             assert np.linalg.norm(got - truth) <= 1e-8 * np.linalg.norm(truth)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -20,6 +21,7 @@ from aggtherm.protocol import (
     ProtocolError,
     ProtocolRunner,
     ProtocolTranscript,
+    RoundView,
     decode_message,
     encode_message,
     run_protocol,
@@ -89,9 +91,12 @@ class TestEquivalence:
             h.update(np.asarray(getattr(fit.params, name), dtype=float).tobytes())
         trace = [v for g in fit.gap_trace for v in (g.f1, g.f2, g.gap)]
         h.update(np.array([fit.objective, *trace]).tobytes())
-        for view in transcript.bla_view:
-            for key in ("s_sum", "c2", "A1_sum", "A2_sum", "w_sum", "xi_bar", "xi_recovered", "f1", "f2"):
-                h.update(np.asarray(view[key], dtype=float).tobytes())
+        # each round's view, then its objectives, in the order the rounds
+        # once recorded them (c2 is recorded once, for every round)
+        for view, g in zip(transcript.bla_view, fit.gap_trace, strict=True):
+            for value in (view.s_sum, transcript.c2, view.A1_sum, view.A2_sum, view.w_sum,
+                          view.xi_bar, view.xi_recovered, g.f1, g.f2):
+                h.update(np.asarray(value, dtype=float).tobytes())
         assert fit.objective.hex() == "0x1.cc6794c4c7ccep+1"
         assert h.hexdigest() == "8dd6d76c0a6128edb7f41a0d60d022be436d132686336202db75fb1a2fcabf73"
 
@@ -121,23 +126,21 @@ class TestTranscript:
         from_bla = {m.phase for m in transcript.messages if m.sender == 0}
         assert from_bla == {"alpha_broadcast", "xi_bar_broadcast"}
         assert all(len(m.digest) == 64 for m in transcript.messages)
-        # every round fits with round 0's cluster-load regressors
-        c2 = transcript.bla_view[0]["c2"]
-        assert fit.iterations > 1
-        assert all(np.array_equal(view["c2"], c2) for view in transcript.bla_view[1:])
 
     def test_bla_view_aggregates(self, small_run):
         dataset, design, cfg, fit, transcript = small_run
-        assert len(transcript.bla_view) == fit.iterations
+        assert len(transcript.bla_view) == fit.iterations > 1
+        assert all(isinstance(v, RoundView) for v in transcript.bla_view)
         view = transcript.bla_view[0]
         # aggregates the coordinator sees match their central counterparts
         xi0 = np.full(dataset.K, 1.0 / dataset.K)
-        assert np.allclose(view["s_sum"], dataset.tau_in @ xi0, rtol=1e-9, atol=1e-8)
-        assert np.allclose(view["c2"], design.c2, rtol=1e-9, atol=1e-8)
-        assert set(view) >= {
-            "xi_in", "s_sum", "c2", "alpha", "A1_sum", "A2_sum",
-            "w_sum", "xi_bar", "xi_recovered", "f1", "f2",
-        }
+        assert np.array_equal(view.xi_in, xi0)
+        assert np.allclose(view.s_sum, dataset.tau_in @ xi0, rtol=1e-9, atol=1e-8)
+        assert np.allclose(transcript.c2, design.c2, rtol=1e-9, atol=1e-8)
+        # each round starts from the weights the agents returned in the last
+        for prev, nxt in zip(transcript.bla_view, transcript.bla_view[1:]):
+            assert np.array_equal(nxt.xi_in, prev.xi_recovered)
+        assert np.array_equal(transcript.bla_view[-1].xi_recovered, fit.params.xi)
 
     def test_digests_match_single_encode(self):
         sent = []
@@ -462,8 +465,8 @@ class TestOrderInvariance:
         fit_b, tr_b = run_protocol(dataset, cfg, bus=bus)
         assert np.array_equal(fit_a.params.xi, fit_b.params.xi)
         for va, vb in zip(tr_a.bla_view, tr_b.bla_view):
-            assert np.array_equal(va["A1_sum"], vb["A1_sum"])
-            assert np.array_equal(va["s_sum"], vb["s_sum"])
+            assert np.array_equal(va.A1_sum, vb.A1_sum)
+            assert np.array_equal(va.s_sum, vb.s_sum)
 
     def test_transport_without_marker_reversed(self, small_run):
         """A bus that only logs, encodes and decodes (no per-message marker)
@@ -484,10 +487,11 @@ class TestOrderInvariance:
         fit_r, tr_r = run_protocol(dataset, cfg, bus=ReversingBus(ProtocolTranscript()))
         assert fit_r.as_dict() == fit.as_dict()
         assert [m.digest for m in tr_r.messages] == [m.digest for m in transcript.messages]
+        assert np.array_equal(tr_r.c2, transcript.c2)
+        assert len(tr_r.bla_view) == len(transcript.bla_view)
         for va, vb in zip(transcript.bla_view, tr_r.bla_view):
-            assert va.keys() == vb.keys()
-            for key in va:
-                assert np.array_equal(va[key], vb[key])
+            for f in dataclasses.fields(RoundView):
+                assert np.array_equal(getattr(va, f.name), getattr(vb, f.name)), f.name
 
 
 class TestScanner:
