@@ -14,7 +14,6 @@ from .model import (
     Metrics,
     aggregate_state,
     build_design,
-    build_lagged_views,
     evaluate_metrics,
     predict_aggregate,
     split_dataset,
@@ -28,7 +27,6 @@ __all__ = [
     "Metrics",
     "aggregate_state",
     "build_design",
-    "build_lagged_views",
     "evaluate_metrics",
     "predict_aggregate",
     "split_dataset",

@@ -191,6 +191,12 @@ class MqsInstance:
         return J
 
 
+def _check_sizes(**sizes):
+    for name, n in sizes.items():
+        if n < 1:
+            raise ValueError(f"{name} must be >= 1, got {n}")
+
+
 def make_attack_instance(
     K: int = 6,
     L: int = 3,
@@ -207,6 +213,7 @@ def make_attack_instance(
     iterations exactly as a protocol run would produce them, and each
     round's view is formed from them as the protocol's sums would be.
     """
+    _check_sizes(K=K, L=L, T=T, M=M)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3000,)))
     tau = rng.normal(TAU_MEAN, TAU_SD, size=(T + M, K))
     if w_like_tau:
@@ -342,8 +349,9 @@ def attack_sweep(cfg: SweepConfig):
     Returns (rows, summary): rows are per-scenario dicts matching the CSV
     columns; summary maps each case T to median/min/max error and median
     time over its scenarios.  Failed scenarios are kept (error inf), never
-    fatal.
+    fatal.  Sizes below 1 raise ValueError before any draw.
     """
+    _check_sizes(K=cfg.K, L=cfg.L, M=cfg.M, scenarios=cfg.scenarios, T=min(cfg.T_list, default=1))
     rows = []
     summary = {}
     for T in cfg.T_list:

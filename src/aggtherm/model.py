@@ -25,7 +25,6 @@ __all__ = [
     "lag_view",
     "lag_columns",
     "lag_filter",
-    "build_lagged_views",
     "occupancy_slots",
     "build_design",
     "aggregate_state",
@@ -242,18 +241,6 @@ def lag_filter(series: np.ndarray, M: int, alpha) -> np.ndarray:
     for m in range(1, M + 1):
         out -= alpha[m - 1] * lag_view(series, M, m)
     return out
-
-
-def build_lagged_views(dataset: ClusterDataset, m: int):
-    """Return the lag-m views of all four series.
-
-    Row t of each output is the dataset value at period t - m, for
-    t = 1..T.  Requires 0 <= m <= M.
-    """
-    return tuple(
-        lag_view(s, dataset.M, m)
-        for s in (dataset.tau_in, dataset.h_load, dataset.tau_out, dataset.h_rad)
-    )
 
 
 def occupancy_slots(T: int, T_occ: int) -> np.ndarray:

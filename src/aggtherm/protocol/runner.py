@@ -18,7 +18,9 @@ transport; each agent reads its broadcasts through
 coordinator.  Masked shares are uint64 ring elements, and the coordinator
 decodes only their sums.  Every payload crosses an in-process bus through
 the binary envelope codec; the transcript records digests, the
-coordinator-visible aggregates, and privacy-scan results.
+coordinator-visible aggregates, and privacy-scan results.  The scan is run
+by an ``Auditor``, the trusted party that holds every agent's secrets, not
+by the coordinator or the agents.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ __all__ = [
     "ProtocolError",
     "ProtocolConfig",
     "BuildingAgent",
+    "Auditor",
     "InProcessBus",
     "ProtocolRunner",
     "run_protocol",
@@ -115,23 +118,7 @@ class BuildingAgent:
         self.M = M
         self.cfg = cfg
         self.xi_i: float | None = None  # assigned by the coordinator at setup
-        p = f"agent{agent_id}/"
-        self._series_refs = [(p + "tau_full", self.tau_col), (p + "load_full", self.load_col)]
-        for m in range(M + 1):
-            self._series_refs.append((f"{p}tau_lag{m}", lag_view(self.tau_col, M, m)))
-            self._series_refs.append((f"{p}load_lag{m}", lag_view(self.load_col, M, m)))
         self.w_history: dict[int, np.ndarray] = {}
-        self._w: np.ndarray | None = None
-        self._upload_refs: dict[int, list] = {}  # iteration -> labelled upload intermediates
-
-    def _keep_refs(self, iteration: int, refs: list):
-        """Hold this iteration's upload intermediates for ``private_refs``;
-        only an audited run (``cfg.scan``) needs them."""
-        if not self.cfg.scan:
-            return
-        if iteration not in self._upload_refs:
-            self._upload_refs = {iteration: []}
-        self._upload_refs[iteration].extend(refs)
 
     def _masked(self, iteration: int, phase: Phase, x, masks: PairwiseMaskSet, kind: int) -> Message:
         return Message(iteration, phase, self.id, BLA_ID, sap_mask(x, self.id, masks, kind))
@@ -140,9 +127,7 @@ class BuildingAgent:
         """This round's ``SAP_S`` message, the masked weighted temperature
         series, and in round 0 the ``SAP_LOAD`` message, the masked load
         series, which does not change between rounds."""
-        share = self.xi_i * self.tau_col
-        self._keep_refs(iteration, [(f"agent{self.id}/weighted_share", share)])
-        msgs = [self._masked(iteration, Phase.SAP_S, share, masks, KIND_SAP_S)]
+        msgs = [self._masked(iteration, Phase.SAP_S, self.xi_i * self.tau_col, masks, KIND_SAP_S)]
         if iteration == 0:
             msgs.append(self._masked(iteration, Phase.SAP_LOAD, self.load_col, masks, KIND_SAP_LOAD))
         return msgs
@@ -155,37 +140,76 @@ class BuildingAgent:
         rng = np.random.default_rng(
             np.random.SeedSequence(self.cfg.seed, spawn_key=(2000 + iteration, self.id))
         )
-        self._w = gen_encryption_col(K, rng, self.cfg.w_mean, self.cfg.w_sd)
-        self.w_history[iteration] = self._w.copy()
-        A1, A2 = compute_te_uploads(hat_col, self._w)
-        p = f"agent{self.id}/"
-        self._keep_refs(
-            iteration,
-            [(p + "hat_tau", hat_col), (p + "w_col", self.w_history[iteration])]
-            + [(f"{p}A1_col{c}", A1[:, c]) for c in range(A1.shape[1])]
-            + [(f"{p}A2_col{c}", A2[:, c]) for c in range(A2.shape[1])],
-        )
+        w = self.w_history[iteration] = gen_encryption_col(K, rng, self.cfg.w_mean, self.cfg.w_sd)
+        A1, A2 = compute_te_uploads(hat_col, w)
         return [
             self._masked(iteration, Phase.TE_A1, A1, masks, KIND_TE_A1),
             self._masked(iteration, Phase.TE_A2, A2, masks, KIND_TE_A2),
-            self._masked(iteration, Phase.TE_W, self._w, masks, KIND_TE_W),
+            self._masked(iteration, Phase.TE_W, w, masks, KIND_TE_W),
         ]
-
-    def private_refs(self, iteration: int) -> list:
-        """Labelled private vectors for the privacy scan of ``iteration``:
-        the full series and their lag views, then ``upload_refs``."""
-        return self._series_refs + self.upload_refs(iteration)
-
-    def upload_refs(self, iteration: int) -> list:
-        """What this agent computed for ``iteration``'s uploads (weighted
-        share, filtered series, encryption column, outer-product columns),
-        labelled the same in every round."""
-        return self._upload_refs.get(iteration, [])
 
     def xi_return_message(self, xi_bar_msg: Message, iteration: int) -> Message:
         xi_bar = xi_bar_msg.payload.ravel()
-        self.xi_i = te_recover(self._w, xi_bar)
+        self.xi_i = te_recover(self.w_history[iteration], xi_bar)
         return Message(iteration, Phase.XI_RETURN, self.id, BLA_ID, np.array([self.xi_i]))
+
+
+class Auditor:
+    """The trusted party that holds every agent's secrets and checks each
+    round that none reached the coordinator in the clear.
+
+    Agent by agent, its references for round l are the temperature and load
+    series and their lag views, built once, then the round's upload
+    intermediates, rebuilt from the round's ``RoundView`` and the agent's
+    encryption column.  They are grouped once (``ScanReferences``); later
+    rounds replace only the upload references, by label."""
+
+    def __init__(self, agents: list[BuildingAgent]):
+        self.agents = agents
+        self._series = []
+        for a in agents:
+            p = f"agent{a.id}/"
+            refs = [(p + "tau_full", a.tau_col), (p + "load_full", a.load_col)]
+            for m in range(a.M + 1):
+                refs.append((f"{p}tau_lag{m}", lag_view(a.tau_col, a.M, m)))
+                refs.append((f"{p}load_lag{m}", lag_view(a.load_col, a.M, m)))
+            self._series.append(refs)
+        self._views: dict[int, RoundView] = {}  # every audited round's view
+        self._refs: ScanReferences | None = None  # built by the first audit
+
+    def _upload_refs(self, k: int, l: int) -> list:
+        """The k-th agent's weighted share, filtered series, encryption
+        column and outer-product columns of audited round l."""
+        a, view = self.agents[k], self._views[l]
+        w, hat, p = a.w_history[l], lag_filter(a.tau_col, a.M, view.alpha), f"agent{a.id}/"
+        return (
+            [(p + "weighted_share", view.xi_in[k] * a.tau_col), (p + "hat_tau", hat), (p + "w_col", w)]
+            + [(f"{p}A1_col{c}", hat * wc) for c, wc in enumerate(w)]
+            + [(f"{p}A2_col{c}", w * wc) for c, wc in enumerate(w)]
+        )
+
+    def private_refs(self, l: int) -> list:
+        return [ref for k, series in enumerate(self._series) for ref in series + self._upload_refs(k, l)]
+
+    def audit(self, l: int, view: RoundView, payloads: list, transcript: ProtocolTranscript):
+        """Scan the fixed-point decoding of every share the coordinator
+        received in round l, decoded at the probe rows and in the columns
+        that pass them only, and record the result in ``transcript``.
+        Raises ProtocolError on a finding."""
+        self._views[l] = view
+        if self._refs is None:
+            self._refs = ScanReferences(self.private_refs(l))
+        else:
+            self._refs.update([ref for k in range(len(self.agents)) for ref in self._upload_refs(k, l)])
+        checked, findings = scan_payloads(payloads, self._refs, decode=decode_fixed)
+        transcript.scan_checked += checked
+        if findings:
+            transcript.scan_findings.extend(findings)
+            shown = "; ".join(f"{p}[col {c}] == {r}" for p, c, r in findings[:5])
+            raise ProtocolError(
+                f"privacy violation at iteration {l}: {len(findings)} "
+                f"coordinator-visible payload(s) match private data ({shown})"
+            )
 
 
 class ProtocolRunner:
@@ -209,41 +233,20 @@ class ProtocolRunner:
         self.bus = bus if bus is not None else InProcessBus(self.transcript)
         self.bus.transcript = self.transcript
         occupancy_slots(self.T, cfg.T_occ)  # a bad T_occ stops the run before any upload
+        if not (np.isfinite(cfg.w_mean) and np.isfinite(cfg.w_sd) and cfg.w_sd > 0):
+            raise ValueError(
+                f"encryption columns need a finite w_mean and a finite w_sd > 0, got w_mean="
+                f"{cfg.w_mean!r}, w_sd={cfg.w_sd!r} (at w_sd = 0 every column is w_mean and W is singular)"
+            )
         # coordinator-held exogenous regressors; c2 is summed from round 0's loads
         self.c2 = None
         self.c3 = lag_columns(dataset.tau_out, self.M)
         self.c4 = lag_columns(dataset.h_rad, self.M)
         self._round = None  # what the dynamics step hands the weights step
-        self._scan_refs: ScanReferences | None = None  # built by the first scan
-
-    # -- scanning helpers -------------------------------------------------
+        self.auditor = Auditor([self.agents[i] for i in self.agent_ids]) if cfg.scan else None
 
     def _private_refs(self, iteration: int) -> list:
-        return [ref for i in self.agent_ids for ref in self.agents[i].private_refs(iteration)]
-
-    def _scan(self, iteration: int, bla_payloads: list):
-        """Compare the fixed-point decoding of every share the coordinator
-        received with the agents' references.  The references are built in
-        the first scanned round; later rounds refresh only the upload
-        intermediates, as the series do not change.  Shares are decoded at
-        the probe rows and in the columns that pass them only."""
-        if not self.cfg.scan:
-            return
-        if self._scan_refs is None:
-            self._scan_refs = ScanReferences(self._private_refs(iteration))
-        else:
-            self._scan_refs.update(
-                [ref for i in self.agent_ids for ref in self.agents[i].upload_refs(iteration)]
-            )
-        checked, findings = scan_payloads(bla_payloads, self._scan_refs, decode=decode_fixed)
-        self.transcript.scan_checked += checked
-        if findings:
-            self.transcript.scan_findings.extend(findings)
-            shown = "; ".join(f"{p}[col {c}] == {r}" for p, c, r in findings[:5])
-            raise ProtocolError(
-                f"privacy violation at iteration {iteration}: {len(findings)} "
-                f"coordinator-visible payload(s) match private data ({shown})"
-            )
+        return self.auditor.private_refs(iteration)
 
     # -- reading one phase -----------------------------------------------------
 
@@ -331,7 +334,8 @@ class ProtocolRunner:
     def _te_step(self, l: int, alpha: np.ndarray):
         """Weights step of round l: broadcast the dynamics, solve the
         transformation-masked weights subproblem, let the agents recover their
-        weights, then scan the round and record the coordinator's view.
+        weights, then have the auditor scan the round and record the
+        coordinator's view.
         Returns (xi, beta, gamma, theta, tau_occ_free, f2)."""
         rnd = self._round
         masks = rnd["masks"]
@@ -359,19 +363,19 @@ class ProtocolRunner:
 
         xi_new = np.array([float(p[0, 0]) for p in self._collect(Phase.XI_RETURN, l)])
 
-        self._scan(l, payloads)
-        self.transcript.bla_view.append(
-            RoundView(
-                xi_in=rnd["xi_in"],
-                s_sum=rnd["s_sum"],
-                alpha=np.asarray(alpha, dtype=float).copy(),
-                A1_sum=A1_sum,
-                A2_sum=A2_sum,
-                w_sum=w_sum,
-                xi_bar=np.asarray(xi_bar, dtype=float).copy(),
-                xi_recovered=xi_new.copy(),
-            )
+        view = RoundView(
+            xi_in=rnd["xi_in"],
+            s_sum=rnd["s_sum"],
+            alpha=np.asarray(alpha, dtype=float).copy(),
+            A1_sum=A1_sum,
+            A2_sum=A2_sum,
+            w_sum=w_sum,
+            xi_bar=np.asarray(xi_bar, dtype=float).copy(),
+            xi_recovered=xi_new.copy(),
         )
+        if self.auditor is not None:
+            self.auditor.audit(l, view, payloads, self.transcript)
+        self.transcript.bla_view.append(view)
         self._round = None
         return (xi_new, *coefs, f2)
 

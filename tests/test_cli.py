@@ -148,6 +148,17 @@ class TestAttackCommand:
                              str(tmp_path / "s.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags, err",
+        [(["--scenarios", "0"], "scenarios must be >= 1, got 0"),
+         (["--T-list", "0"], "T must be >= 1, got 0")],
+    )
+    def test_size_below_one_exit_code(self, tmp_path, capsys, flags, err):
+        out = tmp_path / "s.csv"
+        assert cmd_dispatch(["attack", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == f"error: {err}"
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_holdout_metrics(self, data_csv, tmp_path):
@@ -212,3 +223,12 @@ class TestErrors:
         assert code == 2
         assert capsys.readouterr().err.strip() == "error: T_occ must be >= 1, got 0"
         assert not (out / "fit_result.json").exists()
+
+    @pytest.mark.parametrize("w_sd", ["0", "-0.1", "nan"])
+    def test_compare_degenerate_encryption_spread(self, data_csv, tmp_path, capsys, w_sd):
+        out = tmp_path / "cmp.json"
+        code = cmd_dispatch(["compare", "--data", str(data_csv), "--lambda", "1",
+                             "--t-occ", "12", "--seed", "1", "--w-sd", w_sd, "--out", str(out)])
+        assert code == 2
+        assert "w_sd" in capsys.readouterr().err
+        assert not out.exists()

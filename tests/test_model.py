@@ -9,9 +9,9 @@ from aggtherm.model import (
     ClusterDataset,
     aggregate_state,
     build_design,
-    build_lagged_views,
     evaluate_metrics,
     lag_filter,
+    lag_view,
     occupancy_slots,
     predict_aggregate,
     split_dataset,
@@ -36,25 +36,24 @@ def tiny_dataset(tau_rows, K=1, T=2, M=1):
 class TestLaggedViews:
     def test_zero_lag_is_last_T_rows(self):
         ds = tiny_dataset([[10], [20], [30]])
-        tau, *_ = build_lagged_views(ds, 0)
-        assert tau.tolist() == [[20], [30]]
+        assert lag_view(ds.tau_in, ds.M, 0).tolist() == [[20], [30]]
 
     def test_lag_one_shifts_back(self):
         ds = tiny_dataset([[10], [20], [30]])
-        tau, *_ = build_lagged_views(ds, 1)
-        assert tau.tolist() == [[10], [20]]
+        assert lag_view(ds.tau_in, ds.M, 1).tolist() == [[10], [20]]
 
     def test_lag_out_of_range(self):
         ds = tiny_dataset([[10], [20], [30]])
-        with pytest.raises(ValueError):
-            build_lagged_views(ds, 2)
-        with pytest.raises(ValueError):
-            build_lagged_views(ds, -1)
+        for m in (2, -1):
+            with pytest.raises(ValueError, match=f"lag must be in 0..1, got {m}"):
+                lag_view(ds.tau_in, ds.M, m)
 
     def test_row_alignment_every_lag(self):
         ds = random_dataset(K=2, T=5, M=3, seed=1)
         for m in range(ds.M + 1):
-            tau, load, out, rad = build_lagged_views(ds, m)
+            tau, load, out, rad = (
+                lag_view(s, ds.M, m) for s in (ds.tau_in, ds.h_load, ds.tau_out, ds.h_rad)
+            )
             for t in range(ds.T):
                 row = ds.M + t - m  # stored row of period (t+1) - m
                 assert np.array_equal(tau[t], ds.tau_in[row])
@@ -104,14 +103,12 @@ class TestBuildDesign:
     def test_invariants_on_random_data(self):
         ds = random_dataset(K=3, T=7, M=2, seed=3)
         d = build_design(ds, T_occ=3)
-        tau0, load0, out0, rad0 = build_lagged_views(ds, 0)
-        assert np.array_equal(d.c0, tau0)
+        assert np.array_equal(d.c0, lag_view(ds.tau_in, 2, 0))
         for m in range(1, 3):
-            tau_m, load_m, out_m, rad_m = build_lagged_views(ds, m)
-            assert np.array_equal(d.c1_block(m), tau_m)
-            assert np.allclose(d.c2[:, m], load_m @ np.ones(3))
-            assert np.array_equal(d.c3[:, m], out_m)
-            assert np.array_equal(d.c4[:, m], rad_m)
+            assert np.array_equal(d.c1_block(m), lag_view(ds.tau_in, 2, m))
+            assert np.allclose(d.c2[:, m], lag_view(ds.h_load, 2, m) @ np.ones(3))
+            assert np.array_equal(d.c3[:, m], lag_view(ds.tau_out, 2, m))
+            assert np.array_equal(d.c4[:, m], lag_view(ds.h_rad, 2, m))
         slots = occupancy_slots(d.T, d.T_occ)
         assert slots.shape == (7,) and slots.min() == 0 and slots.max() == 2
 

@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import aggtherm.adversary.mqs as mqs
 from aggtherm.adversary import (
     MqsInstance,
     SweepConfig,
@@ -173,6 +174,31 @@ class TestSweep:
             parsed = list(reader)
         assert len(parsed) == 4
         assert float(parsed[0]["relative_error"]) == rows_a[0]["relative_error"]
+
+
+class TestSizes:
+    @pytest.mark.parametrize("size", ["K", "L", "T", "M"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_instance_size_below_one_rejected(self, size, value):
+        sizes = {"K": 3, "L": 2, "T": 4, "M": 2, size: value}
+        with pytest.raises(ValueError, match=rf"^{size} must be >= 1, got {value}$"):
+            make_attack_instance(**sizes, seed=0)
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [({"scenarios": 0}, "scenarios must be >= 1, got 0"),
+         ({"T_list": (1, 0)}, "T must be >= 1, got 0"),
+         ({"K": 0}, "K must be >= 1, got 0"),
+         ({"L": 0}, "L must be >= 1, got 0"),
+         ({"M": -1}, "M must be >= 1, got -1")],
+    )
+    def test_sweep_size_below_one_rejected_before_any_draw(self, monkeypatch, change, match):
+        drawn = []
+        monkeypatch.setattr(mqs, "make_attack_instance", lambda **kw: drawn.append(kw))
+        cfg = dataclasses.replace(SweepConfig(K=3, L=2, T_list=(1, 2), scenarios=2), **change)
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            attack_sweep(cfg)
+        assert drawn == []
 
 
 class TestReplayFromProtocol:

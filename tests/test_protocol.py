@@ -444,6 +444,28 @@ class TestConfigPaths:
             ProtocolRunner(dataset, ProtocolConfig(T_occ=t_occ, seed=18), bus=bus).run()
         assert bus.transcript.messages == [] and bus.mailboxes == {}
 
+    @pytest.mark.parametrize(
+        "w_mean, w_sd",
+        [(0.1, 0.0), (0.1, -0.1), (0.1, np.nan), (0.1, np.inf), (np.nan, 0.1), (-np.inf, 0.1)],
+    )
+    def test_degenerate_encryption_spread_rejected_before_any_upload(self, w_mean, w_sd):
+        """With w_sd = 0 every encryption column is w_mean: W has rank 1 and
+        the weights solve goes wrong without a warning."""
+        dataset, _, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.1, seed=18)
+        bus = InProcessBus(ProtocolTranscript())
+        cfg = ProtocolConfig(T_occ=6, seed=18, w_mean=w_mean, w_sd=w_sd)
+        with pytest.raises(ValueError, match=r"finite w_mean and a finite w_sd > 0, got w_mean="):
+            ProtocolRunner(dataset, cfg, bus=bus).run()
+        assert bus.transcript.messages == [] and bus.mailboxes == {}
+
+    @pytest.mark.parametrize("xi0", [[np.nan] * 3, [0.5, np.nan, 0.5], [np.inf, -np.inf, 1.0]])
+    def test_non_finite_start_rejected_in_both_modes(self, xi0):
+        dataset, design, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.1, seed=18)
+        with pytest.raises(ValueError, match=r"^xi0 must be finite"):
+            bcd_fit(design, lam=1.0, xi0=np.array(xi0))
+        with pytest.raises(ValueError, match=r"^xi0 must be finite"):
+            run_protocol(dataset, ProtocolConfig(lam=1.0, T_occ=6, seed=18, xi0=np.array(xi0)))
+
     def test_zero_iterations_rejected(self):
         dataset, _, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.1, seed=18)
         with pytest.raises(ValueError, match="max_iter"):

@@ -287,3 +287,81 @@ def test_unmasked_run_full_findings(monkeypatch):
         runner.run()
     assert runner.transcript.scan_checked == 27
     assert runner.transcript.scan_findings == UNMASKED_FINDINGS
+
+
+def _upload_recorder(monkeypatch):
+    """Record, per (round, agent), what each agent actually uploaded: its
+    weighted share, filtered series, encryption column and the columns of
+    both outer products, labelled as the scan labels them."""
+    from aggtherm.protocol.sap import KIND_SAP_S, KIND_TE_A1, KIND_TE_A2, KIND_TE_W
+
+    real_mask, real_uploads = runner_mod.sap_mask, runner_mod.compute_te_uploads
+    hats, sent = [], {}
+
+    def uploads(hat, w):
+        hats.append(hat)
+        return real_uploads(hat, w)
+
+    def sap_mask(x, agent_id, masks, kind, sub=0):
+        got = sent.setdefault((masks.iteration, agent_id), {})
+        x = np.asarray(x)
+        if kind == KIND_SAP_S:
+            got["weighted_share"] = x
+        elif kind == KIND_TE_A1:
+            got["hat_tau"] = hats[-1]
+            got.update((f"A1_col{c}", x[:, c]) for c in range(x.shape[1]))
+        elif kind == KIND_TE_A2:
+            got.update((f"A2_col{c}", x[:, c]) for c in range(x.shape[1]))
+        elif kind == KIND_TE_W:
+            got["w_col"] = x
+        return real_mask(x, agent_id, masks, kind, sub)
+
+    monkeypatch.setattr(runner_mod, "compute_te_uploads", uploads)
+    monkeypatch.setattr(runner_mod, "sap_mask", sap_mask)
+    return sent
+
+
+@pytest.mark.parametrize("K", [3, 4])
+def test_auditor_references_are_the_uploads(monkeypatch, K):
+    """In every round the auditor's references, rebuilt from the round's
+    view and the agents' encryption columns, are label for label and bit
+    for bit what each agent uploaded, after its series and lag views."""
+    sent = _upload_recorder(monkeypatch)
+    dataset, _, _ = synthetic_instance(K=K, T=40, M=2, T_occ=8, noise=0.3, seed=K)
+    runner = ProtocolRunner(dataset, ProtocolConfig(lam=1.0, tol=1e-12, max_iter=3, T_occ=8, seed=K))
+    fit, _ = runner.run()
+    assert fit.iterations == 3
+    upload_labels = ["weighted_share", "hat_tau", "w_col",
+                     *[f"A{n}_col{c}" for n in (1, 2) for c in range(K)]]
+    for l in range(fit.iterations):
+        want = []
+        for i in runner.agent_ids:
+            tau, load = dataset.tau_in[:, i - 1], dataset.h_load[:, i - 1]
+            want += [(f"agent{i}/tau_full", tau), (f"agent{i}/load_full", load)]
+            for m in range(3):
+                want += [(f"agent{i}/tau_lag{m}", tau[2 - m : 42 - m]),
+                         (f"agent{i}/load_lag{m}", load[2 - m : 42 - m])]
+            want += [(f"agent{i}/{label}", sent[l, i][label]) for label in upload_labels]
+        got = runner._private_refs(l)
+        assert [label for label, _ in got] == [label for label, _ in want]
+        for (label, g), (_, w) in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == np.ascontiguousarray(w).tobytes(), (l, label)
+
+
+@pytest.mark.parametrize("scan", [True, False])
+def test_auditor_only_in_audited_runs(monkeypatch, scan):
+    """A scan-off run builds no auditor and scans nothing; an audited run
+    scans once per round.  The agents hold the same state either way."""
+    calls = []
+    real_scan = runner_mod.scan_payloads
+    monkeypatch.setattr(runner_mod, "scan_payloads", lambda *a, **kw: calls.append(1) or real_scan(*a, **kw))
+    dataset, _, _ = synthetic_instance(K=3, T=40, M=2, T_occ=8, noise=0.3, seed=5)
+    cfg = ProtocolConfig(lam=1.0, tol=1e-12, max_iter=2, T_occ=8, seed=5, scan=scan)
+    runner = ProtocolRunner(dataset, cfg)
+    fit, transcript = runner.run()
+    assert (runner.auditor is not None) == scan
+    assert len(calls) == (fit.iterations if scan else 0)
+    assert transcript.scan_checked == (27 + 24 if scan else 0)  # round 1 sends no loads
+    assert {a: set(vars(agent)) for a, agent in runner.agents.items()} == {
+        a: {"id", "tau_col", "load_col", "M", "cfg", "xi_i", "w_history"} for a in runner.agent_ids
+    }
