@@ -3,17 +3,24 @@
 Shares are elements of the ring Z_2^64.  Each agent encodes its private
 tensor as signed fixed-point with ``FRAC_BITS`` fractional bits, views it
 as uint64, and adds its net mask with wrap-around arithmetic: for each
-unordered agent pair (i, j), i < j, agent i adds and agent j subtracts a
-mask of pseudorandom 64-bit words drawn from the pair's key.  The mask set
-generates each pair's stream once per round and hands every agent its own
-net sum.  The coordinator sums the shares mod 2^64, which cancels every
-mask, and decodes the sum once: it is the exact sum of the quantized
-inputs, in any share order.  Without the pair keys, each share on its own
-is indistinguishable from uniform over the ring.  Every pair has one
-fresh AES-128 key per round, and each (kind, sub) stream is a fixed,
-disjoint segment of that pair's AES counter-mode keystream, the PRG of
-Bonawitz et al., "Practical Secure Aggregation for Privacy-Preserving
-Machine Learning" (CCS 2017).
+masking pair (i, j), i < j, agent i adds and agent j subtracts a mask of
+pseudorandom 64-bit words drawn from the pair's key.  The masking pairs
+are the edges of the Harary graph H(2h, K), h = ceil(log2 K): with the
+agents in sorted-id order, the agent at position a masks with those at
+positions a +- 1, ..., a +- h (mod K), as in Bell et al., "Secure
+Single-Server Aggregation with (Poly)Logarithmic Overhead" (CCS 2020).
+When 2h >= K - 1 that is every pair.  The mask set generates each pair's
+stream once per round and hands every agent its own net sum.  The
+coordinator sums the shares mod 2^64, which cancels every mask, and
+decodes the sum once: it is the exact sum of the quantized inputs, in any
+share order.  Without the pair keys, each share on its own is
+indistinguishable from uniform over the ring; the graph has vertex
+connectivity 2h, so any proper subset of the shares sums to uniform noise,
+and unmasking one agent takes the keys of all 2h of its neighbours.  Every
+masking pair has one fresh AES-128 key per round, and each (kind, sub)
+stream is a fixed, disjoint segment of that pair's AES counter-mode
+keystream, the PRG of Bonawitz et al., "Practical Secure Aggregation for
+Privacy-Preserving Machine Learning" (CCS 2017).
 """
 
 from __future__ import annotations
@@ -77,11 +84,15 @@ class PairwiseMaskSet:
     """Deterministic pairwise mask source for one protocol round.
 
     Both members of a pair would reconstruct identical masks from the key
-    they agreed on; the set stands in for that out-of-band agreement.  On
+    they agreed on; the set stands in for that out-of-band agreement.
+    ``pairs`` lists the masking pairs (i, j), i < j, in sorted order: the
+    edges of the Harary graph H(2h, K) on the agents in sorted-id order,
+    h = ceil(log2 K) (module docstring), every pair for K <= 7 and K = 9.
+    At least two agents are needed: a lone agent would have no mask.  On
     the first request, one ``SeedSequence`` keyed by (master seed,
-    1000 + iteration) gives every pair i < j 16 bytes of its
-    ``generate_state`` output (little-endian): the pair's AES-128 key for
-    this round.
+    1000 + iteration) gives every listed pair, in that order, 16 bytes of
+    its ``generate_state`` output (little-endian): the pair's AES-128 key
+    for this round.
 
     A pair's round stream is AES-128 in counter mode (NIST SP 800-38A):
     word w of stream (kind, sub) is the little-endian 64-bit half
@@ -105,6 +116,12 @@ class PairwiseMaskSet:
         dup = sorted(i for i, n in Counter(ids).items() if n > 1)
         if dup:
             raise ValueError(f"duplicate agent id(s) {dup} in mask set")
+        if len(ids) < 2:
+            raise ValueError(f"a mask set needs at least 2 agents, got {ids}: a lone share is its input")
+        K = len(ids)
+        h = (K - 1).bit_length()  # ceil(log2 K)
+        ring = [(ids[a], ids[(a + d) % K]) for a in range(K) for d in range(1, h + 1)]
+        self.pairs = sorted({(min(p), max(p)) for p in ring})
         self.master_seed = master_seed
         self.agent_ids = ids
         self.iteration = iteration
@@ -113,18 +130,16 @@ class PairwiseMaskSet:
         self._pending: dict = {}  # (kind, sub, shape) -> {agent id: net mask}
 
     def _derive_keys(self) -> None:
-        """This round's key of every pair, from one ``SeedSequence``, and
-        the pair's ECB encryptor under it."""
+        """This round's key of every listed pair, from one ``SeedSequence``,
+        and the pair's ECB encryptor under it."""
         from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(1000 + self.iteration,))
-        ids = self.agent_ids
-        pairs = [(i, j) for a, i in enumerate(ids) for j in ids[a + 1 :]]
-        keys = seq.generate_state(4 * len(pairs), np.uint32).astype("<u4").tobytes()
+        keys = seq.generate_state(4 * len(self.pairs), np.uint32).astype("<u4").tobytes()
         ecb = modes.ECB()
         self._encryptors = {
             p: Cipher(algorithms.AES128(keys[16 * n : 16 * n + 16]), ecb).encryptor()
-            for n, p in enumerate(pairs)
+            for n, p in enumerate(self.pairs)
         }
 
     def _encryptor(self, i: int, j: int):
@@ -151,7 +166,7 @@ class PairwiseMaskSet:
         return blocks
 
     def mask(self, i: int, j: int, kind: int, sub: int, shape) -> np.ndarray:
-        """Mask shared by pair (i, j), i < j, for one stream and shape (uint64)."""
+        """Mask shared by listed pair (i, j), i < j, for one stream and shape (uint64)."""
         dims = _mask_shape(shape)
         blocks = self._streams.get((kind, sub, dims))
         if blocks is None:
@@ -163,10 +178,11 @@ class PairwiseMaskSet:
 
     def net_mask(self, agent_id: int, kind: int, sub: int, shape) -> np.ndarray:
         """Agent ``agent_id``'s net mask for one stream and shape (uint64):
-        the sum mod 2^64 of its pair masks toward higher ids minus those
-        toward lower ids.  The K net masks of a stream sum to zero.
+        the sum mod 2^64 of its pair masks toward higher-id neighbours minus
+        those toward lower-id neighbours.  The K net masks of a stream sum to
+        zero.
 
-        The first request for a (kind, sub, shape) walks the pairs i < j
+        The first request for a (kind, sub, shape) walks the listed pairs
         once and holds every agent's sum; each sum is handed out once, and a
         repeated request for an agent generates the stream again."""
         if agent_id not in self.agent_ids:
@@ -176,11 +192,10 @@ class PairwiseMaskSet:
         pending = self._pending.get(key)
         if pending is None or agent_id not in pending:
             pending = {i: np.zeros(dims, dtype=np.uint64) for i in self.agent_ids}
-            for a, i in enumerate(self.agent_ids):
-                for j in self.agent_ids[a + 1 :]:
-                    m = self.mask(i, j, kind, sub, dims)
-                    pending[i] += m
-                    pending[j] -= m
+            for i, j in self.pairs:
+                m = self.mask(i, j, kind, sub, dims)
+                pending[i] += m
+                pending[j] -= m
             self._pending[key] = pending
         net = pending.pop(agent_id)
         if not pending:
@@ -221,7 +236,8 @@ def decode_fixed(u) -> np.ndarray:
 
 def sap_mask(x, agent_id: int, masks: PairwiseMaskSet, kind: int, sub: int = 0) -> np.ndarray:
     """Encode and mask a private tensor: add the agent's net mask (its pair
-    masks toward higher ids minus those toward lower ids) mod 2^64.
+    masks toward higher-id neighbours minus those toward lower-id
+    neighbours) mod 2^64.
     Summing all K masked tensors cancels every mask."""
     out = encode_fixed(x, len(masks.agent_ids))
     out += masks.net_mask(agent_id, kind, sub, out.shape)

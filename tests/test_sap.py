@@ -1,3 +1,5 @@
+import itertools
+import math
 import re
 from collections import Counter
 
@@ -9,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from aggtherm.estimator import solve_sp1, solve_sp1_from_parts
 from aggtherm.model import ClusterDataset, build_design, lag_columns
-from aggtherm.protocol import ProtocolConfig, run_protocol
+from aggtherm.protocol import BuildingAgent, ProtocolConfig, run_protocol
 from aggtherm.protocol.sap import (
     FRAC_BITS,
     KIND_SAP_LOAD,
@@ -43,6 +45,16 @@ class FixedMasks(PairwiseMaskSet):
 
 
 ONE = 1 << FRAC_BITS  # fixed-point encoding of 1.0
+
+
+def harary_neighbours(ids, agent_id):
+    """The agents ``agent_id`` masks with, worked out from positions alone:
+    with the ids sorted, the agent at position a masks with those at
+    positions a +- 1, ..., a +- h (mod K), h = ceil(log2 K)."""
+    ids = sorted(ids)
+    K, a = len(ids), ids.index(agent_id)
+    h = math.ceil(math.log2(K))
+    return {ids[(a + s * d) % K] for d in range(1, h + 1) for s in (1, -1)} - {agent_id}
 
 
 class TestSapMask:
@@ -97,6 +109,13 @@ class TestSapMask:
     def test_duplicate_agent_ids_rejected(self):
         with pytest.raises(ValueError, match=r"duplicate agent id\(s\) \[2\]"):
             PairwiseMaskSet(1, [1, 2, 2], 0)
+
+    @pytest.mark.parametrize("ids", [[4], []])
+    def test_lone_agent_rejected(self, ids):
+        """A lone agent has no partner to mask with: its share would be its
+        encoded input in the clear."""
+        with pytest.raises(ValueError, match=f"at least 2 agents, got {re.escape(str(ids))}"):
+            PairwiseMaskSet(1, ids, 0)
 
     @pytest.mark.parametrize(
         "kind, sub, shape, match",
@@ -364,10 +383,11 @@ def test_ring_aggregate_is_exact_in_any_order(data, K, shape, seed, iteration, k
 
 
 def reference_share(x, agent_id, masks, kind, sub):
-    """Per-pair masking: add each pair mask toward a higher id and subtract
-    each toward a lower id, one partner at a time."""
+    """Per-pair masking: add each pair mask toward a higher-position Harary
+    neighbour and subtract each toward a lower-position one, one partner at
+    a time."""
     out = encode_fixed(x, len(masks.agent_ids))
-    for j in masks.agent_ids:
+    for j in sorted(harary_neighbours(masks.agent_ids, agent_id)):
         if j > agent_id:
             out += masks.mask(agent_id, j, kind, sub, out.shape)
         elif j < agent_id:
@@ -419,15 +439,20 @@ class TestMaskWork:
         monkeypatch.setattr(PairwiseMaskSet, "mask", counted)
         return calls
 
-    @pytest.mark.parametrize("K", [2, 3, 7])
+    @pytest.mark.parametrize("K", [2, 3, 7, 8, 32])
     def test_one_call_per_pair_for_a_full_set_of_uploads(self, monkeypatch, K):
+        """K * min(2h, K - 1) / 2 calls: every pair up to K = 7, then
+        min(2h, K - 1) neighbours per agent."""
         calls = self.counting(monkeypatch)
         ids = list(range(1, K + 1))
         masks = PairwiseMaskSet(3, ids, iteration=0)
         for i in ids:
             sap_mask(np.ones((4, K)), i, masks, KIND_TE_A1, sub=1)
-        assert len(calls) == K * (K - 1) // 2
-        assert sorted(c[3:] for c in calls) == [(i, j) for i in ids for j in ids if i < j]
+        n_pairs = {2: 1, 3: 3, 7: 21, 8: 24, 32: 160}[K]
+        assert len(calls) == n_pairs == K * min(2 * math.ceil(math.log2(K)), K - 1) // 2
+        assert sorted(c[3:] for c in calls) == [
+            (i, j) for i in ids for j in sorted(harary_neighbours(ids, i)) if i < j
+        ]
 
     def test_same_request_same_words_in_any_order(self):
         """Each stream is random access into its pair's round stream: a
@@ -494,3 +519,91 @@ class TestMaskWork:
         assert fit.iterations > 1
         assert per_round == {l: (5 if l == 0 else 4) * K * (K - 1) // 2 for l in range(fit.iterations)}
         assert len(set(calls)) == len(calls)  # no stream generated twice
+
+
+def connected(nodes, pairs):
+    """Whether ``pairs`` restricted to ``nodes`` connect every node."""
+    nodes = set(nodes)
+    seen, todo = set(), [min(nodes)]
+    while todo:
+        i = todo.pop()
+        if i not in seen:
+            seen.add(i)
+            todo.extend(j for p in pairs if i in p and nodes.issuperset(p) for j in p)
+    return seen == nodes
+
+
+class TestMaskGraph:
+    """The masking pairs are the Harary graph H(2h, K), h = ceil(log2 K), on
+    the agents in sorted-id order: min(2h, K - 1) neighbours each, and no set
+    of fewer than 2h agents disconnects the rest."""
+
+    @pytest.mark.parametrize("K", [2, 3, 4, 7, 8, 9, 10, 16, 17, 32, 33])
+    def test_every_agent_has_min_2h_k_minus_1_neighbours(self, K):
+        ids = [5 * k + 3 for k in range(K)]  # gaps: positions, not ids, decide
+        masks = PairwiseMaskSet(0, ids[::-1], 0)
+        h = math.ceil(math.log2(K))
+        assert all(i < j for i, j in masks.pairs) and masks.pairs == sorted(set(masks.pairs))
+        for i in ids:
+            assert sum(i in p for p in masks.pairs) == min(2 * h, K - 1)
+            assert {j for p in masks.pairs if i in p for j in p} - {i} == harary_neighbours(ids, i)
+
+    @pytest.mark.parametrize("K", [8, 9, 16])
+    def test_removing_any_2h_minus_1_agents_leaves_the_rest_connected(self, K):
+        ids = list(range(1, K + 1))
+        masks = PairwiseMaskSet(0, ids, 0)
+        h = math.ceil(math.log2(K))
+        for gone in itertools.combinations(ids, 2 * h - 1):
+            assert connected(set(ids) - set(gone), masks.pairs), gone
+
+    @pytest.mark.parametrize("K", [8, 10])
+    def test_only_the_full_set_of_net_masks_cancels(self, K):
+        """Any proper non-empty subset of the K net masks sums to a nonzero
+        ring element; the full set sums to zero."""
+        ids = list(range(1, K + 1))
+        masks = PairwiseMaskSet(13, ids, 0)
+        nets = np.array([masks.net_mask(i, KIND_SAP_S, 0, (2,)) for i in ids])
+        for r in range(1, K):
+            for subset in itertools.combinations(range(K), r):
+                assert nets[list(subset)].sum(axis=0).any(), subset
+        assert not nets.sum(axis=0).any()
+
+    @pytest.mark.parametrize("target", [1, 17])
+    def test_all_2h_neighbours_unmask_an_agent_and_2h_minus_1_do_not(self, target):
+        """Finding: at K=32 a coordinator that also holds the pair keys of
+        all 2h = 10 neighbours of one agent decodes that agent's SAP_S share
+        to its exact fixed-point input; with any 9 of them the share stays
+        masked in every entry.  Masks on every pair withstood any K - 2 = 30."""
+        K, T, M, seed = 32, 96, 2, 5
+        dataset, _, _ = synthetic_instance(K=K, T=T, M=M, T_occ=12, noise=0.1, seed=seed)
+        ids = list(range(1, K + 1))
+        cfg = ProtocolConfig(seed=seed)
+        masks = PairwiseMaskSet(cfg.seed, ids, iteration=0)
+        shares = {}
+        for i in ids:
+            agent = BuildingAgent(i, dataset.tau_in[:, i - 1], dataset.h_load[:, i - 1], M, cfg)
+            agent.xi_i = 1.0 / K
+            (msg,) = agent.sap_upload(1, masks)  # a later round: SAP_S only
+            shares[i] = msg.payload.ravel()
+        assert np.allclose(sap_aggregate(list(shares.values())), dataset.tau_in.sum(axis=1) / K)
+
+        x = dataset.tau_in[:, target - 1] / K
+        want = encode_fixed(x, K)
+        colluders = sorted(harary_neighbours(ids, target))
+        assert len(colluders) == 10
+        keys = PairwiseMaskSet(cfg.seed, ids, iteration=0)  # the colluders' copies of their pair keys
+
+        def unmask(known):
+            out = shares[target].copy()
+            for j in known:
+                if j > target:
+                    out -= keys.mask(target, j, KIND_SAP_S, 0, out.shape)
+                else:
+                    out += keys.mask(j, target, KIND_SAP_S, 0, out.shape)
+            return out
+
+        got = unmask(colluders)
+        assert got.tobytes() == want.tobytes()
+        assert np.max(np.abs(decode_fixed(got) - x)) <= 2.0 ** -(FRAC_BITS + 1)
+        for known in itertools.combinations(colluders, 9):
+            assert np.all(unmask(known) != want), known
