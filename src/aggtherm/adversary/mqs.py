@@ -55,15 +55,6 @@ class AttackResult:
     iterations: int
     converged: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "relative_error": self.relative_error,
-            "final_residual": self.final_residual,
-            "solver_time_seconds": self.solver_time_seconds,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
-
 
 class MqsInstance:
     """Assembled residual system with packing helpers and analytic Jacobian.
@@ -261,6 +252,7 @@ def solve_mqs(
     iteration count.  A non-finite residual during iteration marks the
     scenario failed.
     """
+    _check_sizes(max_iter=max_iter)
     init = np.asarray(init, dtype=float).ravel()
     if init.shape != (instance.n_unknowns,):
         raise ValueError(
@@ -349,9 +341,12 @@ def attack_sweep(cfg: SweepConfig):
     Returns (rows, summary): rows are per-scenario dicts matching the CSV
     columns; summary maps each case T to median/min/max error and median
     time over its scenarios.  Failed scenarios are kept (error inf), never
-    fatal.  Sizes below 1 raise ValueError before any draw.
+    fatal.  Sizes and an iteration budget below 1 raise ValueError before any draw.
     """
-    _check_sizes(K=cfg.K, L=cfg.L, M=cfg.M, scenarios=cfg.scenarios, T=min(cfg.T_list, default=1))
+    _check_sizes(
+        K=cfg.K, L=cfg.L, M=cfg.M, scenarios=cfg.scenarios, T=min(cfg.T_list, default=1),
+        max_iter=cfg.max_iter,
+    )
     rows = []
     summary = {}
     for T in cfg.T_list:

@@ -39,22 +39,10 @@ class RunConfig:
     mode: str = "plain"
 
 
-_CONFIG_KEYS = {
-    "order": int,
-    "lambda": float,
-    "t_occ": int,
-    "tol": float,
-    "train_fraction": float,
-    "seed": int,
-    "w_mean": float,
-    "w_sd": float,
-    "mode": str,
-}
-_KEY_TO_FIELD = {"lambda": "lam"}
-
-
 def load_config_file(path) -> dict:
-    """Parse `key = value` lines; keys mirror the RunConfig fields."""
+    """Parse `key = value` lines; the keys are RunConfig's field names, with
+    ``lambda`` for ``lam``, and each value is read as its field's default's type."""
+    by_key = {"lambda" if f.name == "lam" else f.name: f for f in fields(RunConfig)}
     values = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -64,10 +52,11 @@ def load_config_file(path) -> dict:
             raise ValueError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in by_key:
             raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
+        f = by_key[key]
         try:
-            values[_KEY_TO_FIELD.get(key, key)] = _CONFIG_KEYS[key](val)
+            values[f.name] = type(f.default)(val)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: bad value for {key}: {val!r}") from None
     return values
@@ -188,7 +177,7 @@ def cmd_generate(args) -> int:
     write_dataset(args.out, dataset)
     print(f"wrote {args.out}: K={dataset.K}, T={dataset.T}, M={dataset.M}")
     if args.truth_out:
-        dump_json(truth.as_dict(), args.truth_out)
+        dump_json(truth, args.truth_out)
         print(f"wrote {args.truth_out}")
     return 0
 
@@ -202,9 +191,9 @@ def cmd_fit(args) -> int:
     fit, design = _fit_dataset(dataset, cfg, transcript_path)
     real, pred = _predictions(dataset, design, fit.params)
     metrics = evaluate_metrics(pred, real)
-    dump_json({"config": cfg.__dict__, **fit.as_dict()}, out / "fit_result.json")
+    dump_json({"config": cfg, **vars(fit)}, out / "fit_result.json")
     _write_predictions(out / "predictions.csv", real, pred)
-    dump_json(metrics.as_dict(), out / "metrics.json")
+    dump_json(metrics, out / "metrics.json")
     print(
         f"{cfg.mode} fit: {fit.iterations} iterations, objective "
         f"{format_float(fit.objective)}, rmse {format_float(metrics.rmse)}"
@@ -225,15 +214,15 @@ def cmd_evaluate(args) -> int:
     metrics = evaluate_metrics(pred, real)
     dump_json(
         {
-            "config": cfg.__dict__,
+            "config": cfg,
             "train_periods": train.T,
             "test_periods": test.T,
-            "metrics": metrics.as_dict(),
+            "metrics": metrics,
         },
         out / "evaluation.json",
     )
     _write_predictions(out / "predictions.csv", real, pred)
-    dump_json({"config": cfg.__dict__, **fit.as_dict()}, out / "fit_result.json")
+    dump_json({"config": cfg, **vars(fit)}, out / "fit_result.json")
     print(
         f"test metrics ({cfg.mode}): rmse {format_float(metrics.rmse)} C, "
         f"mape {format_float(metrics.mape)} %, r2 {format_float(metrics.r2)}"
@@ -282,7 +271,7 @@ def cmd_compare(args) -> int:
     dataset = parse_dataset(args.data, M=cfg.order)
     plain, _ = _fit_dataset(dataset, replace(cfg, mode="plain"))
     private, _ = _fit_dataset(dataset, replace(cfg, mode="private"))
-    report = {"config": cfg.__dict__, "parameters": {}}
+    report = {"config": cfg, "parameters": {}}
     worst = 0.0
     for name in ("xi", "alpha", "beta", "gamma", "theta", "tau_occ_free"):
         a = getattr(plain.params, name)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+from dataclasses import fields, is_dataclass
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -144,6 +145,8 @@ _JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 def _write_json(obj, out: io.StringIO, indent: int):
     pad = " " * indent
+    if is_dataclass(obj) and not isinstance(obj, type):
+        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
     if isinstance(obj, dict):
         if not obj:
             out.write("{}")
@@ -181,7 +184,9 @@ def _write_json(obj, out: io.StringIO, indent: int):
 
 def dumps_json(obj) -> str:
     """JSON text with every float at 17 significant digits; non-finite
-    floats are written as ``Infinity``, ``-Infinity`` and ``NaN``."""
+    floats are written as ``Infinity``, ``-Infinity`` and ``NaN``.  A
+    dataclass instance is written as an object of its fields in declaration
+    order, arrays and tuples as lists."""
     out = io.StringIO()
     _write_json(obj, out, 0)
     out.write("\n")

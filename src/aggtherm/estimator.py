@@ -35,6 +35,7 @@ __all__ = [
     "solve_constrained_quadratic",
     "gap",
     "DESCENT_RTOL",
+    "check_penalty",
     "check_start",
     "alternate",
     "bcd_fit",
@@ -62,15 +63,6 @@ class GapRecord:
     negative: bool = False
     absolute_only: bool = False
 
-    def as_dict(self) -> dict:
-        return {
-            "f1": self.f1,
-            "f2": self.f2,
-            "gap": self.gap,
-            "negative": self.negative,
-            "absolute_only": self.absolute_only,
-        }
-
 
 @dataclass
 class FitResult:
@@ -80,16 +72,6 @@ class FitResult:
     gap_trace: list = field(default_factory=list)
     converged: bool = False
     warnings: list = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "params": self.params.as_dict(),
-            "objective": self.objective,
-            "iterations": self.iterations,
-            "gap_trace": [g.as_dict() for g in self.gap_trace],
-            "converged": self.converged,
-            "warnings": list(self.warnings),
-        }
 
 
 def _residual(params: AtdmParameters, design: DesignMatrices) -> np.ndarray:
@@ -101,10 +83,15 @@ def _residual(params: AtdmParameters, design: DesignMatrices) -> np.ndarray:
     return r
 
 
+def check_penalty(lam: float) -> None:
+    """Raise ValueError unless the ridge penalty ``lam`` is finite and >= 0."""
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValueError(f"penalty lambda must be finite and >= 0, got {lam!r}")
+
+
 def objective(params: AtdmParameters, design: DesignMatrices, lam: float) -> float:
     """Sum of squared model residuals plus the lam * ||xi||^2 penalty."""
-    if lam < 0:
-        raise ValueError("penalty must be >= 0")
+    check_penalty(lam)
     design.check_params(params)
     r = _residual(params, design)
     return float(r @ r + lam * (params.xi @ params.xi))
@@ -357,8 +344,8 @@ def alternate(sp1, sp2, xi: np.ndarray, tol: float, max_iter: int) -> FitResult:
     an absolute-only gap, weights on or past their zero bound, and weights
     that do not sum to one.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+    if not tol > 0:  # NaN fails this too
+        raise ValueError(f"tol must be > 0, got {tol!r}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     trace: list[GapRecord] = []
@@ -407,6 +394,7 @@ def bcd_fit(
 ) -> FitResult:
     """Alternate the two plain subproblem solvers until the gap drops below tol
     (see ``alternate`` for the descent checks and warnings)."""
+    check_penalty(lam)
 
     def sp1(l, xi):
         alpha, *_unused, f1 = solve_sp1(xi, design, lam)

@@ -184,16 +184,6 @@ class AtdmParameters:
         if self.xi.min() < -tol:
             raise ValueError(f"xi must be nonnegative, min entry {self.xi.min()!r}")
 
-    def as_dict(self) -> dict:
-        return {
-            "xi": self.xi.tolist(),
-            "alpha": self.alpha.tolist(),
-            "beta": self.beta.tolist(),
-            "gamma": self.gamma.tolist(),
-            "theta": self.theta.tolist(),
-            "tau_occ_free": self.tau_occ_free.tolist(),
-        }
-
 
 @dataclass
 class Metrics:
@@ -202,9 +192,6 @@ class Metrics:
     rmse: float
     mape: float
     r2: float
-
-    def as_dict(self) -> dict:
-        return {"rmse": self.rmse, "mape": self.mape, "r2": self.r2}
 
 
 def lag_view(series: np.ndarray, M: int, m: int) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..estimator import FitResult, alternate, check_start, solve_sp1_from_parts
+from ..estimator import FitResult, alternate, check_penalty, check_start, solve_sp1_from_parts
 from ..model import ClusterDataset, lag_columns, lag_filter, lag_view, occupancy_slots
 from .messages import Message, Phase, decode_message, encode_message
 from .sap import (
@@ -232,7 +232,8 @@ class ProtocolRunner:
         self.transcript = ProtocolTranscript()
         self.bus = bus if bus is not None else InProcessBus(self.transcript)
         self.bus.transcript = self.transcript
-        occupancy_slots(self.T, cfg.T_occ)  # a bad T_occ stops the run before any upload
+        occupancy_slots(self.T, cfg.T_occ)  # a bad T_occ or lambda stops the run before any upload
+        check_penalty(cfg.lam)
         if not (np.isfinite(cfg.w_mean) and np.isfinite(cfg.w_sd) and cfg.w_sd > 0):
             raise ValueError(
                 f"encryption columns need a finite w_mean and a finite w_sd > 0, got w_mean="
@@ -384,7 +385,6 @@ class ProtocolRunner:
         for idx, i in enumerate(self.agent_ids):
             self.agents[i].xi_i = float(xi[idx])
         fit = alternate(self._sap_step, self._te_step, xi, self.cfg.tol, self.cfg.max_iter)
-        self.transcript.fit = fit.as_dict()
         return fit, self.transcript
 
 

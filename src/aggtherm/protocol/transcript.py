@@ -28,17 +28,6 @@ class MessageRecord:
     shape: tuple
     digest: str
 
-    def as_dict(self) -> dict:
-        return {
-            "seq": self.seq,
-            "iteration": self.iteration,
-            "phase": self.phase,
-            "sender": self.sender,
-            "receiver": self.receiver,
-            "shape": list(self.shape),
-            "digest": self.digest,
-        }
-
 
 @dataclass(frozen=True)
 class RoundView:
@@ -70,7 +59,6 @@ class ProtocolTranscript:
     messages: list = field(default_factory=list)
     bla_view: list[RoundView] = field(default_factory=list)
     c2: np.ndarray | None = None
-    fit: dict | None = None
     scan_checked: int = 0
     scan_findings: list = field(default_factory=list)
 
@@ -92,7 +80,7 @@ class ProtocolTranscript:
     def write_jsonl(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             for rec in self.messages:
-                fh.write(dumps_json(rec.as_dict()).replace("\n", "") + "\n")
+                fh.write(dumps_json(rec).replace("\n", "") + "\n")
 
 
 # most rows of a reference length compared before the full np.allclose

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -151,7 +152,8 @@ class TestAttackCommand:
     @pytest.mark.parametrize(
         "flags, err",
         [(["--scenarios", "0"], "scenarios must be >= 1, got 0"),
-         (["--T-list", "0"], "T must be >= 1, got 0")],
+         (["--T-list", "0"], "T must be >= 1, got 0"),
+         (["--T-list", "1", "--scenarios", "1", "--max-iter", "0"], "max_iter must be >= 1, got 0")],
     )
     def test_size_below_one_exit_code(self, tmp_path, capsys, flags, err):
         out = tmp_path / "s.csv"
@@ -224,6 +226,22 @@ class TestErrors:
         assert capsys.readouterr().err.strip() == "error: T_occ must be >= 1, got 0"
         assert not (out / "fit_result.json").exists()
 
+    @pytest.mark.parametrize("mode", ["plain", "private"])
+    @pytest.mark.parametrize(
+        "flags, err",
+        [(["--lambda", "-1"], "penalty lambda must be finite and >= 0, got -1.0"),
+         (["--lambda", "nan"], "penalty lambda must be finite and >= 0, got nan"),
+         (["--tol", "nan"], "tol must be > 0, got nan")],
+    )
+    def test_fit_bad_penalty_or_tol(self, data_csv, tmp_path, capfd, mode, flags, err):
+        out = tmp_path / "fit"
+        code = cmd_dispatch(["fit", "--data", str(data_csv), "--mode", mode, "--t-occ", "12",
+                             *flags, "--out-dir", str(out)])
+        assert code == 2
+        captured = capfd.readouterr()
+        assert (captured.out, captured.err.strip()) == ("", f"error: {err}")
+        assert not (out / "fit_result.json").exists()
+
     @pytest.mark.parametrize("w_sd", ["0", "-0.1", "nan"])
     def test_compare_degenerate_encryption_spread(self, data_csv, tmp_path, capsys, w_sd):
         out = tmp_path / "cmp.json"
@@ -232,3 +250,40 @@ class TestErrors:
         assert code == 2
         assert "w_sd" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestReportBytes:
+    def test_every_report_file_is_pinned(self, tmp_path, capsys):
+        """One sha256 over every JSON/JSONL/CSV file that generate, fit in both
+        modes, evaluate, compare and counting write for one seeded K=3 dataset:
+        a change to how a report is serialized shows here.  Attack output is
+        left out because it records wall times."""
+        data = tmp_path / "data.csv"
+        common = ["--t-occ", "6", "--seed", "1"]
+        runs = [
+            ["generate", "--out", str(data), "--zones", "3", "--periods", "120",
+             "--truth-out", str(tmp_path / "truth.json"), *common],
+            ["fit", "--data", str(data), "--mode", "plain", "--out-dir",
+             str(tmp_path / "plain"), *common],
+            ["fit", "--data", str(data), "--mode", "private", "--out-dir",
+             str(tmp_path / "private"), *common],
+            ["evaluate", "--data", str(data), "--out-dir", str(tmp_path / "eval"), *common],
+            ["compare", "--data", str(data), "--out", str(tmp_path / "compare.json"), *common],
+            ["counting", "--K", "3", "--L", "2", "--T", "120",
+             "--out", str(tmp_path / "counting.json")],
+        ]
+        for argv in runs:
+            assert cmd_dispatch(argv) == 0, argv
+        capsys.readouterr()
+        files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+        assert [p.relative_to(tmp_path).as_posix() for p in files] == [
+            "compare.json", "counting.json", "data.csv",
+            "eval/evaluation.json", "eval/fit_result.json", "eval/predictions.csv",
+            "plain/fit_result.json", "plain/metrics.json", "plain/predictions.csv",
+            "private/fit_result.json", "private/metrics.json", "private/predictions.csv",
+            "private/transcript.jsonl", "truth.json",
+        ]
+        h = hashlib.sha256()
+        for p in files:
+            h.update(p.relative_to(tmp_path).as_posix().encode() + b"\0" + p.read_bytes())
+        assert h.hexdigest() == "29b1f99a7bb2997ef8a70aa9100c03eaab9f18df48dda21b73d0f44d199defa4"

@@ -1,4 +1,5 @@
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -153,3 +154,26 @@ class TestReportFormat:
         assert back["failed"] == float("inf")
         assert back["v"][0] == -float("inf") and np.isnan(back["v"][1])
         assert back["v"][2:] == [float("inf"), 0.5]
+
+    def test_dataclass_is_its_fields_in_declaration_order(self):
+        """A dataclass instance is written as the object of its fields in
+        declaration order, nested ones too, with arrays and tuples as lists;
+        a dataclass type is not an instance and is refused."""
+
+        @dataclass
+        class Inner:
+            shape: tuple
+            v: np.ndarray
+
+        @dataclass
+        class Outer:
+            z: float
+            inner: Inner
+            rest: list
+
+        obj = Outer(z=0.1, inner=Inner((2, 3), np.array([1.0, 2.0])), rest=[Inner((1,), np.zeros(0))])
+        assert dumps_json(obj) == dumps_json(
+            {"z": 0.1, "inner": {"shape": [2, 3], "v": [1.0, 2.0]}, "rest": [{"shape": [1], "v": []}]}
+        )
+        with pytest.raises(TypeError):
+            dumps_json(Outer)

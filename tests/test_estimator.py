@@ -76,6 +76,13 @@ class TestObjective:
         with pytest.raises(ValueError):
             objective(p, d, -1.0)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_penalty(self, lam):
+        d = zero_design(K=2, T=4, M=1, T_occ=2)
+        p = random_params(K=2, M=1, T_occ=2)
+        with pytest.raises(ValueError, match=rf"^penalty lambda must be finite and >= 0, got {lam!r}$"):
+            objective(p, d, lam)
+
 
 class TestSolveSp1:
     def test_noise_free_truth_gives_zero_residual(self):
@@ -335,7 +342,7 @@ class TestBcdFit:
 
         _, design, _ = synthetic_instance(K=3, T=60, M=2, T_occ=4, noise=0.1, seed=9)
         fit = bcd_fit(design, lam=1.0, tol=1e-6)
-        doc = json.loads(dumps_json(fit.as_dict()))
+        doc = json.loads(dumps_json(fit))
         assert doc["converged"] is True
         assert len(doc["gap_trace"]) == fit.iterations
 

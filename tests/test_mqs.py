@@ -190,7 +190,8 @@ class TestSizes:
          ({"T_list": (1, 0)}, "T must be >= 1, got 0"),
          ({"K": 0}, "K must be >= 1, got 0"),
          ({"L": 0}, "L must be >= 1, got 0"),
-         ({"M": -1}, "M must be >= 1, got -1")],
+         ({"M": -1}, "M must be >= 1, got -1"),
+         ({"max_iter": 0}, "max_iter must be >= 1, got 0")],
     )
     def test_sweep_size_below_one_rejected_before_any_draw(self, monkeypatch, change, match):
         drawn = []
@@ -199,6 +200,18 @@ class TestSizes:
         with pytest.raises(ValueError, match=f"^{match}$"):
             attack_sweep(cfg)
         assert drawn == []
+
+    @pytest.mark.parametrize("method", ["lbfgs", "trf"])
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_solve_budget_below_one_rejected_before_any_solve(self, method, max_iter):
+        """An empty budget is refused, not reported as the start's error
+        (L-BFGS) or as a failed scenario (TRF)."""
+        inst = make_attack_instance(K=3, L=2, T=4, M=2, seed=0)
+        evaluated = []
+        inst.residual = lambda x: evaluated.append(x)
+        with pytest.raises(ValueError, match=rf"^max_iter must be >= 1, got {max_iter}$"):
+            solve_mqs(inst, np.zeros(inst.n_unknowns), max_iter=max_iter, method=method)
+        assert evaluated == []
 
 
 class TestReplayFromProtocol:

@@ -12,6 +12,7 @@ from scipy.linalg import LinAlgWarning
 
 import aggtherm.protocol.runner as runner_mod
 from aggtherm import bcd_fit, build_design
+from aggtherm.dataio import dumps_json
 from aggtherm.estimator import EstimationError
 from aggtherm.protocol import (
     InProcessBus,
@@ -471,11 +472,26 @@ class TestConfigPaths:
         with pytest.raises(ValueError, match="max_iter"):
             run_protocol(dataset, ProtocolConfig(T_occ=6, max_iter=0))
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
     def test_nonpositive_tol_rejected(self, tol):
-        dataset, _, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.1, seed=18)
-        with pytest.raises(ValueError, match="tol must be > 0"):
+        dataset, design, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.1, seed=18)
+        with pytest.raises(ValueError, match=rf"^tol must be > 0, got {tol!r}$"):
+            bcd_fit(design, lam=1.0, tol=tol)
+        with pytest.raises(ValueError, match=rf"^tol must be > 0, got {tol!r}$"):
             run_protocol(dataset, ProtocolConfig(T_occ=6, tol=tol))
+
+    @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+    def test_bad_penalty_rejected_in_both_modes_before_any_upload(self, lam):
+        """A negative penalty fitted without complaint and a NaN one failed
+        inside LAPACK with a message that does not name it."""
+        dataset, design, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.1, seed=18)
+        match = rf"^penalty lambda must be finite and >= 0, got {lam!r}$"
+        with pytest.raises(ValueError, match=match):
+            bcd_fit(design, lam=lam)
+        bus = InProcessBus(ProtocolTranscript())
+        with pytest.raises(ValueError, match=match):
+            run_protocol(dataset, ProtocolConfig(lam=lam, T_occ=6, seed=18), bus=bus)
+        assert bus.transcript.messages == [] and bus.mailboxes == {}
 
 
 class TestOrderInvariance:
@@ -507,7 +523,7 @@ class TestOrderInvariance:
 
         dataset, _, cfg, fit, transcript = small_run
         fit_r, tr_r = run_protocol(dataset, cfg, bus=ReversingBus(ProtocolTranscript()))
-        assert fit_r.as_dict() == fit.as_dict()
+        assert dumps_json(fit_r) == dumps_json(fit)
         assert [m.digest for m in tr_r.messages] == [m.digest for m in transcript.messages]
         assert np.array_equal(tr_r.c2, transcript.c2)
         assert len(tr_r.bla_view) == len(transcript.bla_view)
