@@ -14,6 +14,13 @@ from dataclasses import dataclass
 __all__ = ["CountingReport", "counting_report"]
 
 
+def check_sizes(**sizes):
+    """Raise ValueError naming the first size below 1."""
+    for name, n in sizes.items():
+        if n < 1:
+            raise ValueError(f"{name} must be >= 1, got {n}")
+
+
 @dataclass
 class CountingReport:
     K: int
@@ -62,8 +69,7 @@ def counting_report(K: int, L: int, T: int, M: int) -> CountingReport:
     iteration.
     The Gram relation contributes only its upper triangle.
     """
-    if min(K, L, T, M) < 1:
-        raise ValueError("all sizes must be >= 1")
+    check_sizes(K=K, L=L, T=T, M=M)
     t1_unknowns = (T + M) * K
     t1_equations = (T + M) * L
     t2_unknowns = K * K

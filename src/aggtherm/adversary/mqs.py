@@ -18,7 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..model import lag_filter
+from ..protocol.te import W_MEAN, W_SD
 from ..protocol.transcript import RoundView
+from .counting import check_sizes
 
 __all__ = [
     "MqsTruth",
@@ -34,7 +36,6 @@ __all__ = [
 # the attack instances' draws: temperatures Normal(TAU_MEAN, TAU_SD),
 # encryption entries Normal(W_MEAN, W_SD) as in the protocol's defaults
 TAU_MEAN, TAU_SD = 20.0, 1.0
-W_MEAN, W_SD = 0.1, 0.1
 PERTURBATION = 1.0  # half-width of the uniform start perturbation
 GRAD_TOL = 1e-8
 
@@ -182,12 +183,6 @@ class MqsInstance:
         return J
 
 
-def _check_sizes(**sizes):
-    for name, n in sizes.items():
-        if n < 1:
-            raise ValueError(f"{name} must be >= 1, got {n}")
-
-
 def make_attack_instance(
     K: int = 6,
     L: int = 3,
@@ -204,7 +199,7 @@ def make_attack_instance(
     iterations exactly as a protocol run would produce them, and each
     round's view is formed from them as the protocol's sums would be.
     """
-    _check_sizes(K=K, L=L, T=T, M=M)
+    check_sizes(K=K, L=L, T=T, M=M)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3000,)))
     tau = rng.normal(TAU_MEAN, TAU_SD, size=(T + M, K))
     if w_like_tau:
@@ -252,7 +247,7 @@ def solve_mqs(
     iteration count.  A non-finite residual during iteration marks the
     scenario failed.
     """
-    _check_sizes(max_iter=max_iter)
+    check_sizes(max_iter=max_iter)
     init = np.asarray(init, dtype=float).ravel()
     if init.shape != (instance.n_unknowns,):
         raise ValueError(
@@ -343,7 +338,7 @@ def attack_sweep(cfg: SweepConfig):
     time over its scenarios.  Failed scenarios are kept (error inf), never
     fatal.  Sizes and an iteration budget below 1 raise ValueError before any draw.
     """
-    _check_sizes(
+    check_sizes(
         K=cfg.K, L=cfg.L, M=cfg.M, scenarios=cfg.scenarios, T=min(cfg.T_list, default=1),
         max_iter=cfg.max_iter,
     )

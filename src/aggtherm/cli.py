@@ -19,6 +19,7 @@ from .dataio import DataFormatError, dump_json, format_float, parse_dataset, wri
 from .estimator import EstimationError, bcd_fit
 from .model import aggregate_state, build_design, evaluate_metrics, predict_aggregate, split_dataset
 from .protocol import ProtocolConfig, ProtocolError, run_protocol
+from .protocol.te import W_MEAN, W_SD
 from .synthetic import generate_synthetic
 
 __all__ = ["RunConfig", "cmd_dispatch", "main"]
@@ -34,8 +35,8 @@ class RunConfig:
     tol: float = 1e-6
     train_fraction: float = 0.75
     seed: int = 0
-    w_mean: float = 0.1
-    w_sd: float = 0.1
+    w_mean: float = W_MEAN
+    w_sd: float = W_SD
     mode: str = "plain"
 
 

@@ -347,7 +347,7 @@ def alternate(sp1, sp2, xi: np.ndarray, tol: float, max_iter: int) -> FitResult:
     if not tol > 0:  # NaN fails this too
         raise ValueError(f"tol must be > 0, got {tol!r}")
     if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
     trace: list[GapRecord] = []
     notes: list[str] = []
     converged = False

@@ -43,8 +43,8 @@ from .sap import (
     sap_aggregate,
     sap_mask,
 )
-from .te import compute_te_uploads, gen_encryption_col, solve_sp2_masked, te_recover
-from .transcript import ProtocolTranscript, RoundView, ScanReferences, scan_payloads
+from .te import W_MEAN, W_SD, compute_te_uploads, gen_encryption_col, solve_sp2_masked, te_recover
+from .transcript import ProtocolTranscript, RoundView, scan_payloads
 
 __all__ = [
     "ProtocolError",
@@ -70,8 +70,8 @@ class ProtocolConfig:
     max_iter: int = 20
     T_occ: int = 48
     seed: int = 0
-    w_mean: float = 0.1
-    w_sd: float = 0.1
+    w_mean: float = W_MEAN
+    w_sd: float = W_SD
     scan: bool = True
     xi0: np.ndarray | None = None
 
@@ -159,37 +159,27 @@ class Auditor:
     round that none reached the coordinator in the clear.
 
     Agent by agent, its references for round l are the temperature and load
-    series and their lag views, built once, then the round's upload
-    intermediates, rebuilt from the round's ``RoundView`` and the agent's
-    encryption column.  They are grouped once (``ScanReferences``); later
-    rounds replace only the upload references, by label."""
+    series and their lag views, then the round's upload intermediates,
+    rebuilt from the round's ``RoundView`` and the agent's encryption
+    column."""
 
     def __init__(self, agents: list[BuildingAgent]):
         self.agents = agents
-        self._series = []
-        for a in agents:
-            p = f"agent{a.id}/"
-            refs = [(p + "tau_full", a.tau_col), (p + "load_full", a.load_col)]
-            for m in range(a.M + 1):
-                refs.append((f"{p}tau_lag{m}", lag_view(a.tau_col, a.M, m)))
-                refs.append((f"{p}load_lag{m}", lag_view(a.load_col, a.M, m)))
-            self._series.append(refs)
         self._views: dict[int, RoundView] = {}  # every audited round's view
-        self._refs: ScanReferences | None = None  # built by the first audit
-
-    def _upload_refs(self, k: int, l: int) -> list:
-        """The k-th agent's weighted share, filtered series, encryption
-        column and outer-product columns of audited round l."""
-        a, view = self.agents[k], self._views[l]
-        w, hat, p = a.w_history[l], lag_filter(a.tau_col, a.M, view.alpha), f"agent{a.id}/"
-        return (
-            [(p + "weighted_share", view.xi_in[k] * a.tau_col), (p + "hat_tau", hat), (p + "w_col", w)]
-            + [(f"{p}A1_col{c}", hat * wc) for c, wc in enumerate(w)]
-            + [(f"{p}A2_col{c}", w * wc) for c, wc in enumerate(w)]
-        )
 
     def private_refs(self, l: int) -> list:
-        return [ref for k, series in enumerate(self._series) for ref in series + self._upload_refs(k, l)]
+        """Every agent's references for audited round l, agent by agent."""
+        view, refs = self._views[l], []
+        for k, a in enumerate(self.agents):
+            w, hat, p = a.w_history[l], lag_filter(a.tau_col, a.M, view.alpha), f"agent{a.id}/"
+            refs += [(p + "tau_full", a.tau_col), (p + "load_full", a.load_col)]
+            for m in range(a.M + 1):
+                refs += [(f"{p}tau_lag{m}", lag_view(a.tau_col, a.M, m)),
+                         (f"{p}load_lag{m}", lag_view(a.load_col, a.M, m))]
+            refs += [(p + "weighted_share", view.xi_in[k] * a.tau_col), (p + "hat_tau", hat), (p + "w_col", w)]
+            refs += [(f"{p}A1_col{c}", hat * wc) for c, wc in enumerate(w)]
+            refs += [(f"{p}A2_col{c}", w * wc) for c, wc in enumerate(w)]
+        return refs
 
     def audit(self, l: int, view: RoundView, payloads: list, transcript: ProtocolTranscript):
         """Scan the fixed-point decoding of every share the coordinator
@@ -197,11 +187,7 @@ class Auditor:
         that pass them only, and record the result in ``transcript``.
         Raises ProtocolError on a finding."""
         self._views[l] = view
-        if self._refs is None:
-            self._refs = ScanReferences(self.private_refs(l))
-        else:
-            self._refs.update([ref for k in range(len(self.agents)) for ref in self._upload_refs(k, l)])
-        checked, findings = scan_payloads(payloads, self._refs, decode=decode_fixed)
+        checked, findings = scan_payloads(payloads, self.private_refs(l), decode=decode_fixed)
         transcript.scan_checked += checked
         if findings:
             transcript.scan_findings.extend(findings)

@@ -21,7 +21,11 @@ __all__ = [
 ]
 
 
-def gen_encryption_col(K: int, rng: np.random.Generator, mean: float = 0.1, sd: float = 0.1):
+# the default distribution of encryption entries, Normal(W_MEAN, W_SD)
+W_MEAN, W_SD = 0.1, 0.1
+
+
+def gen_encryption_col(K: int, rng: np.random.Generator, mean: float = W_MEAN, sd: float = W_SD):
     """One agent's private encryption column: K draws from Normal(mean, sd)."""
     return rng.normal(mean, sd, size=K)
 

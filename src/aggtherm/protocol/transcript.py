@@ -15,7 +15,7 @@ from ..dataio import dumps_json
 from .messages import Message, Phase
 from .messages import encode_message  # noqa: F401  unused here; perfbench/tracer.py patches it by this name
 
-__all__ = ["MessageRecord", "RoundView", "ProtocolTranscript", "ScanReferences", "scan_payloads"]
+__all__ = ["MessageRecord", "RoundView", "ProtocolTranscript", "scan_payloads"]
 
 
 @dataclass
@@ -85,6 +85,8 @@ class ProtocolTranscript:
 
 # most rows of a reference length compared before the full np.allclose
 _PROBES = 8
+# np.allclose's tolerances for a finding
+RTOL, ATOL = 1e-6, 1e-8
 
 
 def _flat(vec) -> np.ndarray:
@@ -93,72 +95,27 @@ def _flat(vec) -> np.ndarray:
     return v if v.ndim == 1 else v.ravel()
 
 
-class ScanReferences:
-    """The private vectors ``scan_payloads`` compares payloads with.
-
-    Grouped by length; per length, their labels, the vectors, the probe
-    rows (up to ``_PROBES``, spread over the length with the first and last
-    included), the vectors' values there (probes x refs) and
-    ``np.isclose``'s tolerance atol + rtol |b| at each such value b, -inf
-    where b is not finite (there only equality is close).  ``update``
-    replaces the vectors of labels already held, in place, so references
-    that change between scans are refreshed without rebuilding the rest.
-    """
-
-    def __init__(self, private_vectors, rtol: float = 1e-6, atol: float = 1e-8):
-        self.rtol, self.atol = rtol, atol
-        by_len: dict[int, list] = {}
-        for label, vec in private_vectors:
-            v = _flat(vec)
-            by_len.setdefault(len(v), []).append((label, v))
-        self.sets = {}
-        self._slots: dict = {}  # label -> (length, index), None if held twice
-        for n, refs in by_len.items():
-            rows = np.linspace(0, n - 1, min(n, _PROBES)).round().astype(np.intp)
-            vecs = [v for _, v in refs]
-            probe, tol = self._probes(vecs, rows)
-            labels = [label for label, _ in refs]
-            self.sets[n] = (labels, vecs, rows, probe, tol)
-            for j, label in enumerate(labels):
-                self._slots[label] = None if label in self._slots else (n, j)
-
-    def _probes(self, vecs, rows):
-        probe = np.array([v[rows] for v in vecs]).T
-        return probe, np.where(np.isfinite(probe), self.atol + self.rtol * np.abs(probe), -np.inf)
-
-    def update(self, private_vectors):
-        """Replace the vector of each given label; each label must be held
-        exactly once, by a vector of the same length."""
-        by_len: dict[int, tuple] = {}
-        for label, vec in private_vectors:
-            slot = self._slots.get(label)
-            if slot is None:
-                raise ValueError(f"no single scan reference labelled {label!r}")
-            n, j = slot
-            v = _flat(vec)
-            if len(v) != n:
-                raise ValueError(f"scan reference {label!r} has {len(v)} rows, held with {n}")
-            idx, vecs = by_len.setdefault(n, ([], []))
-            idx.append(j)
-            vecs.append(v)
-        for n, (idx, new) in by_len.items():
-            _, vecs, rows, probe, tol = self.sets[n]
-            for j, v in zip(idx, new):
-                vecs[j] = v
-            probe[:, idx], tol[:, idx] = self._probes(new, rows)
+def _probes(n: int, vecs):
+    """The probe rows of length-n references (up to ``_PROBES``, spread over
+    the length with the first and last included), the references' values
+    there (probes x refs) and ``np.isclose``'s tolerance ATOL + RTOL |b| at
+    each such value b, -inf where b is not finite (there only equality is
+    close)."""
+    rows = np.linspace(0, n - 1, min(n, _PROBES)).round().astype(np.intp)
+    probe = np.array([v[rows] for v in vecs]).T
+    return rows, probe, np.where(np.isfinite(probe), ATOL + RTOL * np.abs(probe), -np.inf)
 
 
-def scan_payloads(payloads, private_vectors, rtol: float = 1e-6, atol: float = 1e-8, decode=None):
+def scan_payloads(payloads, private_vectors, decode=None):
     """Find coordinator-visible vectors that equal a private vector.
 
     ``payloads`` is a list of (label, array) with arrays of at most two
     dimensions (a scalar is one 1 x 1 column); every column of each array is
     compared against every private vector of matching length.
-    ``private_vectors`` is a list of (label, vector), or a
-    ``ScanReferences``, whose own rtol and atol then apply.  A column and
-    a reference are a finding when ``np.allclose`` holds for them.  The
-    columns of all payloads of one length are first paired with all
-    references of that length and compared at a few probe rows under
+    ``private_vectors`` is a list of (label, vector).  A column and a
+    reference are a finding when ``np.allclose`` holds for them at RTOL and
+    ATOL.  The columns of all payloads of one length are first paired with
+    all references of that length and compared at a few probe rows under
     ``np.isclose``'s rule, one probe row at a time over the pairs still
     close; only the pairs close at every probe row get the full
     ``np.allclose``.  Since ``np.allclose`` is ``np.isclose`` at every row,
@@ -170,9 +127,10 @@ def scan_payloads(payloads, private_vectors, rtol: float = 1e-6, atol: float = 1
     references of their length, and a list of (payload_label, column_index,
     private_label) findings in payload, column, reference order.
     """
-    if not isinstance(private_vectors, ScanReferences):
-        private_vectors = ScanReferences(private_vectors, rtol, atol)
-    sets, rtol, atol = private_vectors.sets, private_vectors.rtol, private_vectors.atol
+    refs_by_len: dict[int, list] = {}
+    for label, vec in private_vectors:
+        v = _flat(vec)
+        refs_by_len.setdefault(len(v), []).append((label, v))
     read = decode if decode is not None else (lambda x: x)
     by_len: dict[int, list] = {}  # length -> (payload index, label, array) with references
     for p, (label, arr) in enumerate(payloads):
@@ -181,12 +139,13 @@ def scan_payloads(payloads, private_vectors, rtol: float = 1e-6, atol: float = 1
             raise ValueError(f"scan payload {label!r} has {arr.ndim} dimensions, expected at most 2")
         if arr.ndim < 2:
             arr = arr.reshape(-1, 1)
-        if arr.shape[0] in sets:
+        if arr.shape[0] in refs_by_len:
             by_len.setdefault(arr.shape[0], []).append((p, label, arr))
     found = []
     checked = 0
     for n, group in by_len.items():
-        labels, vecs, rows, probe, tol = sets[n]
+        labels, vecs = zip(*refs_by_len[n])
+        rows, probe, tol = _probes(n, vecs)
         # the probe rows of every column of this length, side by side
         a = read(np.concatenate([arr[rows] for *_, arr in group], axis=1))
         ends = np.cumsum([arr.shape[1] for *_, arr in group])
@@ -202,7 +161,7 @@ def scan_payloads(payloads, private_vectors, rtol: float = 1e-6, atol: float = 1
             i = bisect.bisect_right(ends, g)
             p, label, arr = group[i]
             c = int(g - (ends[i - 1] if i else 0))
-            if np.allclose(read(arr[:, c]), vecs[r], rtol=rtol, atol=atol):
+            if np.allclose(read(arr[:, c]), vecs[r], rtol=RTOL, atol=ATOL):
                 found.append((p, c, int(r), label, labels[r]))
     found.sort(key=lambda f: f[:3])
     return checked, [(label, c, ref) for _, c, _, label, ref in found]

@@ -129,6 +129,12 @@ class TestCounting:
         doc = json.loads(out.read_text())
         assert doc["type2"]["under_determined"] is False
 
+    def test_size_below_one_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "counting.json"
+        assert cmd_dispatch(["counting", "--K", "0", "--L", "1", "--T", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == "error: K must be >= 1, got 0"
+        assert not out.exists()
+
 
 class TestAttackCommand:
     def test_small_sweep_csv(self, tmp_path):

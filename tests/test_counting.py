@@ -85,7 +85,7 @@ class TestCountingExamples:
         assert r.type3_over_determined
 
     def test_bad_sizes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^K must be >= 1, got 0$"):
             counting_report(K=0, L=1, T=1, M=1)
 
 

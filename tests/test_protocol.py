@@ -468,9 +468,11 @@ class TestConfigPaths:
             run_protocol(dataset, ProtocolConfig(lam=1.0, T_occ=6, seed=18, xi0=np.array(xi0)))
 
     def test_zero_iterations_rejected(self):
-        dataset, _, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.1, seed=18)
-        with pytest.raises(ValueError, match="max_iter"):
+        dataset, design, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.1, seed=18)
+        with pytest.raises(ValueError, match=r"^max_iter must be >= 1, got 0$"):
             run_protocol(dataset, ProtocolConfig(T_occ=6, max_iter=0))
+        with pytest.raises(ValueError, match=r"^max_iter must be >= 1, got 0$"):
+            bcd_fit(design, lam=1.0, max_iter=0)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
     def test_nonpositive_tol_rejected(self, tol):

@@ -17,7 +17,6 @@ from aggtherm.protocol import (
     scan_payloads,
 )
 from aggtherm.protocol.sap import decode_fixed, encode_fixed
-from aggtherm.protocol.transcript import ScanReferences
 
 from _common import synthetic_instance, zero_mask
 
@@ -141,26 +140,6 @@ def scan_cases(draw):
 def test_scan_matches_pairwise_allclose(case):
     payloads, refs = case
     assert scan_payloads(payloads, refs) == pairwise_scan_payloads(payloads, refs)
-
-
-@settings(max_examples=200, deadline=None)
-@given(scan_cases())
-def test_updated_references_scan_like_fresh_ones(case):
-    """References built from stale vectors and then updated scan exactly
-    as references built from the current vectors."""
-    payloads, refs = case
-    stale = ScanReferences([(label, np.full(len(v), 7.0)) if r % 2 else (label, v)
-                            for r, (label, v) in enumerate(refs)])
-    stale.update(refs[1::2])
-    assert scan_payloads(payloads, stale) == pairwise_scan_payloads(payloads, refs)
-
-
-def test_reference_update_rejects_unknown_ambiguous_and_resized_labels():
-    refs = ScanReferences([("a", [1.0, 2.0]), ("b", [3.0]), ("b", [4.0])])
-    for label, vec, match in [("c", [1.0, 2.0], "'c'"), ("b", [5.0], "'b'"),
-                              ("a", [1.0], "'a' has 1 rows, held with 2")]:
-        with pytest.raises(ValueError, match=match):
-            refs.update([(label, vec)])
 
 
 def test_decode_reads_probe_rows_and_passing_columns_only():
