@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,7 +64,10 @@ class MqsInstance:
     ``views`` holds one ``RoundView`` per round; each field is stacked once
     over the rounds, as ``self.<field>`` with a leading round axis.  K and T
     are read from round 0's ``A1_sum`` and M from its ``alpha``; a field of
-    another shape in any round raises ValueError naming it.
+    another shape in any round raises ValueError naming it.  The Jacobian's
+    sparsity depends only on (K, L, T, M), so where each block's entries go
+    is worked out once, on the first ``jacobian`` call, and each call then
+    fills a fresh dense J by index.
     """
 
     def __init__(self, views, true_values: MqsTruth):
@@ -136,50 +140,72 @@ class MqsInstance:
             parts.append(((hat @ Wl.T) - self.A1_sum[l]).ravel())
         return np.concatenate(parts)
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _jacobian_index(self):
+        """Flat positions in J of the entries each equation block writes,
+        stacked over the L rounds, in the order ``jacobian`` writes them;
+        each array's shape matches the values written there."""
         K, L, T, M = self.K, self.L, self.T, self.M
-        tau, W = self.unpack(x)
-        J = np.zeros((self.n_equations, self.n_unknowns))
         iu, ju = self._triu
         n_pairs = len(iu)
-        row = 0
-        for l in range(L):
-            Wl = W[l]
-            w_off = self.n_tau + l * K * K
-            # aggregate rows: d/dtau[p, i] = xi_in[i]
-            for p in range(T + M):
-                J[row + p, p * K : (p + 1) * K] = self.xi_in[l]
-            row += T + M
-            # gram rows (upper triangle)
-            for n in range(n_pairs):
-                j, k = iu[n], ju[n]
-                J[row + n, w_off + j * K : w_off + (j + 1) * K] += Wl[k]
-                J[row + n, w_off + k * K : w_off + (k + 1) * K] += Wl[j]
-            row += n_pairs
-            # column-sum rows
-            for j in range(K):
-                J[row + j, w_off + j * K : w_off + (j + 1) * K] = 1.0
-            row += K
-            # weight-recovery rows: residual_i = sum_j W[j, i] xi_bar[j]
-            for j in range(K):
-                J[row : row + K, w_off + j * K : w_off + (j + 1) * K] += (
-                    np.eye(K) * self.xi_bar[l, j]
-                )
-            row += K
-            # mixed rows: residual[t, j] = sum_i hat_tau[t, i] W[j, i]
-            alpha = self.alpha[l]
-            hat = lag_filter(tau, M, alpha)
-            for t in range(T):
-                base = row + t * K
-                for j in range(K):
-                    r = base + j
-                    J[r, w_off + j * K : w_off + (j + 1) * K] = hat[t]
-                    cols0 = (M + t) * K
-                    J[r, cols0 : cols0 + K] += Wl[j]
-                    for m in range(1, M + 1):
-                        colm = (M + t - m) * K
-                        J[r, colm : colm + K] -= alpha[m - 1] * Wl[j]
-            row += T * K
+        l, p, n = np.arange(L), np.arange(T + M), np.arange(n_pairs)
+        t, c, m = np.arange(T), np.arange(K), np.arange(1, M + 1)
+        # first row of each block of round l, and round l's first W column
+        agg = (l * (T + M + n_pairs + 2 * K + T * K))[:, None, None]
+        gram = agg + T + M
+        colsum = gram + n_pairs
+        recover = colsum + K
+        mixed = recover + K
+        w_off = (self.n_tau + l * K * K)[:, None, None]
+        w_block = w_off + c[:, None] * K + c  # (l, j, c): column of W[l, j, c]
+        mixed_rows = (mixed + t[:, None] * K + c)[..., None]  # (l, t, j, 1)
+
+        def flat(rows, cols):
+            rows, cols = np.broadcast_arrays(rows, cols)
+            return rows * self.n_unknowns + cols
+
+        return (
+            flat(agg + p[:, None], p[:, None] * K + c),  # (l, p, i)
+            flat(gram + n[:, None], w_off + iu[:, None] * K + c),  # (l, n, c)
+            flat(gram + n[:, None], w_off + ju[:, None] * K + c),
+            flat(colsum + c[:, None], w_block),  # (l, j, c)
+            flat((recover + c[:, None])[..., None], w_block[:, None]),  # (l, i, j, c)
+            flat(mixed_rows, w_block[:, None]),  # (l, t, j, c)
+            flat(mixed_rows, (M + t)[:, None, None] * K + c),  # (l, t, j, c): tau[t + M, c]
+            # (l, m, t, j, c): tau[t + M - m, c]
+            flat(mixed_rows[:, None], (M + t - m[:, None])[..., None, None] * K + c),
+        )
+
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        """Dense Jacobian of ``residual`` at ``x``, one row per equation.
+
+        Every entry is written through ``_jacobian_index`` with the float
+        operation the block's algebra gives it (an assignment, one ``+=``
+        or ``-=`` onto zero, or two ``+=`` on the Gram diagonal, where
+        row (j, j) meets W[j] twice), so J is the same bit for bit, signed
+        zeros included, as a row-by-row assembly."""
+        K, M = self.K, self.M
+        tau, W = self.unpack(x)
+        iu, ju = self._triu
+        agg, gram_j, gram_k, colsum, recover, mixed_w, mixed_now, mixed_lag = (
+            self._jacobian_index
+        )
+        hat = np.stack([lag_filter(tau, M, a) for a in self.alpha])
+        J = np.zeros((self.n_equations, self.n_unknowns))
+        flat = J.reshape(-1)
+        # aggregate rows: d/dtau[p, i] = xi_in[i]
+        flat[agg] = self.xi_in[:, None, :]
+        # gram rows (upper triangle (j, k)): W[k] in block j, W[j] in block k
+        flat[gram_j] += W[:, ju]
+        flat[gram_k] += W[:, iu]
+        # column-sum rows
+        flat[colsum] = 1.0
+        # weight-recovery rows: residual_i = sum_j W[j, i] xi_bar[j]
+        flat[recover] += np.eye(K)[None, :, None, :] * self.xi_bar[:, None, :, None]
+        # mixed rows: residual[t, j] = sum_i hat_tau[t, i] W[j, i]
+        flat[mixed_w] = hat[:, :, None, :]
+        flat[mixed_now] += W[:, None]
+        flat[mixed_lag] -= self.alpha[:, :, None, None, None] * W[:, None, None]
         return J
 
 
@@ -334,19 +360,23 @@ def attack_sweep(cfg: SweepConfig):
     """Run the full grid of attack scenarios.
 
     Returns (rows, summary): rows are per-scenario dicts matching the CSV
-    columns; summary maps each case T to median/min/max error and median
-    time over its scenarios.  Failed scenarios are kept (error inf), never
-    fatal.  Sizes and an iteration budget below 1 raise ValueError before any draw.
+    columns, T-major (every scenario of one T before the next T); summary
+    maps each case T to median/min/max error and median time over its
+    scenarios.  The solves run scenario by scenario instead (every T of
+    scenario 0, then of scenario 1, ...), so a slow spell of the host is
+    shared by all T values rather than landing on neighbouring ones and
+    bending the time trend; each (T, scenario) draws from its own seeds, so
+    only the times depend on the order.  Failed scenarios are kept (error
+    inf), never fatal.  Sizes and an iteration budget below 1 raise
+    ValueError before any draw.
     """
     check_sizes(
         K=cfg.K, L=cfg.L, M=cfg.M, scenarios=cfg.scenarios, T=min(cfg.T_list, default=1),
         max_iter=cfg.max_iter,
     )
-    rows = []
-    summary = {}
-    for T in cfg.T_list:
-        errors, times = [], []
-        for s in range(cfg.scenarios):
+    results = {}
+    for s in range(cfg.scenarios):
+        for T in cfg.T_list:
             case_seed = int(
                 np.random.SeedSequence(cfg.seed, spawn_key=(3100, T, s)).generate_state(1)[0]
             )
@@ -357,19 +387,24 @@ def attack_sweep(cfg: SweepConfig):
                 np.random.SeedSequence(cfg.seed, spawn_key=(4000, T, s))
             )
             init = inst.perturbed_start(rng)
-            result = solve_mqs(inst, init, max_iter=cfg.max_iter, method=cfg.method)
-            rows.append(
-                {
-                    "case_T": T,
-                    "scenario": s,
-                    "relative_error": result.relative_error,
-                    "residual": result.final_residual,
-                    "time_seconds": result.solver_time_seconds,
-                    "converged": result.converged,
-                }
-            )
-            errors.append(result.relative_error)
-            times.append(result.solver_time_seconds)
+            results[T, s] = solve_mqs(inst, init, max_iter=cfg.max_iter, method=cfg.method)
+    rows = []
+    summary = {}
+    for T in cfg.T_list:
+        case = [results[T, s] for s in range(cfg.scenarios)]
+        rows += [
+            {
+                "case_T": T,
+                "scenario": s,
+                "relative_error": r.relative_error,
+                "residual": r.final_residual,
+                "time_seconds": r.solver_time_seconds,
+                "converged": r.converged,
+            }
+            for s, r in enumerate(case)
+        ]
+        errors = [r.relative_error for r in case]
+        times = [r.solver_time_seconds for r in case]
         summary[T] = {
             "median_error": float(np.median(errors)),
             "min_error": float(np.min(errors)),

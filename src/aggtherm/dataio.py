@@ -20,7 +20,9 @@ import numpy as np
 
 from .model import ClusterDataset
 
-__all__ = ["parse_dataset", "write_dataset", "format_float", "dumps_json", "dump_json"]
+__all__ = [
+    "parse_dataset", "write_dataset", "format_float", "dumps_json", "dumps_json_line", "dump_json",
+]
 
 
 class DataFormatError(ValueError):
@@ -143,14 +145,23 @@ def format_float(x) -> str:
 _JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
-def _write_json(obj, out: io.StringIO, indent: int):
-    pad = " " * indent
+def _write_json(obj, out: io.StringIO, indent: int | None):
+    """Write ``obj`` with its object members indented by ``indent`` + 2
+    spaces; with ``indent`` None every object stays on one line."""
     if is_dataclass(obj) and not isinstance(obj, type):
         obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
     if isinstance(obj, dict):
         if not obj:
             out.write("{}")
             return
+        if indent is None:
+            out.write("{")
+            for n, (k, v) in enumerate(obj.items()):
+                out.write(f'"{k}": ' if n == 0 else f', "{k}": ')
+                _write_json(v, out, None)
+            out.write("}")
+            return
+        pad = " " * indent
         out.write("{\n")
         for n, (k, v) in enumerate(obj.items()):
             out.write(pad + "  " + f'"{k}": ')
@@ -189,6 +200,14 @@ def dumps_json(obj) -> str:
     order, arrays and tuples as lists."""
     out = io.StringIO()
     _write_json(obj, out, 0)
+    out.write("\n")
+    return out.getvalue()
+
+
+def dumps_json_line(obj) -> str:
+    """``dumps_json``'s text on one line, a JSON Lines record."""
+    out = io.StringIO()
+    _write_json(obj, out, None)
     out.write("\n")
     return out.getvalue()
 

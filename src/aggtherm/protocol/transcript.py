@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dataio import dumps_json
+from ..dataio import dumps_json_line
 from .messages import Message, Phase
 from .messages import encode_message  # noqa: F401  unused here; perfbench/tracer.py patches it by this name
 
@@ -80,7 +80,7 @@ class ProtocolTranscript:
     def write_jsonl(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             for rec in self.messages:
-                fh.write(dumps_json(rec).replace("\n", "") + "\n")
+                fh.write(dumps_json_line(rec))
 
 
 # most rows of a reference length compared before the full np.allclose

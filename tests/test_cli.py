@@ -292,4 +292,4 @@ class TestReportBytes:
         h = hashlib.sha256()
         for p in files:
             h.update(p.relative_to(tmp_path).as_posix().encode() + b"\0" + p.read_bytes())
-        assert h.hexdigest() == "29b1f99a7bb2997ef8a70aa9100c03eaab9f18df48dda21b73d0f44d199defa4"
+        assert h.hexdigest() == "ab76796e4d72a87dd62ebe0c7bcc80be5be7944852b04659a167fb30607b2a4d"

@@ -7,6 +7,7 @@ import pytest
 from aggtherm.dataio import (
     DataFormatError,
     dumps_json,
+    dumps_json_line,
     format_float,
     parse_dataset,
     write_dataset,
@@ -154,6 +155,14 @@ class TestReportFormat:
         assert back["failed"] == float("inf")
         assert back["v"][0] == -float("inf") and np.isnan(back["v"][1])
         assert back["v"][2:] == [float("inf"), 0.5]
+
+    def test_json_line_is_one_compact_line(self):
+        """A JSON Lines record holds the same values as the indented text,
+        on one line with no indent, nested objects included."""
+        obj = {"seq": 0, "shape": (2, 3), "c": {"nested": np.array([1.0, np.inf])}, "e": {}}
+        line = dumps_json_line(obj)
+        assert line == '{"seq": 0, "shape": [2, 3], "c": {"nested": [1, Infinity]}, "e": {}}\n'
+        assert json.loads(line) == json.loads(dumps_json(obj))
 
     def test_dataclass_is_its_fields_in_declaration_order(self):
         """A dataclass instance is written as the object of its fields in

@@ -14,9 +14,68 @@ from aggtherm.adversary import (
     solve_mqs,
     write_sweep_csv,
 )
+from aggtherm.model import lag_filter
 from aggtherm.protocol import ProtocolConfig, ProtocolRunner
 
 from _common import run_truth, synthetic_instance
+
+
+def loop_jacobian(inst, x):
+    """The row-by-row Jacobian assembly that ``MqsInstance.jacobian``
+    replaced, kept as the reference it must match bit for bit."""
+    K, L, T, M = inst.K, inst.L, inst.T, inst.M
+    tau, W = inst.unpack(x)
+    J = np.zeros((inst.n_equations, inst.n_unknowns))
+    iu, ju = inst._triu
+    n_pairs = len(iu)
+    row = 0
+    for l in range(L):
+        Wl = W[l]
+        w_off = inst.n_tau + l * K * K
+        for p in range(T + M):
+            J[row + p, p * K : (p + 1) * K] = inst.xi_in[l]
+        row += T + M
+        for n in range(n_pairs):
+            j, k = iu[n], ju[n]
+            J[row + n, w_off + j * K : w_off + (j + 1) * K] += Wl[k]
+            J[row + n, w_off + k * K : w_off + (k + 1) * K] += Wl[j]
+        row += n_pairs
+        for j in range(K):
+            J[row + j, w_off + j * K : w_off + (j + 1) * K] = 1.0
+        row += K
+        for j in range(K):
+            J[row : row + K, w_off + j * K : w_off + (j + 1) * K] += (
+                np.eye(K) * inst.xi_bar[l, j]
+            )
+        row += K
+        alpha = inst.alpha[l]
+        hat = lag_filter(tau, M, alpha)
+        for t in range(T):
+            base = row + t * K
+            for j in range(K):
+                r = base + j
+                J[r, w_off + j * K : w_off + (j + 1) * K] = hat[t]
+                cols0 = (M + t) * K
+                J[r, cols0 : cols0 + K] += Wl[j]
+                for m in range(1, M + 1):
+                    colm = (M + t - m) * K
+                    J[r, colm : colm + K] -= alpha[m - 1] * Wl[j]
+        row += T * K
+    return J
+
+
+def assert_jacobian_matches_loop(inst, seed=0):
+    """At the truth, a perturbed start, a random point and a point with
+    signed zeros, J equals the loop's, entry for entry and sign bit for
+    sign bit."""
+    rng = np.random.default_rng(seed)
+    truth = inst.pack(inst.true_values.tau, inst.true_values.W)
+    u = rng.random(truth.shape)
+    zeros = np.where(u < 0.25, -0.0, np.where(u < 0.5, 0.0, truth))
+    for x in (truth, inst.perturbed_start(rng), rng.normal(0.0, 5.0, truth.shape), zeros):
+        J, ref = inst.jacobian(x), loop_jacobian(inst, x)
+        assert np.array_equal(J, ref)
+        assert np.array_equal(np.signbit(J), np.signbit(ref))
 
 
 class TestInstance:
@@ -89,6 +148,22 @@ class TestInstance:
             xm[i] -= eps
             col = (inst.residual(xp) - inst.residual(xm)) / (2 * eps)
             assert np.max(np.abs(J[:, i] - col)) < 1e-6
+
+    @pytest.mark.parametrize("K, L, T, M", [(6, 3, 48, 2), (6, 3, 1, 2), (2, 1, 5, 1), (4, 2, 3, 3)])
+    def test_jacobian_matches_loop(self, K, L, T, M):
+        assert_jacobian_matches_loop(make_attack_instance(K=K, L=L, T=T, M=M, seed=7))
+
+    def test_jacobian_matches_loop_with_signed_zero_knowns(self):
+        """A -0.0 weight in the views keeps its sign in J, as the loop's
+        assignment keeps it."""
+        inst = make_attack_instance(K=3, L=2, T=4, M=2, seed=8)
+        tau = inst.true_values.tau
+        views = []
+        for v in inst.views:
+            xi = v.xi_in.copy()
+            xi[0] = -0.0
+            views.append(dataclasses.replace(v, xi_in=xi, s_sum=tau @ xi))
+        assert_jacobian_matches_loop(MqsInstance(views, inst.true_values))
 
     def test_w_like_tau_switch(self):
         a = make_attack_instance(K=3, L=2, T=4, M=2, seed=5, w_like_tau=False)
@@ -175,6 +250,46 @@ class TestSweep:
         assert len(parsed) == 4
         assert float(parsed[0]["relative_error"]) == rows_a[0]["relative_error"]
 
+    def test_solves_scenario_by_scenario_and_reports_t_major(self, monkeypatch):
+        """Every T of scenario 0 is solved before scenario 1, while the rows
+        stay T-major; each row matches a direct solve from the same seeds
+        in every field but the time."""
+        cfg = SweepConfig(K=3, L=2, T_list=(1, 2, 3), scenarios=2, max_iter=20)
+        direct, by_start = {}, {}
+        for T in cfg.T_list:
+            for s in range(cfg.scenarios):
+                seed = np.random.SeedSequence(cfg.seed, spawn_key=(3100, T, s))
+                inst = make_attack_instance(
+                    K=cfg.K, L=cfg.L, T=T, M=cfg.M, seed=int(seed.generate_state(1)[0])
+                )
+                rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(4000, T, s)))
+                init = inst.perturbed_start(rng)
+                by_start[init.tobytes()] = (T, s)
+                direct[T, s] = solve_mqs(inst, init, max_iter=cfg.max_iter)
+        visits = []
+        solve = mqs.solve_mqs
+
+        def recording_solve(inst, init, **kw):
+            visits.append(by_start[init.tobytes()])
+            return solve(inst, init, **kw)
+
+        monkeypatch.setattr(mqs, "solve_mqs", recording_solve)
+        rows, summary = attack_sweep(cfg)
+        assert visits == [(1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (3, 1)]
+        assert [(r["case_T"], r["scenario"]) for r in rows] == \
+            [(1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1)]
+        assert list(summary) == [1, 2, 3]
+        for r in rows:
+            want = direct[r["case_T"], r["scenario"]]
+            assert r == {
+                "case_T": r["case_T"], "scenario": r["scenario"],
+                "relative_error": want.relative_error, "residual": want.final_residual,
+                "time_seconds": r["time_seconds"], "converged": want.converged,
+            }
+        for T in cfg.T_list:
+            errors = [direct[T, s].relative_error for s in range(cfg.scenarios)]
+            assert summary[T]["median_error"] == float(np.median(errors))
+
 
 class TestSizes:
     @pytest.mark.parametrize("size", ["K", "L", "T", "M"])
@@ -227,6 +342,7 @@ class TestReplayFromProtocol:
         assert np.linalg.norm(inst.residual(x)) < 1e-8
         rep = counting_report(4, 2, 30, 2)
         assert inst.n_equations == rep.type3_equation_total
+        assert_jacobian_matches_loop(inst)
 
     def test_replay_requires_iterations(self):
         dataset, _, _ = synthetic_instance(K=3, T=20, M=2, T_occ=4, noise=0.1, seed=14)

@@ -177,6 +177,7 @@ class TestTranscript:
         assert len(lines) == len(transcript.messages)
         rec = json.loads(lines[0])
         assert set(rec) == {"seq", "iteration", "phase", "sender", "receiver", "shape", "digest"}
+        assert lines[0].startswith('{"seq": 0, "iteration": 0, ')
 
     def test_scan_ran_clean(self, small_run):
         *_, transcript = small_run
