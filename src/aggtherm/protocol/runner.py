@@ -10,17 +10,17 @@ transformed weights subproblem and broadcasts the encrypted weights
 (``XI_BAR_BROADCAST``); and agents return their recovered weights
 (``XI_RETURN``).
 
-Every agent sends one envelope per upload phase, and the coordinator reads
-every upload phase through ``ProtocolRunner._collect``: one payload per agent, in
-agent order, whatever the arrival order, so nothing it does depends on the
-transport; each agent reads its broadcasts through
-``ProtocolRunner._broadcast``, which accepts exactly one, from the
-coordinator.  Masked shares are uint64 ring elements, and the coordinator
-decodes only their sums.  Every payload crosses an in-process bus through
-the binary envelope codec; the transcript records digests, the
-coordinator-visible aggregates, and privacy-scan results.  The scan is run
-by an ``Auditor``, the trusted party that holds every agent's secrets, not
-by the coordinator or the agents.
+Every message is read through one receive rule, ``ProtocolRunner._collect``:
+exactly one message of the phase and round from each expected sender (the
+agents for an upload, the coordinator for a broadcast), returned in sender
+order whatever the arrival order, so nothing depends on the transport; a
+message from anyone else, a second message or a missing one aborts the
+round with one ``ProtocolError`` template.  Masked shares are uint64 ring
+elements, and the coordinator decodes only their sums.  Every payload
+crosses an in-process bus through the binary envelope codec; the transcript
+records digests, the coordinator-visible aggregates, and privacy-scan
+results.  The scan is run by an ``Auditor``, the trusted party that holds
+every agent's secrets, not by the coordinator or the agents.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .sap import (
     KIND_TE_A2,
     KIND_TE_W,
     PairwiseMaskSet,
+    check_fixed_range,
     decode_fixed,
     sap_aggregate,
     sap_mask,
@@ -60,7 +61,8 @@ BLA_ID = 0
 
 
 class ProtocolError(RuntimeError):
-    """Aborted round: missing share, or a private payload leaked in the clear."""
+    """Aborted round: a message that breaks the receive rule, or a private
+    payload leaked in the clear."""
 
 
 @dataclass
@@ -120,8 +122,19 @@ class BuildingAgent:
         self.xi_i: float | None = None  # assigned by the coordinator at setup
         self.w_history: dict[int, np.ndarray] = {}
 
+    def check_load_range(self, K: int):
+        """Raise ValueError, naming this agent, when its load series leaves
+        the fixed-point range of a K-share sum; the series is uploaded as is,
+        so this check before any upload is exact."""
+        check_fixed_range(self.load_col, K, f"agent {self.id}'s load series")
+
     def _masked(self, iteration: int, phase: Phase, x, masks: PairwiseMaskSet, kind: int) -> Message:
-        return Message(iteration, phase, self.id, BLA_ID, sap_mask(x, self.id, masks, kind))
+        try:
+            share = sap_mask(x, self.id, masks, kind)
+        except ValueError as exc:
+            where = f"agent {self.id}'s {phase.name} upload at iteration {iteration}"
+            raise ValueError(f"{where}: {exc}") from None
+        return Message(iteration, phase, self.id, BLA_ID, share)
 
     def sap_upload(self, iteration: int, masks: PairwiseMaskSet) -> list:
         """This round's ``SAP_S`` message, the masked weighted temperature
@@ -132,11 +145,12 @@ class BuildingAgent:
             msgs.append(self._masked(iteration, Phase.SAP_LOAD, self.load_col, masks, KIND_SAP_LOAD))
         return msgs
 
-    def te_upload(self, alpha_msg: Message, K: int, iteration: int, masks: PairwiseMaskSet) -> list:
+    def te_upload(self, alpha: np.ndarray, K: int, iteration: int, masks: PairwiseMaskSet) -> list:
         """This round's ``TE_A1``, ``TE_A2`` and ``TE_W`` messages: the masked
-        outer products of the filtered series and of a fresh encryption
-        column with that column, and the masked column."""
-        hat_col = lag_filter(self.tau_col, self.M, alpha_msg.payload)
+        outer products of the series filtered by the broadcast dynamics
+        ``alpha`` and of a fresh encryption column with that column, and the
+        masked column."""
+        hat_col = lag_filter(self.tau_col, self.M, alpha)
         rng = np.random.default_rng(
             np.random.SeedSequence(self.cfg.seed, spawn_key=(2000 + iteration, self.id))
         )
@@ -148,9 +162,8 @@ class BuildingAgent:
             self._masked(iteration, Phase.TE_W, w, masks, KIND_TE_W),
         ]
 
-    def xi_return_message(self, xi_bar_msg: Message, iteration: int) -> Message:
-        xi_bar = xi_bar_msg.payload.ravel()
-        self.xi_i = te_recover(self.w_history[iteration], xi_bar)
+    def xi_return_message(self, xi_bar: np.ndarray, iteration: int) -> Message:
+        self.xi_i = te_recover(self.w_history[iteration], xi_bar.ravel())
         return Message(iteration, Phase.XI_RETURN, self.id, BLA_ID, np.array([self.xi_i]))
 
 
@@ -218,8 +231,10 @@ class ProtocolRunner:
         self.transcript = ProtocolTranscript()
         self.bus = bus if bus is not None else InProcessBus(self.transcript)
         self.bus.transcript = self.transcript
-        occupancy_slots(self.T, cfg.T_occ)  # a bad T_occ or lambda stops the run before any upload
+        occupancy_slots(self.T, cfg.T_occ)  # a bad T_occ, lambda or load stops the run before any upload
         check_penalty(cfg.lam)
+        for agent in self.agents.values():
+            agent.check_load_range(self.K)
         if not (np.isfinite(cfg.w_mean) and np.isfinite(cfg.w_sd) and cfg.w_sd > 0):
             raise ValueError(
                 f"encryption columns need a finite w_mean and a finite w_sd > 0, got w_mean="
@@ -235,61 +250,48 @@ class ProtocolRunner:
     def _private_refs(self, iteration: int) -> list:
         return self.auditor.private_refs(iteration)
 
-    # -- reading one phase -----------------------------------------------------
+    # -- the one receive rule ------------------------------------------------
 
-    def _collect(self, phase: Phase, l: int) -> list:
-        """Every agent's one ``phase`` payload of round l, in agent order.
+    def _collect(self, receiver: int, phase: Phase, l: int, senders: list) -> list:
+        """The payload of each sender's one ``phase`` message of round l to
+        ``receiver``, in ``senders`` order.
 
-        Raises ProtocolError naming the senders when a share comes from an id
-        that is not an agent, when an agent sent a second share, or when an
-        agent's share is missing."""
-        got: dict[int, np.ndarray] = {}
+        Raises ProtocolError naming the phase, the receiver, the round and
+        the sorted ids when a message comes from an id not in ``senders``,
+        when a sender sent a second message, or when one sent none."""
+        known, got = set(senders), {}
         strangers, repeats = set(), set()
-        for m in self.bus.collect(BLA_ID, phase, l):
-            if m.sender not in self.agents:
+        for m in self.bus.collect(receiver, phase, l):
+            if m.sender not in known:
                 strangers.add(m.sender)
             elif m.sender in got:
                 repeats.add(m.sender)
             else:
                 got[m.sender] = m.payload
-        missing = {i for i in self.agent_ids if i not in got}
         for problem, ids in (
-            (f"{phase.name} share from unknown sender(s)", strangers),
-            (f"duplicate {phase.name} share from agent(s)", repeats),
-            (f"missing {phase.name} share from agent(s)", missing),
+            ("message from unknown sender(s)", strangers),
+            ("second message from sender(s)", repeats),
+            ("no message from sender(s)", known - got.keys()),
         ):
             if ids:
-                raise ProtocolError(f"{problem} {sorted(ids)} at iteration {l}")
-        return [got[i] for i in self.agent_ids]
+                raise ProtocolError(
+                    f"{phase.name} to receiver {receiver} at iteration {l}: {problem} {sorted(ids)}"
+                )
+        return [got[i] for i in senders]
 
-    def _broadcast(self, i: int, phase: Phase, l: int, what: str) -> Message:
-        """Agent i's one ``phase`` broadcast of round l (the ``what``
-        broadcast) from the coordinator.
-
-        Raises ProtocolError naming the phase and the senders when a message
-        comes from another id, when there is more than one, or when there is
-        none."""
-        inbox = self.bus.collect(i, phase, l)
-        forged = sorted(m.sender for m in inbox if m.sender != BLA_ID)
-        if forged:
-            raise ProtocolError(
-                f"{phase.name} to agent {i} from non-coordinator sender(s) {forged} at iteration {l}"
-            )
-        if len(inbox) > 1:
-            raise ProtocolError(
-                f"{len(inbox)} {phase.name} messages to agent {i} from sender(s) "
-                f"{[m.sender for m in inbox]} at iteration {l}"
-            )
-        if not inbox:
-            raise ProtocolError(
-                f"agent {i} missed the {what} broadcast at iteration {l} (no {phase.name} message)"
-            )
-        return inbox[0]
+    def _broadcast(self, phase: Phase, l: int, payload: np.ndarray):
+        """Send ``payload`` to every agent as its ``phase`` message of round
+        l, then yield each agent, in agent order, with the payload it read."""
+        for i in self.agent_ids:
+            self.bus.send(Message(l, phase, BLA_ID, i, payload))
+        for i in self.agent_ids:
+            (read,) = self._collect(i, phase, l, [BLA_ID])
+            yield self.agents[i], read
 
     def _aggregate(self, phase: Phase, l: int, payloads: list) -> np.ndarray:
         """Decoded sum of round l's ``phase`` shares; each whole share is
         appended to ``payloads`` for the privacy scan."""
-        shares = self._collect(phase, l)
+        shares = self._collect(BLA_ID, phase, l, self.agent_ids)
         for i, share in zip(self.agent_ids, shares):
             payloads.append((f"iter{l}/{phase.name.lower()}/agent{i}", share))
         return sap_aggregate(shares)
@@ -326,11 +328,8 @@ class ProtocolRunner:
         Returns (xi, beta, gamma, theta, tau_occ_free, f2)."""
         rnd = self._round
         masks = rnd["masks"]
-        for i in self.agent_ids:
-            self.bus.send(Message(l, Phase.ALPHA_BROADCAST, BLA_ID, i, alpha))
-        for i in self.agent_ids:
-            alpha_msg = self._broadcast(i, Phase.ALPHA_BROADCAST, l, "dynamics")
-            for msg in self.agents[i].te_upload(alpha_msg, self.K, l, masks):
+        for agent, alpha_read in self._broadcast(Phase.ALPHA_BROADCAST, l, alpha):
+            for msg in agent.te_upload(alpha_read, self.K, l, masks):
                 self.bus.send(msg)
 
         payloads = rnd["payloads"]
@@ -342,13 +341,11 @@ class ProtocolRunner:
             A1_sum, A2_sum, w_sum, self.c2, self.c3, self.c4, self.cfg.T_occ, self.cfg.lam
         )
 
-        for i in self.agent_ids:
-            self.bus.send(Message(l, Phase.XI_BAR_BROADCAST, BLA_ID, i, xi_bar))
-        for i in self.agent_ids:
-            xi_bar_msg = self._broadcast(i, Phase.XI_BAR_BROADCAST, l, "weights")
-            self.bus.send(self.agents[i].xi_return_message(xi_bar_msg, l))
+        for agent, xi_bar_read in self._broadcast(Phase.XI_BAR_BROADCAST, l, xi_bar):
+            self.bus.send(agent.xi_return_message(xi_bar_read, l))
 
-        xi_new = np.array([float(p[0, 0]) for p in self._collect(Phase.XI_RETURN, l)])
+        returns = self._collect(BLA_ID, Phase.XI_RETURN, l, self.agent_ids)
+        xi_new = np.array([float(p[0, 0]) for p in returns])
 
         view = RoundView(
             xi_in=rnd["xi_in"],
@@ -378,8 +375,8 @@ def run_protocol(dataset: ClusterDataset, cfg: ProtocolConfig, bus: InProcessBus
     """Run the privacy-preserving estimation end to end.
 
     Returns (FitResult, ProtocolTranscript).  Raises ProtocolError when a
-    share is missing for a round or the transcript scanner detects an
-    unmasked private payload.
+    message is missing, repeated or from an unexpected sender, or the
+    transcript scanner detects an unmasked private payload.
     """
     runner = ProtocolRunner(dataset, cfg, bus=bus)
     return runner.run()

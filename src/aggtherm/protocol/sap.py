@@ -35,6 +35,7 @@ __all__ = [
     "FRAC_BITS",
     "PairwiseMaskSet",
     "fixed_point_bound",
+    "check_fixed_range",
     "encode_fixed",
     "decode_fixed",
     "sap_mask",
@@ -209,19 +210,26 @@ def fixed_point_bound(K: int) -> float:
     return 2.0 ** (62 - FRAC_BITS) / K
 
 
+def check_fixed_range(x: np.ndarray, K: int, what: str = "input") -> None:
+    """Raise ValueError, naming ``what``, its entry of largest magnitude and
+    the bound, when an entry of the float array x is non-finite or not below
+    ``fixed_point_bound(K)`` in magnitude."""
+    bound = fixed_point_bound(K)
+    if x.size and not (x.max() < bound and x.min() > -bound):  # NaN fails both
+        peak = float(x.flat[np.argmax(np.abs(x))])  # a NaN if there is one
+        raise ValueError(
+            f"{what} has entry {peak!r}, which is non-finite or outside the "
+            f"fixed-point range |x| < {bound!r} (2^{62 - FRAC_BITS}/K for K={K})"
+        )
+
+
 def encode_fixed(x, K: int) -> np.ndarray:
     """Encode a real tensor as signed fixed-point ring elements (uint64).
 
-    Raises ValueError when an entry is non-finite or not below
-    ``fixed_point_bound(K)``, instead of letting it wrap."""
+    Raises ValueError (``check_fixed_range``) when an entry is non-finite or
+    not below ``fixed_point_bound(K)``, instead of letting it wrap."""
     x = np.asarray(x, dtype=float)
-    bound = fixed_point_bound(K)
-    if x.size and not (x.max() < bound and x.min() > -bound):  # NaN fails both
-        bad = x[~(np.abs(x) < bound)].ravel()[0]
-        raise ValueError(
-            f"entry {bad!r} is non-finite or outside the fixed-point range "
-            f"|x| < {bound!r} (2^{62 - FRAC_BITS}/K for K={K})"
-        )
+    check_fixed_range(x, K)
     scaled = x * _SCALE  # exact: a power-of-two scale
     return np.rint(scaled, out=scaled).astype(np.int64).view(np.uint64)
 

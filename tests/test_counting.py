@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 
 import pytest
 
 from aggtherm.adversary import counting_report
+from aggtherm.adversary.counting import CountingReport
 
 
 def enumerate_scalar_equations(K, L, T, M):
@@ -87,6 +89,18 @@ class TestCountingExamples:
     def test_bad_sizes(self):
         with pytest.raises(ValueError, match=r"^K must be >= 1, got 0$"):
             counting_report(K=0, L=1, T=1, M=1)
+
+    def test_as_dict_has_one_leaf_per_field(self):
+        """``as_dict`` is written by hand: every dataclass field must appear
+        in it exactly once, so a field added without its JSON entry fails."""
+        names = [f.name for f in dataclasses.fields(CountingReport)]
+        report = CountingReport(**{n: f"<{n}>" for n in names})
+
+        def leaves(d):
+            for v in d.values():
+                yield from leaves(v) if isinstance(v, dict) else (v,)
+
+        assert sorted(leaves(report.as_dict())) == sorted(f"<{n}>" for n in names)
 
 
 class TestAgainstEnumeration:

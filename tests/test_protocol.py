@@ -185,33 +185,82 @@ class TestTranscript:
         assert transcript.scan_findings == []
 
 
+def receive_error(phase, receiver, problem, ids):
+    """Exact pattern of the one receive-rule ``ProtocolError`` in round 0."""
+    return "^" + re.escape(f"{phase.name} to receiver {receiver} at iteration 0: {problem} {ids}") + "$"
+
+
+BROADCASTS = (Phase.ALPHA_BROADCAST, Phase.XI_BAR_BROADCAST)
+
+
+class FaultBus(InProcessBus):
+    """Delivers round 0's one ``phase`` message on the link between agent 2
+    and the coordinator wrongly: not at all (``missing``), twice
+    (``second``), or together with a copy from id 4, which is no
+    participant at K=3 (``unknown``)."""
+
+    def __init__(self, transcript, phase, fault):
+        super().__init__(transcript)
+        self.phase, self.fault = phase, fault
+
+    def send(self, msg):
+        agent = msg.receiver if msg.phase in BROADCASTS else msg.sender
+        if (msg.phase, msg.iteration, agent) != (self.phase, 0, 2):
+            return super().send(msg)
+        if self.fault == "unknown":
+            super().send(Message(msg.iteration, msg.phase, 4, msg.receiver, msg.payload))
+        if self.fault != "missing":
+            super().send(msg)
+        if self.fault == "second":
+            super().send(msg)
+
+
 class TestFailureModes:
     def test_dropout_aborts_with_agent_name(self):
         dataset, _, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.1, seed=5)
         transcript = ProtocolTranscript()
         bus = InProcessBus(transcript, drop={(Phase.SAP_S, 2)})
         cfg = ProtocolConfig(lam=1.0, tol=1e-6, T_occ=6, seed=5)
-        with pytest.raises(ProtocolError, match=r"agent\(s\) \[2\]"):
+        message = "SAP_S to receiver 0 at iteration 0: no message from sender(s) [2]"
+        with pytest.raises(ProtocolError, match="^" + re.escape(message) + "$"):
             run_protocol(dataset, cfg, bus=bus)
 
     def test_te_dropout_aborts(self):
         dataset, _, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.1, seed=5)
         bus = InProcessBus(ProtocolTranscript(), drop={(Phase.TE_A2, 1)})
-        with pytest.raises(ProtocolError, match=r"missing TE_A2 share from agent\(s\) \[1\]"):
+        match = receive_error(Phase.TE_A2, 0, "no message from sender(s)", [1])
+        with pytest.raises(ProtocolError, match=match):
             run_protocol(dataset, ProtocolConfig(lam=1.0, tol=1e-6, T_occ=6, seed=5), bus=bus)
 
     @pytest.mark.parametrize("phase", list(Phase), ids=lambda p: p.name)
     def test_phase_dropout_aborts(self, phase):
         """Every message of one phase from one sender is lost: the round that
         needs it stops and names the phase and who missed it."""
-        broadcast = {Phase.ALPHA_BROADCAST: "dynamics", Phase.XI_BAR_BROADCAST: "weights"}
-        if phase in broadcast:
-            sender, message = 0, f"agent 1 missed the {broadcast[phase]} broadcast at iteration 0"
+        if phase in BROADCASTS:  # the coordinator's are lost; agent 1 reads first
+            sender, receiver = 0, 1
         else:
-            sender, message = 2, rf"missing {phase.name} share from agent\(s\) \[2\] at iteration 0"
+            sender, receiver = 2, 0
         dataset, _, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.1, seed=5)
         bus = InProcessBus(ProtocolTranscript(), drop={(phase, sender)})
-        with pytest.raises(ProtocolError, match=message):
+        match = receive_error(phase, receiver, "no message from sender(s)", [sender])
+        with pytest.raises(ProtocolError, match=match):
+            run_protocol(dataset, ProtocolConfig(lam=1.0, tol=1e-6, T_occ=6, seed=5), bus=bus)
+
+    @pytest.mark.parametrize("fault, problem", [
+        ("missing", "no message from sender(s)"),
+        ("second", "second message from sender(s)"),
+        ("unknown", "message from unknown sender(s)"),
+    ])
+    @pytest.mark.parametrize("phase", list(Phase), ids=lambda p: p.name)
+    def test_receive_rule_on_every_phase(self, phase, fault, problem):
+        """Every phase, upload or broadcast, is read by the one receive rule:
+        a lost, repeated or stranger's message on agent 2's link stops round
+        0 with the one error text, naming the receiver and the sender."""
+        receiver, sender = (2, 0) if phase in BROADCASTS else (0, 2)
+        dataset, _, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.1, seed=5)
+        bus = FaultBus(ProtocolTranscript(), phase, fault)
+        ids = [4] if fault == "unknown" else [sender]
+        with pytest.raises(ProtocolError, match=receive_error(phase, receiver, problem, ids)):
             run_protocol(dataset, ProtocolConfig(lam=1.0, tol=1e-6, T_occ=6, seed=5), bus=bus)
 
     def test_forged_broadcast_rejected(self):
@@ -228,7 +277,7 @@ class TestFailureModes:
         bus = ForgingBus(ProtocolTranscript())
         with pytest.raises(
             ProtocolError,
-            match=re.escape("XI_BAR_BROADCAST to agent 1 from non-coordinator sender(s) [3] at iteration 0"),
+            match=receive_error(Phase.XI_BAR_BROADCAST, 1, "message from unknown sender(s)", [3]),
         ):
             run_protocol(dataset, ProtocolConfig(lam=1.0, tol=1e-6, T_occ=6, seed=5), bus=bus)
 
@@ -245,7 +294,7 @@ class TestFailureModes:
         bus = TwiceBus(ProtocolTranscript())
         with pytest.raises(
             ProtocolError,
-            match=re.escape("2 ALPHA_BROADCAST messages to agent 1 from sender(s) [0, 0] at iteration 0"),
+            match=receive_error(Phase.ALPHA_BROADCAST, 1, "second message from sender(s)", [0]),
         ):
             run_protocol(dataset, ProtocolConfig(lam=1.0, tol=1e-6, T_occ=6, seed=5), bus=bus)
 
@@ -261,7 +310,7 @@ class TestFailureModes:
         dataset, _, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.1, seed=5)
         bus = TwiceBus(ProtocolTranscript())
         with pytest.raises(
-            ProtocolError, match=r"duplicate SAP_S share from agent\(s\) \[1, 2, 3\] at iteration 0"
+            ProtocolError, match=receive_error(Phase.SAP_S, 0, "second message from sender(s)", [1, 2, 3])
         ):
             run_protocol(dataset, ProtocolConfig(lam=1.0, tol=1e-6, T_occ=6, seed=5), bus=bus)
 
@@ -277,7 +326,7 @@ class TestFailureModes:
         dataset, _, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.1, seed=5)
         bus = StrangerBus(ProtocolTranscript())
         with pytest.raises(
-            ProtocolError, match=r"SAP_S share from unknown sender\(s\) \[4\] at iteration 0"
+            ProtocolError, match=receive_error(Phase.SAP_S, 0, "message from unknown sender(s)", [4])
         ):
             run_protocol(dataset, ProtocolConfig(lam=1.0, tol=1e-6, T_occ=6, seed=5), bus=bus)
 
@@ -446,6 +495,41 @@ class TestConfigPaths:
             ProtocolRunner(dataset, ProtocolConfig(T_occ=t_occ, seed=18), bus=bus).run()
         assert bus.transcript.messages == [] and bus.mailboxes == {}
 
+    def test_load_out_of_fixed_point_range_rejected_before_any_upload(self):
+        """Loads 1e5 times larger leave the fixed-point range 2^18/K.  Each
+        agent checks its load series, which it uploads as is, before any
+        message is sent, and the error names the agent, the series and its
+        largest entry."""
+        dataset, _, _ = synthetic_instance(K=4, T=60, M=2, T_occ=6, noise=0.1, seed=3)
+        scaled = dataclasses.replace(dataset, h_load=dataset.h_load * 1e5)
+        col = scaled.h_load[:, 0]
+        peak = float(col[np.argmax(np.abs(col))])
+        bus = InProcessBus(ProtocolTranscript())
+        message = (
+            f"agent 1's load series has entry {peak!r}, which is non-finite or outside "
+            "the fixed-point range |x| < 65536.0 (2^18/K for K=4)"
+        )
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            run_protocol(scaled, ProtocolConfig(lam=1.0, T_occ=6, seed=3), bus=bus)
+        assert bus.transcript.messages == [] and bus.mailboxes == {}
+
+    def test_upload_out_of_fixed_point_range_names_agent_and_phase(self):
+        """Temperatures 1e5 times larger push the weighted series xi_i tau_i
+        out of range; the encode failure names the agent, the phase and the
+        round, with the entry as a plain float."""
+        dataset, _, _ = synthetic_instance(K=4, T=60, M=2, T_occ=6, noise=0.1, seed=3)
+        scaled = dataclasses.replace(dataset, tau_in=dataset.tau_in * 1e5)
+        share = 0.25 * scaled.tau_in[:, 0]  # agent 1's SAP_S input at the uniform start
+        peak = float(share[np.argmax(np.abs(share))])
+        bus = InProcessBus(ProtocolTranscript())
+        message = (
+            f"agent 1's SAP_S upload at iteration 0: input has entry {peak!r}, which is "
+            "non-finite or outside the fixed-point range |x| < 65536.0 (2^18/K for K=4)"
+        )
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            run_protocol(scaled, ProtocolConfig(lam=1.0, T_occ=6, seed=3), bus=bus)
+        assert bus.transcript.messages == []
+
     @pytest.mark.parametrize(
         "w_mean, w_sd",
         [(0.1, 0.0), (0.1, -0.1), (0.1, np.nan), (0.1, np.inf), (np.nan, 0.1), (-np.inf, 0.1)],
@@ -590,8 +674,7 @@ class TestMaskedUpload:
         assert np.allclose(got_s.ravel(), dataset.tau_in @ xi, rtol=1e-10, atol=1e-9)
         assert np.allclose(got_l.ravel(), dataset.h_load.sum(axis=1), rtol=1e-10, atol=1e-9)
 
-        alpha_msg = Message(0, Phase.ALPHA_BROADCAST, 0, 1, np.array([0.9, -0.2]))
-        te_ups = [ag.te_upload(alpha_msg, 3, 0, masks) for ag in agents]
+        te_ups = [ag.te_upload(np.array([0.9, -0.2]), 3, 0, masks) for ag in agents]
         _, got_gram, got_w = check(
             te_ups, [Phase.TE_A1, Phase.TE_A2, Phase.TE_W], [(50, 3), (3, 3), (3, 1)]
         )
@@ -607,9 +690,8 @@ class TestMaskedUpload:
 
         dataset, _, _ = synthetic_instance(K=2, T=30, M=2, T_occ=6, noise=0.1, seed=31)
         agent = BuildingAgent(1, dataset.tau_in[:, 0], dataset.h_load[:, 0], 2, ProtocolConfig())
-        msg = Message(0, Phase.ALPHA_BROADCAST, 0, 1, np.array(alpha))
         with pytest.raises(ValueError, match="alpha must have M=2 entries"):
-            agent.te_upload(msg, 2, 0, PairwiseMaskSet(31, [1, 2], iteration=0))
+            agent.te_upload(np.array(alpha), 2, 0, PairwiseMaskSet(31, [1, 2], iteration=0))
 
 
 class TestWeightsFreshness:

@@ -22,6 +22,7 @@ from aggtherm.protocol.sap import (
     SEGMENT,
     SUBS,
     PairwiseMaskSet,
+    check_fixed_range,
     decode_fixed,
     encode_fixed,
     fixed_point_bound,
@@ -148,6 +149,15 @@ class TestSapMask:
         for bad in (bound, -bound, 1e300, np.inf, -np.inf, np.nan):
             with pytest.raises(ValueError, match=f"< {bound!r}"):
                 sap_mask(np.array([1.0, bad]), 1, masks, KIND_SAP_S)
+
+    def test_range_error_names_largest_entry(self):
+        """The one range check names what it checked, the entry of largest
+        magnitude (a NaN before any other) and the bound."""
+        tail = ", which is non-finite or outside the fixed-point range |x| < 65536.0 (2^18/K for K=4)"
+        for x, peak in (([1.0, -9e5, 7e5], "-900000.0"), ([1e6, np.nan, np.inf], "nan")):
+            with pytest.raises(ValueError, match="^" + re.escape(f"loads has entry {peak}{tail}") + "$"):
+                check_fixed_range(np.array(x), 4, "loads")
+        check_fixed_range(np.array([65535.0, -65535.0]), 4, "loads")
 
     def test_sum_at_the_bound_does_not_wrap(self):
         K = 8
