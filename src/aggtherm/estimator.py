@@ -43,9 +43,10 @@ __all__ = [
 
 # Descent slack of the alternating fit, relative to the objective's scale:
 # a step fails to descend when f_new > f_old + DESCENT_RTOL * max(1, |f_old|).
-# It has to cover the private weights step, whose f2 carries a fixed-point
-# error that grows like cond(W)^2 for the encryption matrix W; on K=7,
-# T=1440 data that error reached 6.2e-7 of f in 1 of 2400 fits.
+# It was sized for the private weights step when its Gram sum W W^T was
+# rounded to 2^-44, an f2 error that grew like cond(W)^2 and reached 6.2e-7
+# of f in 1 of 2400 K=7, T=1440 fits.  Encryption columns on the 2^-22 grid
+# make that sum exact; the slack still covers the series' rounding.
 DESCENT_RTOL = 1e-6
 
 

@@ -35,7 +35,9 @@ XI_RETURN         5     agent -> coordinator    xi_i, (1, 1) f64
 ================  ====  ======================  ================================
 
 Masked secure-aggregation shares travel as u64 ring elements; every other
-payload is f64.
+payload is f64.  An upload's code is also its mask segment: the pairwise
+mask stream of phase p is segment ``int(p)`` of each pair's round keystream
+(``sap.PairwiseMaskSet``), so renumbering a phase moves its mask stream.
 """
 
 from __future__ import annotations

@@ -32,18 +32,7 @@ import numpy as np
 from ..estimator import FitResult, alternate, check_penalty, check_start, solve_sp1_from_parts
 from ..model import ClusterDataset, lag_columns, lag_filter, lag_view, occupancy_slots
 from .messages import Message, Phase, decode_message, encode_message
-from .sap import (
-    KIND_SAP_LOAD,
-    KIND_SAP_S,
-    KIND_TE_A1,
-    KIND_TE_A2,
-    KIND_TE_W,
-    PairwiseMaskSet,
-    check_fixed_range,
-    decode_fixed,
-    sap_aggregate,
-    sap_mask,
-)
+from .sap import PairwiseMaskSet, check_fixed_range, decode_fixed, sap_aggregate, sap_mask
 from .te import W_MEAN, W_SD, compute_te_uploads, gen_encryption_col, solve_sp2_masked, te_recover
 from .transcript import ProtocolTranscript, RoundView, scan_payloads
 
@@ -128,9 +117,9 @@ class BuildingAgent:
         so this check before any upload is exact."""
         check_fixed_range(self.load_col, K, f"agent {self.id}'s load series")
 
-    def _masked(self, iteration: int, phase: Phase, x, masks: PairwiseMaskSet, kind: int) -> Message:
+    def _masked(self, iteration: int, phase: Phase, x, masks: PairwiseMaskSet) -> Message:
         try:
-            share = sap_mask(x, self.id, masks, kind)
+            share = sap_mask(x, self.id, masks, phase)
         except ValueError as exc:
             where = f"agent {self.id}'s {phase.name} upload at iteration {iteration}"
             raise ValueError(f"{where}: {exc}") from None
@@ -140,9 +129,9 @@ class BuildingAgent:
         """This round's ``SAP_S`` message, the masked weighted temperature
         series, and in round 0 the ``SAP_LOAD`` message, the masked load
         series, which does not change between rounds."""
-        msgs = [self._masked(iteration, Phase.SAP_S, self.xi_i * self.tau_col, masks, KIND_SAP_S)]
+        msgs = [self._masked(iteration, Phase.SAP_S, self.xi_i * self.tau_col, masks)]
         if iteration == 0:
-            msgs.append(self._masked(iteration, Phase.SAP_LOAD, self.load_col, masks, KIND_SAP_LOAD))
+            msgs.append(self._masked(iteration, Phase.SAP_LOAD, self.load_col, masks))
         return msgs
 
     def te_upload(self, alpha: np.ndarray, K: int, iteration: int, masks: PairwiseMaskSet) -> list:
@@ -157,9 +146,9 @@ class BuildingAgent:
         w = self.w_history[iteration] = gen_encryption_col(K, rng, self.cfg.w_mean, self.cfg.w_sd)
         A1, A2 = compute_te_uploads(hat_col, w)
         return [
-            self._masked(iteration, Phase.TE_A1, A1, masks, KIND_TE_A1),
-            self._masked(iteration, Phase.TE_A2, A2, masks, KIND_TE_A2),
-            self._masked(iteration, Phase.TE_W, w, masks, KIND_TE_W),
+            self._masked(iteration, Phase.TE_A1, A1, masks),
+            self._masked(iteration, Phase.TE_A2, A2, masks),
+            self._masked(iteration, Phase.TE_W, w, masks),
         ]
 
     def xi_return_message(self, xi_bar: np.ndarray, iteration: int) -> Message:

@@ -17,7 +17,7 @@ share order.  Without the pair keys, each share on its own is
 indistinguishable from uniform over the ring; the graph has vertex
 connectivity 2h, so any proper subset of the shares sums to uniform noise,
 and unmasking one agent takes the keys of all 2h of its neighbours.  Every
-masking pair has one fresh AES-128 key per round, and each (kind, sub)
+masking pair has one fresh AES-128 key per round, and each upload phase's
 stream is a fixed, disjoint segment of that pair's AES counter-mode
 keystream, the PRG of Bonawitz et al., "Practical Secure Aggregation for
 Privacy-Preserving Machine Learning" (CCS 2017).
@@ -31,6 +31,8 @@ from collections import Counter
 
 import numpy as np
 
+from .messages import Phase
+
 __all__ = [
     "FRAC_BITS",
     "PairwiseMaskSet",
@@ -42,14 +44,6 @@ __all__ = [
     "sap_aggregate",
 ]
 
-# mask kinds: (code, sub) identifies an independent stream per pair
-KIND_SAP_S = 0  # weighted temperature series (T + M rows)
-KIND_SAP_LOAD = 1  # load series (T + M rows)
-KIND_TE_A1 = 2
-KIND_TE_A2 = 3
-KIND_TE_W = 4
-N_KINDS = KIND_TE_W + 1
-SUBS = 4  # subs per kind: stream (kind, sub) is segment kind * SUBS + sub
 SEGMENT = 2**48  # words per segment of a pair's round stream (2^47 AES blocks)
 _WORD = np.dtype("<u8")  # a mask word: one little-endian half of an AES block
 
@@ -96,18 +90,18 @@ class PairwiseMaskSet:
     for this round.
 
     A pair's round stream is AES-128 in counter mode (NIST SP 800-38A):
-    word w of stream (kind, sub) is the little-endian 64-bit half
+    word w of upload phase p's stream is the little-endian 64-bit half
     ``w mod 2`` of the encrypted big-endian 128-bit counter
-    ``(kind * SUBS + sub) * SEGMENT / 2 + w // 2``.  Each stream is thus a
-    fixed segment of ``SEGMENT`` words, and requests may come in any order
-    and repeat.  ``mask`` encrypts the request's counter blocks, built once
+    ``int(p) * SEGMENT / 2 + w // 2``: the phase's wire code is its
+    segment.  Each stream is thus a fixed segment of ``SEGMENT`` words, and
+    requests may come in any order and repeat.  ``mask`` encrypts the request's counter blocks, built once
     per set, with the pair's ECB encryptor; the first request makes every
     pair's encryptor for the round.  Through OpenSSL's AES-NI code a word
     costs about 1.1-1.4 ns on a 2-core x86 host, against 3.6-4.9 ns for
     numpy's PCG64.  ``cryptography`` is imported when the first key is
     derived, so a process that never masks does not load it.
 
-    ``net_mask`` generates each pair's stream once per (kind, sub, shape)
+    ``net_mask`` generates each pair's stream once per (phase, shape)
     and keeps every agent's net sum until that agent takes it, so at most
     one pending sum per agent is held for each stream.
     """
@@ -127,8 +121,8 @@ class PairwiseMaskSet:
         self.agent_ids = ids
         self.iteration = iteration
         self._encryptors: dict = {}  # (i, j) -> the pair's AES-128 ECB encryptor, on first request
-        self._streams: dict = {}  # (kind, sub, shape) -> the stream's counter blocks
-        self._pending: dict = {}  # (kind, sub, shape) -> {agent id: net mask}
+        self._streams: dict = {}  # (phase, shape) -> the stream's counter blocks
+        self._pending: dict = {}  # (phase, shape) -> {agent id: net mask}
 
     def _derive_keys(self) -> None:
         """This round's key of every listed pair, from one ``SeedSequence``,
@@ -154,47 +148,45 @@ class PairwiseMaskSet:
             raise ValueError(f"pair ({i}, {j}) is not in this mask set {self.agent_ids}")
         return enc
 
-    def _stream(self, kind: int, sub: int, dims: tuple) -> bytes:
+    def _stream(self, phase: Phase, dims: tuple) -> bytes:
         """Check a stream request and build its counter blocks, once per set."""
-        if not 0 <= kind < N_KINDS:
-            raise ValueError(f"mask kind {kind!r} is outside 0..{N_KINDS - 1}")
-        if not 0 <= sub < SUBS:
-            raise ValueError(f"mask sub {sub!r} is outside 0..{SUBS - 1}")
+        if not isinstance(phase, Phase):
+            raise ValueError(f"mask stream {phase!r} is not a Phase")
         size = math.prod(dims)
         if size > SEGMENT:
             raise ValueError(f"mask stream of {size} words is longer than its segment of {SEGMENT}")
-        blocks = self._streams[kind, sub, dims] = _counter_blocks(kind * SUBS + sub, size)
+        blocks = self._streams[phase, dims] = _counter_blocks(int(phase), size)
         return blocks
 
-    def mask(self, i: int, j: int, kind: int, sub: int, shape) -> np.ndarray:
-        """Mask shared by listed pair (i, j), i < j, for one stream and shape (uint64)."""
+    def mask(self, i: int, j: int, phase: Phase, shape) -> np.ndarray:
+        """Mask shared by listed pair (i, j), i < j, for one phase's stream and shape (uint64)."""
         dims = _mask_shape(shape)
-        blocks = self._streams.get((kind, sub, dims))
+        blocks = self._streams.get((phase, dims))
         if blocks is None:
-            blocks = self._stream(kind, sub, dims)
+            blocks = self._stream(phase, dims)
         enc = self._encryptors.get((i, j)) or self._encryptor(i, j)
         out = np.empty(len(blocks) + 16, dtype=np.uint8)  # update_into wants 15 bytes of slack
         enc.update_into(blocks, out)
         return np.ndarray(dims, _WORD, out)
 
-    def net_mask(self, agent_id: int, kind: int, sub: int, shape) -> np.ndarray:
-        """Agent ``agent_id``'s net mask for one stream and shape (uint64):
+    def net_mask(self, agent_id: int, phase: Phase, shape) -> np.ndarray:
+        """Agent ``agent_id``'s net mask for one phase's stream and shape (uint64):
         the sum mod 2^64 of its pair masks toward higher-id neighbours minus
         those toward lower-id neighbours.  The K net masks of a stream sum to
         zero.
 
-        The first request for a (kind, sub, shape) walks the listed pairs
+        The first request for a (phase, shape) walks the listed pairs
         once and holds every agent's sum; each sum is handed out once, and a
         repeated request for an agent generates the stream again."""
         if agent_id not in self.agent_ids:
             raise ValueError(f"agent {agent_id} is not in this mask set {self.agent_ids}")
         dims = _mask_shape(shape)
-        key = (kind, sub, dims)
+        key = (phase, dims)
         pending = self._pending.get(key)
         if pending is None or agent_id not in pending:
             pending = {i: np.zeros(dims, dtype=np.uint64) for i in self.agent_ids}
             for i, j in self.pairs:
-                m = self.mask(i, j, kind, sub, dims)
+                m = self.mask(i, j, phase, shape=dims)
                 pending[i] += m
                 pending[j] -= m
             self._pending[key] = pending
@@ -242,13 +234,13 @@ def decode_fixed(u) -> np.ndarray:
     return u.view(np.int64) / _SCALE
 
 
-def sap_mask(x, agent_id: int, masks: PairwiseMaskSet, kind: int, sub: int = 0) -> np.ndarray:
-    """Encode and mask a private tensor: add the agent's net mask (its pair
-    masks toward higher-id neighbours minus those toward lower-id
-    neighbours) mod 2^64.
+def sap_mask(x, agent_id: int, masks: PairwiseMaskSet, phase: Phase) -> np.ndarray:
+    """Encode and mask a private tensor as its upload ``phase``: add the
+    agent's net mask of that phase's stream (its pair masks toward higher-id
+    neighbours minus those toward lower-id neighbours) mod 2^64.
     Summing all K masked tensors cancels every mask."""
     out = encode_fixed(x, len(masks.agent_ids))
-    out += masks.net_mask(agent_id, kind, sub, out.shape)
+    out += masks.net_mask(agent_id, phase, out.shape)
     return out
 
 

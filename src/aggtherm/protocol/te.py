@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..estimator import solve_weights_qp
+from ..estimator import EstimationError, solve_weights_qp
+from .sap import FRAC_BITS
 
 __all__ = [
     "gen_encryption_col",
@@ -26,8 +27,12 @@ W_MEAN, W_SD = 0.1, 0.1
 
 
 def gen_encryption_col(K: int, rng: np.random.Generator, mean: float = W_MEAN, sd: float = W_SD):
-    """One agent's private encryption column: K draws from Normal(mean, sd)."""
-    return rng.normal(mean, sd, size=K)
+    """One agent's private encryption column: K draws from Normal(mean, sd),
+    rounded to the grid of step 2^-(FRAC_BITS/2).  Every product w_i w_j is
+    then a multiple of 2^-FRAC_BITS, so the fixed-point shares of w w^T carry
+    no rounding and the coordinator's Gram sum W W^T is exact."""
+    steps = 2.0 ** (FRAC_BITS // 2)  # grid steps per unit
+    return np.rint(rng.normal(mean, sd, size=K) * steps) / steps
 
 
 def compute_te_uploads(hat_tau_col: np.ndarray, w_col: np.ndarray):
@@ -53,7 +58,9 @@ def solve_sp2_masked(
 
     Minimizes ||A1_sum v - c2 b - c3 g - c4 th - u[t mod T_occ]||^2
     + lam v'A2_sum v subject to w_sum'v = 1.  Returns (xi_bar, beta, gamma,
-    theta, tau_occ_free, f2).
+    theta, tau_occ_free, f2).  Raises EstimationError when A2_sum = W W^T is
+    singular: the transformed problem is then no reparameterization of the
+    plain one, and its solution would be wrong without a warning.
     """
     A1_sum = np.asarray(A1_sum, dtype=float)
     A2_sum = np.asarray(A2_sum, dtype=float)
@@ -66,6 +73,9 @@ def solve_sp2_masked(
         raise ValueError(f"aggregated Gram matrix is asymmetric (max dev {asym:.3e})")
     if not np.any(w_sum):
         raise ValueError("aggregated encryption-column sum is zero")
+    rank = np.linalg.matrix_rank(A2_sum)
+    if rank < K:
+        raise EstimationError(f"aggregated Gram matrix W W^T has rank {rank} < K={K}: the encryption matrix is singular")
     A2_sym = 0.5 * (A2_sum + A2_sum.T)
     return solve_weights_qp(
         A1_sum, c2, c3, c4, T_occ, lam * A2_sym, w_sum, nonneg=False

@@ -75,7 +75,7 @@ def run_truth(runner):
     return MqsTruth(tau=runner.dataset.tau_in.copy(), W=np.array(W))
 
 
-def zero_mask(self, i, j, kind, sub, shape):
+def zero_mask(self, i, j, phase, shape):
     """Stand-in for ``PairwiseMaskSet.mask`` that masks nothing: shares are
     then the plain fixed-point encodings, which the privacy scan must catch."""
     return np.zeros(shape, dtype=np.uint64)

@@ -25,14 +25,8 @@ from aggtherm.dataio import parse_dataset
 from aggtherm.estimator import solve_sp2_plain
 from aggtherm.model import aggregate_state, predict_aggregate, split_dataset
 from aggtherm.protocol import ProtocolConfig, run_protocol
-from aggtherm.protocol.sap import (
-    KIND_SAP_S,
-    KIND_TE_A2,
-    PairwiseMaskSet,
-    decode_fixed,
-    sap_aggregate,
-    sap_mask,
-)
+from aggtherm.protocol.messages import Phase
+from aggtherm.protocol.sap import PairwiseMaskSet, decode_fixed, sap_aggregate, sap_mask
 from aggtherm.protocol.te import solve_sp2_masked
 
 from test_counting import enumerate_scalar_equations
@@ -96,12 +90,13 @@ def test_criterion_3_sap_sum_invariance_and_clean_transcripts():
         T, K = 60, 5
         ids = list(range(1, K + 1))
         shapes = [(T,), (T, K), (K, K), (K,)]
+        uploads = [Phase.SAP_S, Phase.SAP_LOAD, Phase.TE_A1, Phase.TE_A2, Phase.TE_W]
         for case in range(100):
             shape = shapes[case % len(shapes)]
             masks = PairwiseMaskSet(case, ids, iteration=case % 4)
-            kind = KIND_SAP_S if case % 2 == 0 else KIND_TE_A2
+            phase = uploads[case % len(uploads)]
             xs = [rng.standard_normal(shape) * 20 for _ in ids]
-            masked = [sap_mask(x, i, masks, kind, sub=case % 3) for i, x in zip(ids, xs)]
+            masked = [sap_mask(x, i, masks, phase) for i, x in zip(ids, xs)]
             total = sum(xs)
             agg = sap_aggregate(masked)
             scale = np.maximum(np.abs(total), 1.0)
@@ -198,7 +193,7 @@ def test_criterion_6_appendix_leakage_demos():
 
             ids = list(range(1, K + 1))
             masks = PairwiseMaskSet(trial, ids, iteration=0)
-            masked = [decode_fixed(sap_mask(raw[i - 1], i, masks, KIND_TE_A2)) for i in ids]
+            masked = [decode_fixed(sap_mask(raw[i - 1], i, masks, Phase.TE_A2)) for i in ids]
             with pytest.raises(GramNotRankOneError):
                 recover_W_from_gram(masked, xi, xi_bar)
 

@@ -292,4 +292,4 @@ class TestReportBytes:
         h = hashlib.sha256()
         for p in files:
             h.update(p.relative_to(tmp_path).as_posix().encode() + b"\0" + p.read_bytes())
-        assert h.hexdigest() == "ab76796e4d72a87dd62ebe0c7bcc80be5be7944852b04659a167fb30607b2a4d"
+        assert h.hexdigest() == "55b71ecd9754cae3fcceb04002bf154c87bbffdcd868de3343fb9d038ae5b1e2"

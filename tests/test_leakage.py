@@ -11,13 +11,8 @@ from aggtherm.adversary import (
 )
 from aggtherm.model import lag_filter
 from aggtherm.protocol import ProtocolConfig, ProtocolRunner
-from aggtherm.protocol.sap import (
-    KIND_SAP_LOAD,
-    KIND_TE_A2,
-    PairwiseMaskSet,
-    decode_fixed,
-    sap_mask,
-)
+from aggtherm.protocol.messages import Phase
+from aggtherm.protocol.sap import PairwiseMaskSet, decode_fixed, sap_mask
 
 from _common import synthetic_instance
 
@@ -115,7 +110,7 @@ class TestRecoverW:
         xi = W.T @ xi_bar
         masks = PairwiseMaskSet(7, ids, iteration=0)
         masked = [
-            decode_fixed(sap_mask(np.outer(W[:, i - 1], W[:, i - 1]), i, masks, KIND_TE_A2))
+            decode_fixed(sap_mask(np.outer(W[:, i - 1], W[:, i - 1]), i, masks, Phase.TE_A2))
             for i in ids
         ]
         with pytest.raises(GramNotRankOneError):
@@ -170,7 +165,7 @@ class TestShareMean:
         for l in range(self.L):
             masks = PairwiseMaskSet(0, ids, iteration=l)
             for i in ids:
-                copies[i].append(decode_fixed(sap_mask(loads[:, i - 1], i, masks, KIND_SAP_LOAD)))
+                copies[i].append(decode_fixed(sap_mask(loads[:, i - 1], i, masks, Phase.SAP_LOAD)))
         for i in ids:
             assert abs(estimate_share_mean(copies[i]) - true[i - 1]) > 100 * spread
 

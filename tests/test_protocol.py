@@ -30,7 +30,7 @@ from aggtherm.protocol import (
 )
 from aggtherm.protocol.sap import PairwiseMaskSet, sap_aggregate
 
-from _common import random_dataset, synthetic_instance, zero_mask
+from _common import random_dataset, run_truth, synthetic_instance, zero_mask
 
 
 @pytest.fixture(scope="module")
@@ -98,8 +98,8 @@ class TestEquivalence:
             for value in (view.s_sum, transcript.c2, view.A1_sum, view.A2_sum, view.w_sum,
                           view.xi_bar, view.xi_recovered, g.f1, g.f2):
                 h.update(np.asarray(value, dtype=float).tobytes())
-        assert fit.objective.hex() == "0x1.cc6794c4c7ccep+1"
-        assert h.hexdigest() == "8dd6d76c0a6128edb7f41a0d60d022be436d132686336202db75fb1a2fcabf73"
+        assert fit.objective.hex() == "0x1.cc6794c4cbbdep+1"
+        assert h.hexdigest() == "ccf8b654489f7b5532988bfc18cbfa1b7a22304b564eb88996b69f315ef2e052"
 
     def test_deterministic_rerun(self, small_run):
         dataset, _, cfg, fit, transcript = small_run
@@ -108,6 +108,19 @@ class TestEquivalence:
         assert [m.digest for m in transcript.messages] == [
             m.digest for m in transcript2.messages
         ]
+
+    @pytest.mark.parametrize("K, T, seed", [(4, 120, 3), (7, 200, 5), (32, 96, 11)])
+    def test_gram_sums_are_exact(self, K, T, seed):
+        """Encryption columns lie on the 2^-22 grid, so every entry of w w^T
+        is a multiple of 2^-44 and encodes without rounding: each round's
+        decoded Gram and column sums are W W^T and W 1 bit for bit."""
+        dataset, _, _ = synthetic_instance(K=K, T=T, M=2, T_occ=6, noise=0.1, seed=seed)
+        runner = ProtocolRunner(dataset, ProtocolConfig(lam=10.0, T_occ=6, seed=seed, scan=False))
+        fit, transcript = runner.run()
+        assert fit.iterations > 1
+        for view, W in zip(transcript.bla_view, run_truth(runner).W, strict=True):
+            assert np.array_equal(view.A2_sum, W @ W.T)
+            assert np.array_equal(view.w_sum, W.sum(axis=1))
 
 
 class TestTranscript:
@@ -166,7 +179,7 @@ class TestTranscript:
         joined = "".join(m.digest for m in transcript.messages)
         assert (
             hashlib.sha256(joined.encode()).hexdigest()
-            == "99b540220fe53a04d05c8dbdc8982f1c5055f0449998ebb0fbc96f3ef87ee36e"
+            == "354cc599ed5b3abf0d7b897e407429ef2b6d941bacc9a4518c02d1aa6b0b069d"
         )
 
     def test_jsonl_serialization(self, small_run, tmp_path):
@@ -357,20 +370,6 @@ class TestFailureModes:
             run_protocol(dataset, cfg)
 
 
-# The masked weights step's error grows like cond(W)^2 for the encryption
-# matrix W (fixed-point shares, 2^-44 steps). Over 6000 random small fits the
-# lowest cond at which plain/private equivalence broke was 480.
-COND_W_MAX = 100.0
-
-
-def _worst_encryption_cond(runner):
-    agents = [runner.agents[i] for i in runner.agent_ids]
-    return max(
-        np.linalg.cond(np.column_stack([a.w_history[l] for a in agents]))
-        for l in agents[0].w_history
-    )
-
-
 class TestSharedChecks:
     def test_active_weight_bound_flagged_in_both_modes(self):
         """The plain fit pins one weight at its bound, the private weights
@@ -391,8 +390,8 @@ class TestSharedChecks:
                 assert "np.float64" not in w
 
     def test_ill_conditioned_weights_solve_reported(self, monkeypatch):
-        """Round 1 gives agents 1 and 2 encryption columns that agree to
-        1e-6 of a draw's spread, so that round's W is nearly singular and its
+        """Round 1 gives agents 1 and 2 encryption columns that differ by a
+        few steps of the 2^-22 grid, so that round's W is nearly singular and its
         masked weights solve raises scipy's LinAlgWarning.  The private fit
         names it in its warnings and the warning still reaches the caller;
         the plain fit has no such solve."""
@@ -403,7 +402,7 @@ class TestSharedChecks:
             w = real(K, rng, mean, sd)
             l, i = divmod(len(drawn), K)  # agents draw in order, once per round
             if (l, i) == (1, 1):
-                w = drawn[-1] + 1e-6 * (w - mean)
+                w = drawn[-1] + 2.0**-22 * np.rint((w - mean) / sd)  # on the grid
             drawn.append(w)
             return w
 
@@ -432,13 +431,7 @@ class TestSharedChecks:
         dataset, design, _ = synthetic_instance(K=K, T=T, M=2, T_occ=6, noise=0.1, seed=seed)
         plain = bcd_fit(design, lam=lam)
         assume(plain.params.xi.min() > 0.0)
-        runner = ProtocolRunner(dataset, ProtocolConfig(lam=lam, T_occ=6, seed=seed, scan=False))
-        try:
-            private, _ = runner.run()
-        except EstimationError:
-            private = None  # a failed descent check; allowed only by the assume below
-        assume(_worst_encryption_cond(runner) <= COND_W_MAX)
-        assert private is not None
+        private, _ = run_protocol(dataset, ProtocolConfig(lam=lam, T_occ=6, seed=seed, scan=False))
         assert private.iterations == plain.iterations
         assert private.warnings == plain.warnings
         rel = max(
@@ -448,13 +441,11 @@ class TestSharedChecks:
         )
         assert rel < 1e-4
 
-    @pytest.mark.xfail(raises=EstimationError, strict=True,
-                       reason="no conditioning check on the encryption matrix (ROADMAP item 5)")
     def test_ill_conditioned_encryption_matrix(self):
-        """Round 1 draws a W with condition number 1.9e4; the masked weights
-        step then overstates f2 by 2.5e-5 of f and the descent check aborts.
-        Without that check the fit's parameters end up to 3.7e-2 (relative)
-        away from the plain fit's."""
+        """Round 1 draws a W with condition number near 1.9e4.  Off the 2^-22
+        grid, the rounded Gram sum made the masked weights step overstate f2 by
+        2.5e-5 of f and the descent check aborted; on the grid the Gram sum is
+        exact and the fit matches the plain one."""
         dataset, design, _ = synthetic_instance(K=3, T=115, M=2, T_occ=6, noise=0.1, seed=1277076702)
         plain = bcd_fit(design, lam=100.0)
         private, _ = run_protocol(
@@ -543,6 +534,16 @@ class TestConfigPaths:
         with pytest.raises(ValueError, match=r"finite w_mean and a finite w_sd > 0, got w_mean="):
             ProtocolRunner(dataset, cfg, bus=bus).run()
         assert bus.transcript.messages == [] and bus.mailboxes == {}
+
+    def test_encryption_spread_below_the_grid_aborts(self):
+        """At w_sd = 1e-8, far below the 2^-22 grid step, every encryption
+        column rounds to the same grid point and W has rank 1.  The
+        coordinator's exact Gram sum shows it, and the fit aborts instead of
+        ending 3.4 (relative) off the plain fit without a warning."""
+        dataset, _, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.1, seed=5)
+        cfg = ProtocolConfig(lam=10.0, T_occ=6, seed=5, scan=False, w_sd=1e-8)
+        with pytest.raises(EstimationError, match=r"^aggregated Gram matrix W W\^T has rank 1 < K=3: "):
+            run_protocol(dataset, cfg)
 
     @pytest.mark.parametrize("xi0", [[np.nan] * 3, [0.5, np.nan, 0.5], [np.inf, -np.inf, 1.0]])
     def test_non_finite_start_rejected_in_both_modes(self, xi0):

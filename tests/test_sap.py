@@ -12,15 +12,10 @@ from hypothesis.extra import numpy as hnp
 from aggtherm.estimator import solve_sp1, solve_sp1_from_parts
 from aggtherm.model import ClusterDataset, build_design, lag_columns
 from aggtherm.protocol import BuildingAgent, ProtocolConfig, run_protocol
+from aggtherm.protocol.messages import Phase
 from aggtherm.protocol.sap import (
     FRAC_BITS,
-    KIND_SAP_LOAD,
-    KIND_SAP_S,
-    KIND_TE_A1,
-    KIND_TE_A2,
-    KIND_TE_W,
     SEGMENT,
-    SUBS,
     PairwiseMaskSet,
     check_fixed_range,
     decode_fixed,
@@ -41,11 +36,13 @@ class FixedMasks(PairwiseMaskSet):
         super().__init__(0, agent_ids, iteration=0)
         self.value = value
 
-    def mask(self, i, j, kind, sub, shape):
+    def mask(self, i, j, phase, shape):
         return np.full(shape, self.value, dtype=np.uint64)
 
 
 ONE = 1 << FRAC_BITS  # fixed-point encoding of 1.0
+# the masked uploads, in segment order: each phase's stream is segment int(phase)
+UPLOADS = [Phase.SAP_S, Phase.SAP_LOAD, Phase.TE_A1, Phase.TE_A2, Phase.TE_W]
 
 
 def harary_neighbours(ids, agent_id):
@@ -62,8 +59,8 @@ class TestSapMask:
     def test_two_agent_telescoping(self):
         # a mask near 2^64 makes agent 1's share wrap and agent 2's go below 0
         masks = FixedMasks([1, 2], 2**64 - 5)
-        x1 = sap_mask(np.array([1.0]), 1, masks, KIND_SAP_S)
-        x2 = sap_mask(np.array([2.0]), 2, masks, KIND_SAP_S)
+        x1 = sap_mask(np.array([1.0]), 1, masks, Phase.SAP_S)
+        x2 = sap_mask(np.array([2.0]), 2, masks, Phase.SAP_S)
         assert x1.dtype == x2.dtype == np.uint64
         assert x1.tolist() == [ONE - 5]
         assert x2.tolist() == [2 * ONE + 5]
@@ -72,7 +69,7 @@ class TestSapMask:
     def test_zero_masks_identity(self):
         masks = FixedMasks([1, 2, 3], 0)
         x = np.arange(4.0) - 1.5
-        share = sap_mask(x, 2, masks, KIND_SAP_S)
+        share = sap_mask(x, 2, masks, Phase.SAP_S)
         assert np.array_equal(share, encode_fixed(x, 3))
         assert np.array_equal(decode_fixed(share), x)
 
@@ -82,7 +79,7 @@ class TestSapMask:
         ids = [1, 2, 3, 4, 5]
         masks = PairwiseMaskSet(123, ids, iteration=0)
         xs = [rng.standard_normal(shape) * 20 for _ in ids]
-        masked = [sap_mask(x, i, masks, KIND_SAP_S, sub=1) for i, x in zip(ids, xs)]
+        masked = [sap_mask(x, i, masks, Phase.SAP_LOAD) for i, x in zip(ids, xs)]
         total = sum(xs)
         assert np.allclose(sap_aggregate(masked), total, rtol=1e-10, atol=1e-10)
         # masks actually moved the individual shares
@@ -90,22 +87,22 @@ class TestSapMask:
             assert not np.allclose(x, decode_fixed(xm))
 
     def test_mask_streams_are_pair_and_kind_specific(self):
+        """A stream's kind is its upload phase."""
         masks = PairwiseMaskSet(5, [1, 2, 3], iteration=0)
-        a = masks.mask(1, 2, KIND_SAP_S, 0, (6,))
-        assert np.array_equal(a, masks.mask(1, 2, KIND_SAP_S, 0, (6,)))
-        assert not np.array_equal(a, masks.mask(1, 3, KIND_SAP_S, 0, (6,)))
-        assert not np.array_equal(a, masks.mask(1, 2, KIND_TE_A1, 0, (6,)))
-        assert not np.array_equal(a, masks.mask(1, 2, KIND_SAP_S, 1, (6,)))
+        a = masks.mask(1, 2, Phase.SAP_S, (6,))
+        assert np.array_equal(a, masks.mask(1, 2, Phase.SAP_S, (6,)))
+        assert not np.array_equal(a, masks.mask(1, 3, Phase.SAP_S, (6,)))
+        assert not np.array_equal(a, masks.mask(1, 2, Phase.TE_A1, (6,)))
 
     def test_masks_fresh_every_iteration(self):
-        m0 = PairwiseMaskSet(5, [1, 2], iteration=0).mask(1, 2, KIND_SAP_S, 0, (8,))
-        m1 = PairwiseMaskSet(5, [1, 2], iteration=1).mask(1, 2, KIND_SAP_S, 0, (8,))
+        m0 = PairwiseMaskSet(5, [1, 2], iteration=0).mask(1, 2, Phase.SAP_S, (8,))
+        m1 = PairwiseMaskSet(5, [1, 2], iteration=1).mask(1, 2, Phase.SAP_S, (8,))
         assert not np.array_equal(m0, m1)
 
     def test_unordered_pair_rejected(self):
         masks = PairwiseMaskSet(5, [1, 2], iteration=0)
         with pytest.raises(ValueError):
-            masks.mask(2, 1, KIND_SAP_S, 0, (3,))
+            masks.mask(2, 1, Phase.SAP_S, (3,))
 
     def test_duplicate_agent_ids_rejected(self):
         with pytest.raises(ValueError, match=r"duplicate agent id\(s\) \[2\]"):
@@ -119,24 +116,31 @@ class TestSapMask:
             PairwiseMaskSet(1, ids, 0)
 
     @pytest.mark.parametrize(
-        "kind, sub, shape, match",
+        "phase, shape, match",
         [
-            (99, 0, (3,), "mask kind 99 is outside"),
-            (-1, 0, (3,), "mask kind -1 is outside"),
-            (KIND_SAP_S, -1, (3,), "mask sub -1 is outside"),
-            (KIND_SAP_S, SUBS, (3,), f"mask sub {SUBS} is outside"),
-            (KIND_TE_A1, 0, (2**24, 2**24 + 1), f"{SEGMENT + 2**24} words is longer than its segment"),
+            (99, (3,), "^mask stream 99 is not a Phase$"),
+            (-1, (3,), "^mask stream -1 is not a Phase$"),
+            (3, (3,), "^mask stream 3 is not a Phase$"),  # TE_A1's code, but not a Phase
+            (Phase.TE_A1, (2**24, 2**24 + 1), f"{SEGMENT + 2**24} words is longer than its segment"),
         ],
+        ids=["99", "-1", "bare-code", "too-long"],
     )
-    def test_stream_outside_the_layout_rejected(self, kind, sub, shape, match):
+    def test_stream_outside_the_layout_rejected(self, phase, shape, match):
         masks = PairwiseMaskSet(1, [1, 2], 0)
         with pytest.raises(ValueError, match=match):
-            masks.mask(1, 2, kind, sub, shape)
+            masks.mask(1, 2, phase, shape)
+
+    def test_net_mask_and_sap_mask_reject_a_stream_that_is_not_a_phase(self):
+        masks = PairwiseMaskSet(1, [1, 2], 0)
+        with pytest.raises(ValueError, match="^mask stream 99 is not a Phase$"):
+            masks.net_mask(1, 99, (3,))
+        with pytest.raises(ValueError, match="^mask stream 99 is not a Phase$"):
+            sap_mask(np.zeros(3), 1, masks, 99)
 
     def test_unknown_pair_rejected(self):
         masks = PairwiseMaskSet(5, [1, 2, 4], iteration=0)
         with pytest.raises(ValueError, match=r"pair \(1, 3\) is not in this mask set"):
-            masks.mask(1, 3, KIND_SAP_S, 0, (3,))
+            masks.mask(1, 3, Phase.SAP_S, (3,))
 
     def test_out_of_range_input_rejected(self):
         K = 4
@@ -145,10 +149,10 @@ class TestSapMask:
         assert bound == 2.0 ** (62 - FRAC_BITS) / K
         # just inside the bound encodes; the bound itself, beyond it and
         # non-finite entries are refused with the bound named
-        sap_mask(np.array([np.nextafter(bound, 0.0), -np.nextafter(bound, 0.0)]), 1, masks, KIND_SAP_S)
+        sap_mask(np.array([np.nextafter(bound, 0.0), -np.nextafter(bound, 0.0)]), 1, masks, Phase.SAP_S)
         for bad in (bound, -bound, 1e300, np.inf, -np.inf, np.nan):
             with pytest.raises(ValueError, match=f"< {bound!r}"):
-                sap_mask(np.array([1.0, bad]), 1, masks, KIND_SAP_S)
+                sap_mask(np.array([1.0, bad]), 1, masks, Phase.SAP_S)
 
     def test_range_error_names_largest_entry(self):
         """The one range check names what it checked, the entry of largest
@@ -164,13 +168,13 @@ class TestSapMask:
         masks = PairwiseMaskSet(9, range(1, K + 1), iteration=0)
         top = np.nextafter(fixed_point_bound(K), 0.0)
         for sign in (1.0, -1.0):
-            shares = [sap_mask(np.array([sign * top]), i, masks, KIND_TE_W) for i in range(1, K + 1)]
+            shares = [sap_mask(np.array([sign * top]), i, masks, Phase.TE_W) for i in range(1, K + 1)]
             assert sap_aggregate(shares)[0] == K * decode_fixed(encode_fixed([sign * top], K))[0]
 
     def test_unknown_agent_rejected(self):
         masks = PairwiseMaskSet(5, [1, 2, 4], iteration=0)
         with pytest.raises(ValueError, match="agent 3 is not in this mask set"):
-            sap_mask(np.zeros(2), 3, masks, KIND_SAP_S)
+            sap_mask(np.zeros(2), 3, masks, Phase.SAP_S)
 
     def test_float_shares_rejected(self):
         with pytest.raises(ValueError, match="uint64"):
@@ -214,17 +218,17 @@ class TestAesCounterLayout:
         keys = self.round_keys(seed, iteration)
         masks = PairwiseMaskSet(seed, self.IDS, iteration)
         for pair, key in keys.items():
-            for kind, sub in [(KIND_SAP_S, 0), (KIND_TE_A1, 2), (KIND_TE_W, SUBS - 1)]:
-                want = ctr_keystream(key, kind * SUBS + sub, n_words)
-                got = masks.mask(*pair, kind, sub, (n_words,))
+            for phase in UPLOADS:
+                want = ctr_keystream(key, int(phase), n_words)
+                got = masks.mask(*pair, phase, (n_words,))
                 assert got.dtype == np.uint64 and got.shape == (n_words,)
-                assert got.tobytes() == want.tobytes(), (pair, kind, sub)
+                assert got.tobytes() == want.tobytes(), (pair, phase)
 
     def test_shaped_mask_is_the_keystream_in_row_major_order(self):
         keys = self.round_keys(4, 2)
         masks = PairwiseMaskSet(4, self.IDS, 2)
-        got = masks.mask(5, 9, KIND_TE_A2, 1, (3, 5))
-        want = ctr_keystream(keys[5, 9], KIND_TE_A2 * SUBS + 1, 15).reshape(3, 5)
+        got = masks.mask(5, 9, Phase.TE_A2, (3, 5))
+        want = ctr_keystream(keys[5, 9], 6, 15).reshape(3, 5)
         assert got.shape == (3, 5) and np.array_equal(got, want)
 
 
@@ -234,36 +238,36 @@ class TestMaskShapes:
 
     def test_int_and_tuple_shapes_agree(self):
         masks = PairwiseMaskSet(3, [1, 2, 3], 0)
-        assert np.array_equal(masks.mask(1, 2, KIND_SAP_S, 0, 5), masks.mask(1, 2, KIND_SAP_S, 0, (5,)))
+        assert np.array_equal(masks.mask(1, 2, Phase.SAP_S, 5), masks.mask(1, 2, Phase.SAP_S, (5,)))
         assert np.array_equal(
-            masks.mask(1, 3, KIND_TE_A1, 1, (np.int64(2), 3)), masks.mask(1, 3, KIND_TE_A1, 1, [2, 3])
+            masks.mask(1, 3, Phase.TE_A1, (np.int64(2), 3)), masks.mask(1, 3, Phase.TE_A1, [2, 3])
         )
         by_int = PairwiseMaskSet(3, [1, 2, 3], 0)
         by_tuple = PairwiseMaskSet(3, [1, 2, 3], 0)
         for i in (2, 1, 3):
-            got = by_int.net_mask(i, KIND_SAP_S, 0, 5)
-            assert got.shape == (5,) and np.array_equal(got, by_tuple.net_mask(i, KIND_SAP_S, 0, (5,)))
+            got = by_int.net_mask(i, Phase.SAP_S, 5)
+            assert got.shape == (5,) and np.array_equal(got, by_tuple.net_mask(i, Phase.SAP_S, (5,)))
 
     def test_empty_shapes(self):
         masks = PairwiseMaskSet(3, [1, 2], 0)
-        assert masks.mask(1, 2, KIND_SAP_S, 0, (0, 3)).shape == (0, 3)
-        assert masks.net_mask(2, KIND_SAP_S, 0, 0).shape == (0,)
+        assert masks.mask(1, 2, Phase.SAP_S, (0, 3)).shape == (0, 3)
+        assert masks.net_mask(2, Phase.SAP_S, 0).shape == (0,)
 
     @pytest.mark.parametrize("shape", [(-1,), (3, -2), -4, (2.5,), 2.0, (3, None), "ab", [1.0]])
     def test_bad_shape_rejected_by_both(self, shape):
         masks = PairwiseMaskSet(3, [1, 2], 0)
         match = re.escape(f"mask shape {shape!r} must have non-negative integer dimensions")
         with pytest.raises(ValueError, match=match):
-            masks.mask(1, 2, KIND_SAP_S, 0, shape)
+            masks.mask(1, 2, Phase.SAP_S, shape)
         with pytest.raises(ValueError, match=match):
-            masks.net_mask(1, KIND_SAP_S, 0, shape)
+            masks.net_mask(1, Phase.SAP_S, shape)
 
     def test_float_dimensions_rejected_after_their_int_twin(self):
         """A cached stream of (5,) does not let (5.0,) through."""
         masks = PairwiseMaskSet(3, [1, 2], 0)
-        masks.mask(1, 2, KIND_SAP_S, 0, (5,))
+        masks.mask(1, 2, Phase.SAP_S, (5,))
         with pytest.raises(ValueError, match="mask shape"):
-            masks.mask(1, 2, KIND_SAP_S, 0, (5.0,))
+            masks.mask(1, 2, Phase.SAP_S, (5.0,))
 
 
 def aggregated_series(K, T, M, seed):
@@ -283,10 +287,10 @@ def aggregated_series(K, T, M, seed):
     ids = list(range(1, K + 1))
     masks = PairwiseMaskSet(seed, ids, iteration=0)
     s_sum = sap_aggregate(
-        [sap_mask(xi[i - 1] * dataset.tau_in[:, i - 1], i, masks, KIND_SAP_S) for i in ids]
+        [sap_mask(xi[i - 1] * dataset.tau_in[:, i - 1], i, masks, Phase.SAP_S) for i in ids]
     )
     load_sum = sap_aggregate(
-        [sap_mask(dataset.h_load[:, i - 1], i, masks, KIND_SAP_LOAD) for i in ids]
+        [sap_mask(dataset.h_load[:, i - 1], i, masks, Phase.SAP_LOAD) for i in ids]
     )
     return design, xi, s_sum, load_sum
 
@@ -367,9 +371,9 @@ def test_sliced_lags_match_design(K, M, T, seed):
     shape=hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=6),
     seed=st.integers(0, 2**32 - 1),
     iteration=st.integers(0, 5),
-    kind=st.sampled_from([KIND_SAP_S, KIND_SAP_LOAD, KIND_TE_A1]),
+    phase=st.sampled_from(UPLOADS),
 )
-def test_ring_aggregate_is_exact_in_any_order(data, K, shape, seed, iteration, kind):
+def test_ring_aggregate_is_exact_in_any_order(data, K, shape, seed, iteration, phase):
     """The decoded aggregate is the sum of the quantized inputs bit for bit,
     whatever the share order, and no share equals its encoded input."""
     bound = fixed_point_bound(K)
@@ -377,7 +381,7 @@ def test_ring_aggregate_is_exact_in_any_order(data, K, shape, seed, iteration, k
     xs = [data.draw(hnp.arrays(np.float64, shape, elements=entries)) for _ in range(K)]
     ids = list(range(1, K + 1))
     masks = PairwiseMaskSet(seed, ids, iteration=iteration)
-    shares = [sap_mask(x, i, masks, kind) for i, x in zip(ids, xs)]
+    shares = [sap_mask(x, i, masks, phase) for i, x in zip(ids, xs)]
     # reference: the integer sum of the fixed-point encodings, exact in
     # int64 because the bound keeps it below 2^62
     quantized = [np.rint(x * 2.0**FRAC_BITS).astype(np.int64) for x in xs]
@@ -392,16 +396,16 @@ def test_ring_aggregate_is_exact_in_any_order(data, K, shape, seed, iteration, k
         assert not np.array_equal(share, encode_fixed(x, K))
 
 
-def reference_share(x, agent_id, masks, kind, sub):
+def reference_share(x, agent_id, masks, phase):
     """Per-pair masking: add each pair mask toward a higher-position Harary
     neighbour and subtract each toward a lower-position one, one partner at
     a time."""
     out = encode_fixed(x, len(masks.agent_ids))
     for j in sorted(harary_neighbours(masks.agent_ids, agent_id)):
         if j > agent_id:
-            out += masks.mask(agent_id, j, kind, sub, out.shape)
+            out += masks.mask(agent_id, j, phase, out.shape)
         elif j < agent_id:
-            out -= masks.mask(j, agent_id, kind, sub, out.shape)
+            out -= masks.mask(j, agent_id, phase, out.shape)
     return out
 
 
@@ -412,10 +416,9 @@ def reference_share(x, agent_id, masks, kind, sub):
     shape=hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=5),
     seed=st.integers(0, 2**32 - 1),
     iteration=st.integers(0, 5),
-    kind=st.sampled_from([KIND_SAP_S, KIND_SAP_LOAD, KIND_TE_A1, KIND_TE_A2, KIND_TE_W]),
-    sub=st.integers(0, 2),
+    phase=st.sampled_from(UPLOADS),
 )
-def test_net_mask_matches_per_pair_reference(data, ids, shape, seed, iteration, kind, sub):
+def test_net_mask_matches_per_pair_reference(data, ids, shape, seed, iteration, phase):
     """Every agent's share equals the per-pair loop's bit for bit, whatever
     order the agents ask in, and a repeated request gets the same share."""
     assume(ids[-1] - ids[0] >= len(ids))  # ids with a gap, not 1..K
@@ -427,8 +430,8 @@ def test_net_mask_matches_per_pair_reference(data, ids, shape, seed, iteration, 
     repeat = data.draw(st.sampled_from(ids))
     order.insert(data.draw(st.integers(order.index(repeat) + 1, len(order))), repeat)
     for i in order:
-        got = sap_mask(xs[i], i, masks, kind, sub)
-        want = reference_share(xs[i], i, oracle, kind, sub)
+        got = sap_mask(xs[i], i, masks, phase)
+        want = reference_share(xs[i], i, oracle, phase)
         assert got.dtype == np.uint64 and got.shape == shape
         assert got.tobytes() == want.tobytes()
 
@@ -442,9 +445,9 @@ class TestMaskWork:
         calls = []
         real = PairwiseMaskSet.mask
 
-        def counted(self, i, j, kind, sub, shape):
-            calls.append((self.iteration, kind, sub, i, j))
-            return real(self, i, j, kind, sub, shape)
+        def counted(self, i, j, phase, shape):
+            calls.append((self.iteration, phase, i, j))
+            return real(self, i, j, phase, shape)
 
         monkeypatch.setattr(PairwiseMaskSet, "mask", counted)
         return calls
@@ -457,10 +460,10 @@ class TestMaskWork:
         ids = list(range(1, K + 1))
         masks = PairwiseMaskSet(3, ids, iteration=0)
         for i in ids:
-            sap_mask(np.ones((4, K)), i, masks, KIND_TE_A1, sub=1)
+            sap_mask(np.ones((4, K)), i, masks, Phase.TE_A1)
         n_pairs = {2: 1, 3: 3, 7: 21, 8: 24, 32: 160}[K]
         assert len(calls) == n_pairs == K * min(2 * math.ceil(math.log2(K)), K - 1) // 2
-        assert sorted(c[3:] for c in calls) == [
+        assert sorted(c[2:] for c in calls) == [
             (i, j) for i in ids for j in sorted(harary_neighbours(ids, i)) if i < j
         ]
 
@@ -469,35 +472,28 @@ class TestMaskWork:
         request gets the same words whatever was asked before it, and again
         when repeated."""
         ids = [1, 3, 4, 7]
-        requests = [
-            ((i, j), kind, sub)
-            for a, i in enumerate(ids)
-            for j in ids[a + 1 :]
-            for kind in (KIND_SAP_S, KIND_TE_A1, KIND_TE_W)
-            for sub in (0, SUBS - 1)
-        ]
-        want = {r: PairwiseMaskSet(11, ids, 2).mask(*r[0], r[1], r[2], (3, 2)) for r in requests}
+        requests = [((i, j), phase) for a, i in enumerate(ids) for j in ids[a + 1 :] for phase in UPLOADS]
+        want = {r: PairwiseMaskSet(11, ids, 2).mask(*r[0], r[1], (3, 2)) for r in requests}
         order = np.random.default_rng(0).permutation(len(requests)).tolist()
         masks = PairwiseMaskSet(11, ids, 2)
         for k in order + order[:5]:
             r = requests[k]
-            assert masks.mask(*r[0], r[1], r[2], (3, 2)).tobytes() == want[r].tobytes()
+            assert masks.mask(*r[0], r[1], (3, 2)).tobytes() == want[r].tobytes()
 
     def test_shapes_share_the_head_of_a_segment(self):
         masks = PairwiseMaskSet(11, [1, 2], 0)
-        long = masks.mask(1, 2, KIND_TE_A2, 1, (4, 5))
-        assert np.array_equal(masks.mask(1, 2, KIND_TE_A2, 1, (7,)), long.ravel()[:7])
+        long = masks.mask(1, 2, Phase.TE_A2, (4, 5))
+        assert np.array_equal(masks.mask(1, 2, Phase.TE_A2, (7,)), long.ravel()[:7])
 
     def test_neighbouring_segments_and_rounds_differ(self):
         masks = PairwiseMaskSet(11, [1, 2], 0)
-        segments = [(kind, sub) for kind in range(KIND_TE_W + 1) for sub in range(SUBS)]
-        words = [masks.mask(1, 2, kind, sub, (8,)) for kind, sub in segments]
-        for a, b in zip(words, words[1:]):  # includes (kind, SUBS - 1) -> (kind + 1, 0)
+        words = [masks.mask(1, 2, phase, (8,)) for phase in UPLOADS]
+        for a, b in zip(words, words[1:]):  # segments 0, 1, 3, 6, 7 in turn
             assert not np.array_equal(a, b)
         assert len({w.tobytes() for w in words}) == len(words)
         for l in range(3):
-            this = PairwiseMaskSet(11, [1, 2], l).mask(1, 2, KIND_SAP_S, 0, (8,))
-            after = PairwiseMaskSet(11, [1, 2], l + 1).mask(1, 2, KIND_SAP_S, 0, (8,))
+            this = PairwiseMaskSet(11, [1, 2], l).mask(1, 2, Phase.SAP_S, (8,))
+            after = PairwiseMaskSet(11, [1, 2], l + 1).mask(1, 2, Phase.SAP_S, (8,))
             assert not np.array_equal(this, after)
 
     def test_private_fit_derives_round_keys_once_per_round(self, monkeypatch):
@@ -572,7 +568,7 @@ class TestMaskGraph:
         ring element; the full set sums to zero."""
         ids = list(range(1, K + 1))
         masks = PairwiseMaskSet(13, ids, 0)
-        nets = np.array([masks.net_mask(i, KIND_SAP_S, 0, (2,)) for i in ids])
+        nets = np.array([masks.net_mask(i, Phase.SAP_S, (2,)) for i in ids])
         for r in range(1, K):
             for subset in itertools.combinations(range(K), r):
                 assert nets[list(subset)].sum(axis=0).any(), subset
@@ -607,9 +603,9 @@ class TestMaskGraph:
             out = shares[target].copy()
             for j in known:
                 if j > target:
-                    out -= keys.mask(target, j, KIND_SAP_S, 0, out.shape)
+                    out -= keys.mask(target, j, Phase.SAP_S, out.shape)
                 else:
-                    out += keys.mask(j, target, KIND_SAP_S, 0, out.shape)
+                    out += keys.mask(j, target, Phase.SAP_S, out.shape)
             return out
 
         got = unmask(colluders)

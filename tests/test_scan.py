@@ -16,6 +16,7 @@ from aggtherm.protocol import (
     ProtocolRunner,
     scan_payloads,
 )
+from aggtherm.protocol.messages import Phase
 from aggtherm.protocol.sap import decode_fixed, encode_fixed
 
 from _common import synthetic_instance, zero_mask
@@ -168,10 +169,10 @@ def test_later_round_leak_found_with_updated_references(monkeypatch):
     finds what the pairwise scan finds on round 1's decoded shares."""
     real_mask = PairwiseMaskSet.mask
 
-    def mask_until_round_1(self, i, j, kind, sub, shape):
+    def mask_until_round_1(self, i, j, phase, shape):
         if self.iteration >= 1:
-            return zero_mask(self, i, j, kind, sub, shape)
-        return real_mask(self, i, j, kind, sub, shape)
+            return zero_mask(self, i, j, phase, shape)
+        return real_mask(self, i, j, phase, shape)
 
     scanned = []  # per round: the decoded shares and the agents' references then
     real_scan = runner_mod.scan_payloads
@@ -272,8 +273,6 @@ def _upload_recorder(monkeypatch):
     """Record, per (round, agent), what each agent actually uploaded: its
     weighted share, filtered series, encryption column and the columns of
     both outer products, labelled as the scan labels them."""
-    from aggtherm.protocol.sap import KIND_SAP_S, KIND_TE_A1, KIND_TE_A2, KIND_TE_W
-
     real_mask, real_uploads = runner_mod.sap_mask, runner_mod.compute_te_uploads
     hats, sent = [], {}
 
@@ -281,19 +280,19 @@ def _upload_recorder(monkeypatch):
         hats.append(hat)
         return real_uploads(hat, w)
 
-    def sap_mask(x, agent_id, masks, kind, sub=0):
+    def sap_mask(x, agent_id, masks, phase):
         got = sent.setdefault((masks.iteration, agent_id), {})
         x = np.asarray(x)
-        if kind == KIND_SAP_S:
+        if phase == Phase.SAP_S:
             got["weighted_share"] = x
-        elif kind == KIND_TE_A1:
+        elif phase == Phase.TE_A1:
             got["hat_tau"] = hats[-1]
             got.update((f"A1_col{c}", x[:, c]) for c in range(x.shape[1]))
-        elif kind == KIND_TE_A2:
+        elif phase == Phase.TE_A2:
             got.update((f"A2_col{c}", x[:, c]) for c in range(x.shape[1]))
-        elif kind == KIND_TE_W:
+        elif phase == Phase.TE_W:
             got["w_col"] = x
-        return real_mask(x, agent_id, masks, kind, sub)
+        return real_mask(x, agent_id, masks, phase)
 
     monkeypatch.setattr(runner_mod, "compute_te_uploads", uploads)
     monkeypatch.setattr(runner_mod, "sap_mask", sap_mask)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from aggtherm.estimator import solve_sp2_plain
+from aggtherm.estimator import EstimationError, solve_sp2_plain
 from aggtherm.model import lag_filter
+from aggtherm.protocol.sap import decode_fixed, encode_fixed
 from aggtherm.protocol.te import (
     compute_te_uploads,
     gen_encryption_col,
@@ -26,6 +27,14 @@ class TestGenEncryptionCol:
         draws = gen_encryption_col(100000, np.random.default_rng(1))
         assert abs(draws.mean() - 0.1) < 0.005
         assert abs(draws.std() - 0.1) < 0.005
+
+    def test_entries_on_the_grid_and_products_encode_exactly(self):
+        """Entries are multiples of 2^-22, so w w^T survives the 2^-44
+        fixed-point encoding bit for bit."""
+        w = gen_encryption_col(64, np.random.default_rng(3))
+        assert np.array_equal(np.rint(w * 2.0**22), w * 2.0**22)
+        A2 = np.outer(w, w)
+        assert np.array_equal(decode_fixed(encode_fixed(A2, 64)), A2)
 
 
 class TestComputeHatTauCol:
@@ -136,6 +145,17 @@ class TestSolveSp2Masked:
         with pytest.raises(ValueError, match="asymmetric"):
             solve_sp2_masked(
                 np.zeros((20, 3)), A2, np.ones(3),
+                design.c2, design.c3, design.c4, design.T_occ, 1.0,
+            )
+
+    def test_singular_gram_rejected(self):
+        """Two equal encryption columns: W W^T has rank 2 < 3, and the
+        transformed problem would not reparameterize the plain one."""
+        design = random_design(K=3, T=20, M=1, T_occ=2, seed=3)
+        W = np.array([[0.1, 0.1, 0.2], [0.3, 0.3, 0.1], [0.2, 0.2, 0.4]])
+        with pytest.raises(EstimationError, match=r"^aggregated Gram matrix W W\^T has rank 2 < K=3: "):
+            solve_sp2_masked(
+                np.zeros((20, 3)), W @ W.T, W.sum(axis=1),
                 design.c2, design.c3, design.c4, design.T_occ, 1.0,
             )
 
