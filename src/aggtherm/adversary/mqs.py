@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 # the attack instances' draws: temperatures Normal(TAU_MEAN, TAU_SD),
-# encryption entries Normal(W_MEAN, W_SD) as in the protocol's defaults
+# encryption entries Normal(W_MEAN, W_SD) as in the protocol
 TAU_MEAN, TAU_SD = 20.0, 1.0
 PERTURBATION = 1.0  # half-width of the uniform start perturbation
 GRAD_TOL = 1e-8

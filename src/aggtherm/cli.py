@@ -19,7 +19,6 @@ from .dataio import DataFormatError, dump_json, format_float, parse_dataset, wri
 from .estimator import EstimationError, bcd_fit
 from .model import aggregate_state, build_design, evaluate_metrics, predict_aggregate, split_dataset
 from .protocol import ProtocolConfig, ProtocolError, run_protocol
-from .protocol.te import W_MEAN, W_SD
 from .synthetic import generate_synthetic
 
 __all__ = ["RunConfig", "cmd_dispatch", "main"]
@@ -35,8 +34,6 @@ class RunConfig:
     tol: float = 1e-6
     train_fraction: float = 0.75
     seed: int = 0
-    w_mean: float = W_MEAN
-    w_sd: float = W_SD
     mode: str = "plain"
 
 
@@ -84,8 +81,6 @@ def _add_common(p):
     p.add_argument("--t-occ", type=int, dest="t_occ", help="occupancy period length")
     p.add_argument("--tol", type=float, dest="tol", help="iteration gap tolerance")
     p.add_argument("--seed", type=int, dest="seed")
-    p.add_argument("--w-mean", type=float, dest="w_mean", help="encryption column mean")
-    p.add_argument("--w-sd", type=float, dest="w_sd", help="encryption column std dev")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,10 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _fit_dataset(dataset, cfg: RunConfig, transcript_path=None):
     design = build_design(dataset, cfg.t_occ)
     if cfg.mode == "private":
-        pcfg = ProtocolConfig(
-            lam=cfg.lam, tol=cfg.tol, T_occ=cfg.t_occ, seed=cfg.seed,
-            w_mean=cfg.w_mean, w_sd=cfg.w_sd,
-        )
+        pcfg = ProtocolConfig(lam=cfg.lam, tol=cfg.tol, T_occ=cfg.t_occ, seed=cfg.seed)
         fit, transcript = run_protocol(dataset, pcfg)
         if transcript_path is not None:
             transcript.write_jsonl(transcript_path)

@@ -305,11 +305,14 @@ def check_start(xi0: np.ndarray | None, K: int) -> np.ndarray:
     else ``xi0`` itself, which must be a finite length-K point of the simplex."""
     xi = np.full(K, 1.0 / K) if xi0 is None else np.asarray(xi0, dtype=float).ravel()
     if len(xi) != K:
-        raise ValueError(f"xi0 must have {K} entries")
+        raise ValueError(f"xi0 must have {K} entries, got {len(xi)}")
     if not np.all(np.isfinite(xi)):
         raise ValueError(f"xi0 must be finite, got {xi.tolist()}")
     if abs(xi.sum() - 1.0) > 1e-8 or xi.min() < -1e-8:
-        raise ValueError("xi0 must lie on the probability simplex")
+        raise ValueError(
+            f"xi0 must lie on the probability simplex, got sum {float(xi.sum())!r} "
+            f"and minimum entry {float(xi.min())!r}"
+        )
     return xi
 
 

@@ -33,7 +33,7 @@ from ..estimator import FitResult, alternate, check_penalty, check_start, solve_
 from ..model import ClusterDataset, lag_columns, lag_filter, lag_view, occupancy_slots
 from .messages import Message, Phase, decode_message, encode_message
 from .sap import PairwiseMaskSet, check_fixed_range, decode_fixed, sap_aggregate, sap_mask
-from .te import W_MEAN, W_SD, compute_te_uploads, gen_encryption_col, solve_sp2_masked, te_recover
+from .te import compute_te_uploads, gen_encryption_col, solve_sp2_masked, te_recover
 from .transcript import ProtocolTranscript, RoundView, scan_payloads
 
 __all__ = [
@@ -61,31 +61,22 @@ class ProtocolConfig:
     max_iter: int = 20
     T_occ: int = 48
     seed: int = 0
-    w_mean: float = W_MEAN
-    w_sd: float = W_SD
     scan: bool = True
     xi0: np.ndarray | None = None
 
 
 class InProcessBus:
     """Synchronous transport: every send is encoded, logged, and delivered
-    through the envelope codec.  Tests can drop (phase, sender) pairs or
-    permute arrival order; the coordinator reads each phase by sender, so
-    results do not depend on the order."""
+    through the envelope codec.  The coordinator reads each phase by
+    sender, so results do not depend on the arrival order."""
 
-    def __init__(self, transcript: ProtocolTranscript, permute_seed=None, drop=None):
+    def __init__(self, transcript: ProtocolTranscript):
         self.transcript = transcript
         self.mailboxes: dict[int, list] = {}
-        self.drop = set(drop or ())
-        self._perm_rng = (
-            np.random.default_rng(permute_seed) if permute_seed is not None else None
-        )
 
     def send(self, msg: Message):
         data = encode_message(msg)
         self.transcript.log(msg, data)
-        if (msg.phase, msg.sender) in self.drop:
-            return
         self.mailboxes.setdefault(msg.receiver, []).append(decode_message(data))
 
     def collect(self, receiver: int, phase: Phase, iteration: int) -> list:
@@ -93,9 +84,6 @@ class InProcessBus:
         take = [m for m in box if m.phase == phase and m.iteration == iteration]
         rest = [m for m in box if not (m.phase == phase and m.iteration == iteration)]
         self.mailboxes[receiver] = rest
-        if self._perm_rng is not None:
-            order = self._perm_rng.permutation(len(take))
-            take = [take[i] for i in order]
         return take
 
 
@@ -143,7 +131,7 @@ class BuildingAgent:
         rng = np.random.default_rng(
             np.random.SeedSequence(self.cfg.seed, spawn_key=(2000 + iteration, self.id))
         )
-        w = self.w_history[iteration] = gen_encryption_col(K, rng, self.cfg.w_mean, self.cfg.w_sd)
+        w = self.w_history[iteration] = gen_encryption_col(K, rng)
         A1, A2 = compute_te_uploads(hat_col, w)
         return [
             self._masked(iteration, Phase.TE_A1, A1, masks),
@@ -224,11 +212,6 @@ class ProtocolRunner:
         check_penalty(cfg.lam)
         for agent in self.agents.values():
             agent.check_load_range(self.K)
-        if not (np.isfinite(cfg.w_mean) and np.isfinite(cfg.w_sd) and cfg.w_sd > 0):
-            raise ValueError(
-                f"encryption columns need a finite w_mean and a finite w_sd > 0, got w_mean="
-                f"{cfg.w_mean!r}, w_sd={cfg.w_sd!r} (at w_sd = 0 every column is w_mean and W is singular)"
-            )
         # coordinator-held exogenous regressors; c2 is summed from round 0's loads
         self.c2 = None
         self.c3 = lag_columns(dataset.tau_out, self.M)

@@ -184,6 +184,8 @@ class PairwiseMaskSet:
         key = (phase, dims)
         pending = self._pending.get(key)
         if pending is None or agent_id not in pending:
+            if key not in self._streams:
+                self._stream(phase, dims)  # refuse a bad request before the sums are allocated
             pending = {i: np.zeros(dims, dtype=np.uint64) for i in self.agent_ids}
             for i, j in self.pairs:
                 m = self.mask(i, j, phase, shape=dims)
@@ -238,9 +240,11 @@ def sap_mask(x, agent_id: int, masks: PairwiseMaskSet, phase: Phase) -> np.ndarr
     """Encode and mask a private tensor as its upload ``phase``: add the
     agent's net mask of that phase's stream (its pair masks toward higher-id
     neighbours minus those toward lower-id neighbours) mod 2^64.
-    Summing all K masked tensors cancels every mask."""
+    Summing all K masked tensors cancels every mask.  The mask is asked for
+    first, so a stream the set cannot make is refused before x is read."""
+    net = masks.net_mask(agent_id, phase, np.shape(x))
     out = encode_fixed(x, len(masks.agent_ids))
-    out += masks.net_mask(agent_id, phase, out.shape)
+    out += net
     return out
 
 

@@ -22,17 +22,17 @@ __all__ = [
 ]
 
 
-# the default distribution of encryption entries, Normal(W_MEAN, W_SD)
+# the distribution of encryption entries, Normal(W_MEAN, W_SD)
 W_MEAN, W_SD = 0.1, 0.1
 
 
-def gen_encryption_col(K: int, rng: np.random.Generator, mean: float = W_MEAN, sd: float = W_SD):
-    """One agent's private encryption column: K draws from Normal(mean, sd),
+def gen_encryption_col(K: int, rng: np.random.Generator):
+    """One agent's private encryption column: K draws from Normal(W_MEAN, W_SD),
     rounded to the grid of step 2^-(FRAC_BITS/2).  Every product w_i w_j is
     then a multiple of 2^-FRAC_BITS, so the fixed-point shares of w w^T carry
     no rounding and the coordinator's Gram sum W W^T is exact."""
     steps = 2.0 ** (FRAC_BITS // 2)  # grid steps per unit
-    return np.rint(rng.normal(mean, sd, size=K) * steps) / steps
+    return np.rint(rng.normal(W_MEAN, W_SD, size=K) * steps) / steps
 
 
 def compute_te_uploads(hat_tau_col: np.ndarray, w_col: np.ndarray):

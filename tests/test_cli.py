@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ class TestDefaults:
         assert cfg.t_occ == 48
         assert cfg.tol == 1e-6
         assert cfg.train_fraction == 0.75
-        assert cfg.w_mean == 0.1 and cfg.w_sd == 0.1
         assert cfg.mode == "plain"
 
 
@@ -203,6 +203,20 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="unknown option"):
             load_config_file(cfg_file)
 
+    @pytest.mark.parametrize("key", ["w_mean", "w_sd"])
+    def test_encryption_distribution_is_not_an_option(self, data_csv, tmp_path, capsys, key):
+        """The encryption columns' distribution is fixed: neither a flag nor a
+        config key sets it."""
+        cfg_file = tmp_path / "w.cfg"
+        cfg_file.write_text(f"{key} = 0.1\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{cfg_file}:1: unknown option '{key}'") + "$"):
+            load_config_file(cfg_file)
+        flag = "--" + key.replace("_", "-")
+        out = tmp_path / "gone"
+        assert cmd_dispatch(["fit", "--data", str(data_csv), flag, "0.1", "--out-dir", str(out)]) == 2
+        assert f"unrecognized arguments: {flag} 0.1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestErrors:
     def test_missing_file_exit_code(self, tmp_path):
@@ -248,14 +262,6 @@ class TestErrors:
         assert (captured.out, captured.err.strip()) == ("", f"error: {err}")
         assert not (out / "fit_result.json").exists()
 
-    @pytest.mark.parametrize("w_sd", ["0", "-0.1", "nan"])
-    def test_compare_degenerate_encryption_spread(self, data_csv, tmp_path, capsys, w_sd):
-        out = tmp_path / "cmp.json"
-        code = cmd_dispatch(["compare", "--data", str(data_csv), "--lambda", "1",
-                             "--t-occ", "12", "--seed", "1", "--w-sd", w_sd, "--out", str(out)])
-        assert code == 2
-        assert "w_sd" in capsys.readouterr().err
-        assert not out.exists()
 
 
 class TestReportBytes:
@@ -292,4 +298,4 @@ class TestReportBytes:
         h = hashlib.sha256()
         for p in files:
             h.update(p.relative_to(tmp_path).as_posix().encode() + b"\0" + p.read_bytes())
-        assert h.hexdigest() == "55b71ecd9754cae3fcceb04002bf154c87bbffdcd868de3343fb9d038ae5b1e2"
+        assert h.hexdigest() == "781951397e67972434765eeb714b4711763c955cbb30a158997c69feff414e07"

@@ -23,12 +23,12 @@ from aggtherm.protocol import (
     ProtocolRunner,
     ProtocolTranscript,
     RoundView,
-    decode_message,
     encode_message,
     run_protocol,
     scan_payloads,
 )
 from aggtherm.protocol.sap import PairwiseMaskSet, sap_aggregate
+from aggtherm.protocol.te import W_MEAN, W_SD
 
 from _common import random_dataset, run_truth, synthetic_instance, zero_mask
 
@@ -228,11 +228,26 @@ class FaultBus(InProcessBus):
             super().send(msg)
 
 
+class DropBus(InProcessBus):
+    """Loses every message whose (phase, sender) is in ``drop``; each is
+    still logged, as a sent message is."""
+
+    def __init__(self, transcript, drop):
+        super().__init__(transcript)
+        self.drop = set(drop)
+
+    def send(self, msg):
+        if (msg.phase, msg.sender) in self.drop:
+            self.transcript.log(msg, encode_message(msg))
+        else:
+            super().send(msg)
+
+
 class TestFailureModes:
     def test_dropout_aborts_with_agent_name(self):
         dataset, _, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.1, seed=5)
         transcript = ProtocolTranscript()
-        bus = InProcessBus(transcript, drop={(Phase.SAP_S, 2)})
+        bus = DropBus(transcript, {(Phase.SAP_S, 2)})
         cfg = ProtocolConfig(lam=1.0, tol=1e-6, T_occ=6, seed=5)
         message = "SAP_S to receiver 0 at iteration 0: no message from sender(s) [2]"
         with pytest.raises(ProtocolError, match="^" + re.escape(message) + "$"):
@@ -240,7 +255,7 @@ class TestFailureModes:
 
     def test_te_dropout_aborts(self):
         dataset, _, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.1, seed=5)
-        bus = InProcessBus(ProtocolTranscript(), drop={(Phase.TE_A2, 1)})
+        bus = DropBus(ProtocolTranscript(), {(Phase.TE_A2, 1)})
         match = receive_error(Phase.TE_A2, 0, "no message from sender(s)", [1])
         with pytest.raises(ProtocolError, match=match):
             run_protocol(dataset, ProtocolConfig(lam=1.0, tol=1e-6, T_occ=6, seed=5), bus=bus)
@@ -254,7 +269,7 @@ class TestFailureModes:
         else:
             sender, receiver = 2, 0
         dataset, _, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.1, seed=5)
-        bus = InProcessBus(ProtocolTranscript(), drop={(phase, sender)})
+        bus = DropBus(ProtocolTranscript(), {(phase, sender)})
         match = receive_error(phase, receiver, "no message from sender(s)", [sender])
         with pytest.raises(ProtocolError, match=match):
             run_protocol(dataset, ProtocolConfig(lam=1.0, tol=1e-6, T_occ=6, seed=5), bus=bus)
@@ -398,11 +413,11 @@ class TestSharedChecks:
         real = runner_mod.gen_encryption_col
         drawn = []
 
-        def nearly_parallel(K, rng, mean, sd):
-            w = real(K, rng, mean, sd)
+        def nearly_parallel(K, rng):
+            w = real(K, rng)
             l, i = divmod(len(drawn), K)  # agents draw in order, once per round
             if (l, i) == (1, 1):
-                w = drawn[-1] + 2.0**-22 * np.rint((w - mean) / sd)  # on the grid
+                w = drawn[-1] + 2.0**-22 * np.rint((w - W_MEAN) / W_SD)  # on the grid
             drawn.append(w)
             return w
 
@@ -521,27 +536,14 @@ class TestConfigPaths:
             run_protocol(scaled, ProtocolConfig(lam=1.0, T_occ=6, seed=3), bus=bus)
         assert bus.transcript.messages == []
 
-    @pytest.mark.parametrize(
-        "w_mean, w_sd",
-        [(0.1, 0.0), (0.1, -0.1), (0.1, np.nan), (0.1, np.inf), (np.nan, 0.1), (-np.inf, 0.1)],
-    )
-    def test_degenerate_encryption_spread_rejected_before_any_upload(self, w_mean, w_sd):
-        """With w_sd = 0 every encryption column is w_mean: W has rank 1 and
-        the weights solve goes wrong without a warning."""
-        dataset, _, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.1, seed=18)
-        bus = InProcessBus(ProtocolTranscript())
-        cfg = ProtocolConfig(T_occ=6, seed=18, w_mean=w_mean, w_sd=w_sd)
-        with pytest.raises(ValueError, match=r"finite w_mean and a finite w_sd > 0, got w_mean="):
-            ProtocolRunner(dataset, cfg, bus=bus).run()
-        assert bus.transcript.messages == [] and bus.mailboxes == {}
-
-    def test_encryption_spread_below_the_grid_aborts(self):
-        """At w_sd = 1e-8, far below the 2^-22 grid step, every encryption
-        column rounds to the same grid point and W has rank 1.  The
-        coordinator's exact Gram sum shows it, and the fit aborts instead of
-        ending 3.4 (relative) off the plain fit without a warning."""
+    def test_encryption_spread_below_the_grid_aborts(self, monkeypatch):
+        """When every encryption column is the same grid point (no spread at
+        all), W has rank 1.  The coordinator's exact Gram sum shows it, and
+        the fit aborts instead of ending far off the plain fit without a
+        warning."""
+        monkeypatch.setattr(runner_mod, "gen_encryption_col", lambda K, rng: np.full(K, W_MEAN))
         dataset, _, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.1, seed=5)
-        cfg = ProtocolConfig(lam=10.0, T_occ=6, seed=5, scan=False, w_sd=1e-8)
+        cfg = ProtocolConfig(lam=10.0, T_occ=6, seed=5, scan=False)
         with pytest.raises(EstimationError, match=r"^aggregated Gram matrix W W\^T has rank 1 < K=3: "):
             run_protocol(dataset, cfg)
 
@@ -551,6 +553,19 @@ class TestConfigPaths:
         with pytest.raises(ValueError, match=r"^xi0 must be finite"):
             bcd_fit(design, lam=1.0, xi0=np.array(xi0))
         with pytest.raises(ValueError, match=r"^xi0 must be finite"):
+            run_protocol(dataset, ProtocolConfig(lam=1.0, T_occ=6, seed=18, xi0=np.array(xi0)))
+
+    @pytest.mark.parametrize("xi0, message", [
+        ([0.5, 0.5], "xi0 must have 3 entries, got 2"),
+        ([0.5, 0.25, 0.5], "xi0 must lie on the probability simplex, got sum 1.25 and minimum entry 0.25"),
+        ([1.5, -0.25, -0.25], "xi0 must lie on the probability simplex, got sum 1.0 and minimum entry -0.25"),
+    ])
+    def test_bad_start_named_in_both_modes(self, xi0, message):
+        dataset, design, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.1, seed=18)
+        match = "^" + re.escape(message) + "$"
+        with pytest.raises(ValueError, match=match):
+            bcd_fit(design, lam=1.0, xi0=np.array(xi0))
+        with pytest.raises(ValueError, match=match):
             run_protocol(dataset, ProtocolConfig(lam=1.0, T_occ=6, seed=18, xi0=np.array(xi0)))
 
     def test_zero_iterations_rejected(self):
@@ -582,13 +597,24 @@ class TestConfigPaths:
         assert bus.transcript.messages == [] and bus.mailboxes == {}
 
 
+class ShufflingBus(InProcessBus):
+    """Hands each phase's messages to the receiver in a seeded random order."""
+
+    def __init__(self, transcript, seed):
+        super().__init__(transcript)
+        self.rng = np.random.default_rng(seed)
+
+    def collect(self, receiver, phase, iteration):
+        take = super().collect(receiver, phase, iteration)
+        return [take[i] for i in self.rng.permutation(len(take))]
+
+
 class TestOrderInvariance:
     def test_shuffled_arrival_same_results(self):
         dataset, _, _ = synthetic_instance(K=4, T=80, M=2, T_occ=8, noise=0.1, seed=9)
         cfg = ProtocolConfig(lam=5.0, tol=1e-6, T_occ=8, seed=9)
         fit_a, tr_a = run_protocol(dataset, cfg)
-        bus = InProcessBus(ProtocolTranscript(), permute_seed=1234)
-        fit_b, tr_b = run_protocol(dataset, cfg, bus=bus)
+        fit_b, tr_b = run_protocol(dataset, cfg, bus=ShufflingBus(ProtocolTranscript(), seed=1234))
         assert np.array_equal(fit_a.params.xi, fit_b.params.xi)
         for va, vb in zip(tr_a.bla_view, tr_b.bla_view):
             assert np.array_equal(va.A1_sum, vb.A1_sum)
@@ -601,11 +627,6 @@ class TestOrderInvariance:
         sender alone."""
 
         class ReversingBus(InProcessBus):
-            def send(self, msg):
-                data = encode_message(msg)
-                self.transcript.log(msg, data)
-                self.mailboxes.setdefault(msg.receiver, []).append(decode_message(data))
-
             def collect(self, receiver, phase, iteration):
                 return super().collect(receiver, phase, iteration)[::-1]
 

@@ -137,6 +137,18 @@ class TestSapMask:
         with pytest.raises(ValueError, match="^mask stream 99 is not a Phase$"):
             sap_mask(np.zeros(3), 1, masks, 99)
 
+    def test_net_mask_and_sap_mask_reject_an_over_long_stream_before_allocating(self):
+        """The request is checked before the K net sums are allocated, so an
+        over-long stream gets the named error, not numpy's MemoryError."""
+        masks = PairwiseMaskSet(1, [1, 2, 3], 0)
+        shape = (2**24, 2**24 + 1)
+        match = f"^mask stream of {SEGMENT + 2**24} words is longer than its segment of {SEGMENT}$"
+        with pytest.raises(ValueError, match=match):
+            masks.net_mask(1, Phase.SAP_S, shape)
+        with pytest.raises(ValueError, match=match):
+            sap_mask(np.broadcast_to(0.0, shape), 1, masks, Phase.SAP_S)  # a view; nothing allocated
+        assert masks._pending == {}
+
     def test_unknown_pair_rejected(self):
         masks = PairwiseMaskSet(5, [1, 2, 4], iteration=0)
         with pytest.raises(ValueError, match=r"pair \(1, 3\) is not in this mask set"):
