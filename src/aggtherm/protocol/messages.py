@@ -5,7 +5,7 @@ Layout (all little-endian):
 ==============  =====  ========================================
 field           bytes  meaning
 ==============  =====  ========================================
-version         u16    protocol version (currently 3)
+version         u16    protocol version (currently 4)
 iteration       u32    round index
 phase           u8     Phase enum value
 sender          u32    agent id (0 = coordinator)
@@ -16,23 +16,25 @@ dtype           u8     payload dtype code: ``f`` = f64, ``u`` = u64
 payload         8*n    row-major payload data
 ==============  =====  ========================================
 
-Phases, in protocol order.  Each round every agent sends one message per
-upload phase (``SAP_LOAD`` in round 0 only) and the coordinator sends each
-agent one message per broadcast phase, so a receiver tells the uploads apart
-by phase and sender alone:
+Phases, in protocol order.  In round 0 every agent sends one message per
+upload phase; every round the coordinator sends each agent one
+``XI_BAR_BROADCAST`` and each agent returns one ``XI_RETURN``.  So a
+receiver tells the messages of a round apart by phase and sender alone:
 
 ================  ====  ======================  ================================
 phase             code  sender -> receiver      payload
 ================  ====  ======================  ================================
 SAP_S             0     agent -> coordinator    masked xi_i tau_i, (T+M, 1) u64
 SAP_LOAD          1     agent -> coordinator    masked load_i, (T+M, 1) u64
-ALPHA_BROADCAST   2     coordinator -> agent    alpha, (M, 1) f64
-TE_A1             3     agent -> coordinator    masked hat_i w_i^T, (T, K) u64
+TE_A1             3     agent -> coordinator    masked tau_i w_i^T, (T+M, K) u64
 TE_A2             6     agent -> coordinator    masked w_i w_i^T, (K, K) u64
 TE_W              7     agent -> coordinator    masked w_i, (K, 1) u64
 XI_BAR_BROADCAST  4     coordinator -> agent    xi_bar, (K, 1) f64
 XI_RETURN         5     agent -> coordinator    xi_i, (1, 1) f64
 ================  ====  ======================  ================================
+
+Code 2 was the dynamics broadcast of version 3, when agents filtered their
+own series every round; it is no longer a phase.
 
 Masked secure-aggregation shares travel as u64 ring elements; every other
 payload is f64.  An upload's code is also its mask segment: the pairwise
@@ -50,7 +52,7 @@ import numpy as np
 
 __all__ = ["PROTOCOL_VERSION", "Phase", "Message", "encode_message", "decode_message"]
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 _HEADER = struct.Struct("<HIBII")
 _PAYLOAD_HEADER = struct.Struct("<IIIc")
@@ -63,7 +65,6 @@ class Phase(IntEnum):
 
     SAP_S = 0
     SAP_LOAD = 1
-    ALPHA_BROADCAST = 2
     TE_A1 = 3
     TE_A2 = 6
     TE_W = 7

@@ -1,14 +1,19 @@
 """Round-synchronous protocol between building agents and the coordinator.
 
-Each round: agents secure-aggregate their weighted temperature series
-(``SAP_S``), and in round 0 only their raw load series (``SAP_LOAD``); the
-coordinator slices the lags it needs from the sums, solves the dynamics
-subproblem and broadcasts the dynamics coefficients (``ALPHA_BROADCAST``);
-agents upload their transformation-masked outer products (``TE_A1``,
-``TE_A2``) and encryption column (``TE_W``); the coordinator solves the
-transformed weights subproblem and broadcasts the encrypted weights
-(``XI_BAR_BROADCAST``); and agents return their recovered weights
-(``XI_RETURN``).
+Each agent draws its private encryption column w_i once per run.  In round
+0 every agent makes one masked upload pass: its weighted temperature series
+(``SAP_S``), its load series (``SAP_LOAD``), the outer product of its whole
+temperature series with its column (``TE_A1``), the column's outer product
+with itself (``TE_A2``) and the column (``TE_W``).  The coordinator keeps
+the sums for the whole run: the load regressors ``c2``, Z = τWᵀ, G = WWᵀ
+and W1.  Every round it then solves the dynamics subproblem from the
+weighted series (round 0's ``SAP_S`` sum, and Zξ̄ of the last round's
+encrypted weights after it), filters Z by the dynamics to the transformed
+weights problem (A1 = F_α Z = ĤWᵀ), solves it and broadcasts the encrypted
+weights (``XI_BAR_BROADCAST``); agents return their recovered weights
+(``XI_RETURN``).  So only round 0 builds a mask set, and a later round
+sends 2K plain messages.  One W per run departs from the paper's fresh
+encryption every round (README, threat model).
 
 Every message is read through one receive rule, ``ProtocolRunner._collect``:
 exactly one message of the phase and round from each expected sender (the
@@ -88,7 +93,8 @@ class InProcessBus:
 
 
 class BuildingAgent:
-    """One zone's protocol participant; holds only its own two columns."""
+    """One zone's protocol participant; holds only its own two columns and
+    its encryption column."""
 
     def __init__(self, agent_id: int, tau_col: np.ndarray, load_col: np.ndarray, M: int, cfg: ProtocolConfig):
         self.id = agent_id
@@ -97,7 +103,7 @@ class BuildingAgent:
         self.M = M
         self.cfg = cfg
         self.xi_i: float | None = None  # assigned by the coordinator at setup
-        self.w_history: dict[int, np.ndarray] = {}
+        self.w: np.ndarray | None = None  # drawn at the upload, once per run
 
     def check_load_range(self, K: int):
         """Raise ValueError, naming this agent, when its load series leaves
@@ -105,85 +111,76 @@ class BuildingAgent:
         so this check before any upload is exact."""
         check_fixed_range(self.load_col, K, f"agent {self.id}'s load series")
 
-    def _masked(self, iteration: int, phase: Phase, x, masks: PairwiseMaskSet) -> Message:
+    def _masked(self, phase: Phase, x, masks: PairwiseMaskSet) -> Message:
         try:
             share = sap_mask(x, self.id, masks, phase)
         except ValueError as exc:
-            where = f"agent {self.id}'s {phase.name} upload at iteration {iteration}"
+            where = f"agent {self.id}'s {phase.name} upload at iteration {masks.iteration}"
             raise ValueError(f"{where}: {exc}") from None
-        return Message(iteration, phase, self.id, BLA_ID, share)
+        return Message(masks.iteration, phase, self.id, BLA_ID, share)
 
-    def sap_upload(self, iteration: int, masks: PairwiseMaskSet) -> list:
-        """This round's ``SAP_S`` message, the masked weighted temperature
-        series, and in round 0 the ``SAP_LOAD`` message, the masked load
-        series, which does not change between rounds."""
-        msgs = [self._masked(iteration, Phase.SAP_S, self.xi_i * self.tau_col, masks)]
-        if iteration == 0:
-            msgs.append(self._masked(iteration, Phase.SAP_LOAD, self.load_col, masks))
-        return msgs
-
-    def te_upload(self, alpha: np.ndarray, K: int, iteration: int, masks: PairwiseMaskSet) -> list:
-        """This round's ``TE_A1``, ``TE_A2`` and ``TE_W`` messages: the masked
-        outer products of the series filtered by the broadcast dynamics
-        ``alpha`` and of a fresh encryption column with that column, and the
-        masked column."""
-        hat_col = lag_filter(self.tau_col, self.M, alpha)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(self.cfg.seed, spawn_key=(2000 + iteration, self.id))
-        )
-        w = self.w_history[iteration] = gen_encryption_col(K, rng)
-        A1, A2 = compute_te_uploads(hat_col, w)
-        return [
-            self._masked(iteration, Phase.TE_A1, A1, masks),
-            self._masked(iteration, Phase.TE_A2, A2, masks),
-            self._masked(iteration, Phase.TE_W, w, masks),
+    def upload(self, K: int, masks: PairwiseMaskSet) -> list:
+        """The agent's one masked upload pass, in round 0: its weighted
+        temperature series (``SAP_S``) and load series (``SAP_LOAD``), then,
+        for an encryption column w_i drawn once per run, τ_i w_iᵀ
+        (``TE_A1``), w_i w_iᵀ (``TE_A2``) and w_i (``TE_W``)."""
+        rng = np.random.default_rng(np.random.SeedSequence(self.cfg.seed, spawn_key=(2000, self.id)))
+        self.w = gen_encryption_col(K, rng)
+        A1, A2 = compute_te_uploads(self.tau_col, self.w)
+        uploads = [
+            (Phase.SAP_S, self.xi_i * self.tau_col),
+            (Phase.SAP_LOAD, self.load_col),
+            (Phase.TE_A1, A1),
+            (Phase.TE_A2, A2),
+            (Phase.TE_W, self.w),
         ]
+        return [self._masked(phase, x, masks) for phase, x in uploads]
 
     def xi_return_message(self, xi_bar: np.ndarray, iteration: int) -> Message:
-        self.xi_i = te_recover(self.w_history[iteration], xi_bar.ravel())
+        self.xi_i = te_recover(self.w, xi_bar.ravel())
         return Message(iteration, Phase.XI_RETURN, self.id, BLA_ID, np.array([self.xi_i]))
 
 
 class Auditor:
-    """The trusted party that holds every agent's secrets and checks each
-    round that none reached the coordinator in the clear.
+    """The trusted party that holds every agent's secrets and checks that
+    none reached the coordinator in the clear.
 
-    Agent by agent, its references for round l are the temperature and load
-    series and their lag views, then the round's upload intermediates,
-    rebuilt from the round's ``RoundView`` and the agent's encryption
-    column."""
+    Only round 0 carries masked shares, so it is the one round audited.
+    Agent by agent, its references are the temperature and load series and
+    their lag views, then the upload intermediates, rebuilt from round 0's
+    input weights and the agent's encryption column."""
 
     def __init__(self, agents: list[BuildingAgent]):
         self.agents = agents
-        self._views: dict[int, RoundView] = {}  # every audited round's view
+        self._xi_in: np.ndarray | None = None  # round 0's input weights, once audited
 
-    def private_refs(self, l: int) -> list:
-        """Every agent's references for audited round l, agent by agent."""
-        view, refs = self._views[l], []
+    def private_refs(self) -> list:
+        """Every agent's references for the audited round, agent by agent."""
+        refs = []
         for k, a in enumerate(self.agents):
-            w, hat, p = a.w_history[l], lag_filter(a.tau_col, a.M, view.alpha), f"agent{a.id}/"
+            w, p = a.w, f"agent{a.id}/"
             refs += [(p + "tau_full", a.tau_col), (p + "load_full", a.load_col)]
             for m in range(a.M + 1):
                 refs += [(f"{p}tau_lag{m}", lag_view(a.tau_col, a.M, m)),
                          (f"{p}load_lag{m}", lag_view(a.load_col, a.M, m))]
-            refs += [(p + "weighted_share", view.xi_in[k] * a.tau_col), (p + "hat_tau", hat), (p + "w_col", w)]
-            refs += [(f"{p}A1_col{c}", hat * wc) for c, wc in enumerate(w)]
+            refs += [(p + "weighted_share", self._xi_in[k] * a.tau_col), (p + "w_col", w)]
+            refs += [(f"{p}A1_col{c}", a.tau_col * wc) for c, wc in enumerate(w)]
             refs += [(f"{p}A2_col{c}", w * wc) for c, wc in enumerate(w)]
         return refs
 
-    def audit(self, l: int, view: RoundView, payloads: list, transcript: ProtocolTranscript):
+    def audit(self, xi_in: np.ndarray, payloads: list, transcript: ProtocolTranscript):
         """Scan the fixed-point decoding of every share the coordinator
-        received in round l, decoded at the probe rows and in the columns
-        that pass them only, and record the result in ``transcript``.
-        Raises ProtocolError on a finding."""
-        self._views[l] = view
-        checked, findings = scan_payloads(payloads, self.private_refs(l), decode=decode_fixed)
+        received, in round 0 with input weights ``xi_in``, decoded at the
+        probe rows and in the columns that pass them only, and record the
+        result in ``transcript``.  Raises ProtocolError on a finding."""
+        self._xi_in = xi_in
+        checked, findings = scan_payloads(payloads, self.private_refs(), decode=decode_fixed)
         transcript.scan_checked += checked
         if findings:
             transcript.scan_findings.extend(findings)
             shown = "; ".join(f"{p}[col {c}] == {r}" for p, c, r in findings[:5])
             raise ProtocolError(
-                f"privacy violation at iteration {l}: {len(findings)} "
+                f"privacy violation at iteration 0: {len(findings)} "
                 f"coordinator-visible payload(s) match private data ({shown})"
             )
 
@@ -212,15 +209,16 @@ class ProtocolRunner:
         check_penalty(cfg.lam)
         for agent in self.agents.values():
             agent.check_load_range(self.K)
-        # coordinator-held exogenous regressors; c2 is summed from round 0's loads
-        self.c2 = None
+        # coordinator-held regressors and run products, c2, Z, G and w1 summed from round 0's uploads
+        self.c2 = self.Z = self.G = self.w1 = None
         self.c3 = lag_columns(dataset.tau_out, self.M)
         self.c4 = lag_columns(dataset.h_rad, self.M)
+        self._xi_bar = None  # the last round's encrypted weights
         self._round = None  # what the dynamics step hands the weights step
         self.auditor = Auditor([self.agents[i] for i in self.agent_ids]) if cfg.scan else None
 
-    def _private_refs(self, iteration: int) -> list:
-        return self.auditor.private_refs(iteration)
+    def _private_refs(self) -> list:
+        return self.auditor.private_refs()
 
     # -- the one receive rule ------------------------------------------------
 
@@ -268,49 +266,50 @@ class ProtocolRunner:
             payloads.append((f"iter{l}/{phase.name.lower()}/agent{i}", share))
         return sap_aggregate(shares)
 
-    # -- the two steps of one round ------------------------------------------
+    # -- round 0's upload and the two steps of every round ---------------------
 
-    def _sap_step(self, l: int, xi: np.ndarray):
-        """Dynamics step of round l: secure-aggregate the agents' weighted
-        temperature series (and in round 0 their loads, for ``c2``) and solve
-        for the dynamics.  Returns (alpha, f1); ``xi`` is the round's input
-        weights, for the penalty.  The round's one mask set goes on to the
-        weights step."""
-        masks = PairwiseMaskSet(self.cfg.seed, self.agent_ids, iteration=l)
+    def _upload_round(self, xi: np.ndarray) -> np.ndarray:
+        """Round 0's one masked upload pass.  Keeps ``c2``, Z, G and W1 for
+        the run, has the auditor scan the shares, and returns the weighted
+        series summed from the ``SAP_S`` shares; ``xi`` is the agents' input
+        weights."""
+        masks = PairwiseMaskSet(self.cfg.seed, self.agent_ids, iteration=0)
         for i in self.agent_ids:
-            for msg in self.agents[i].sap_upload(l, masks):
+            for msg in self.agents[i].upload(self.K, masks):
                 self.bus.send(msg)
 
         payloads = []
-        s_sum = self._aggregate(Phase.SAP_S, l, payloads).ravel()
-        if l == 0:
-            self.c2 = lag_columns(self._aggregate(Phase.SAP_LOAD, l, payloads).ravel(), self.M)
-            self.transcript.c2 = self.c2
+        s_sum = self._aggregate(Phase.SAP_S, 0, payloads).ravel()
+        self.c2 = lag_columns(self._aggregate(Phase.SAP_LOAD, 0, payloads).ravel(), self.M)
+        self.Z = self._aggregate(Phase.TE_A1, 0, payloads)
+        self.G = self._aggregate(Phase.TE_A2, 0, payloads)
+        self.w1 = self._aggregate(Phase.TE_W, 0, payloads).ravel()
+        self.transcript.c2, self.transcript.Z = self.c2, self.Z
+        if self.auditor is not None:
+            self.auditor.audit(xi, payloads, self.transcript)
+        return s_sum
+
+    def _dynamics_step(self, l: int, xi: np.ndarray):
+        """Dynamics step of round l: the weighted series is round 0's
+        ``SAP_S`` sum, and after it Zξ̄ = τWᵀξ̄ for the last round's
+        encrypted weights ξ̄.  Returns (alpha, f1); ``xi`` is the round's
+        input weights, for the penalty."""
+        s_sum = self._upload_round(xi) if l == 0 else self.Z @ self._xi_bar
         alpha, *_unused, f1 = solve_sp1_from_parts(
             s_sum, self.c2, self.c3, self.c4, self.cfg.T_occ, self.cfg.lam, float(xi @ xi)
         )
-        self._round = {"masks": masks, "payloads": payloads, "xi_in": xi.copy(), "s_sum": s_sum}
+        self._round = {"xi_in": xi.copy(), "s_sum": s_sum}
         return alpha, f1
 
-    def _te_step(self, l: int, alpha: np.ndarray):
-        """Weights step of round l: broadcast the dynamics, solve the
-        transformation-masked weights subproblem, let the agents recover their
-        weights, then have the auditor scan the round and record the
-        coordinator's view.
-        Returns (xi, beta, gamma, theta, tau_occ_free, f2)."""
+    def _weights_step(self, l: int, alpha: np.ndarray):
+        """Weights step of round l: solve the transformed weights subproblem
+        on A1 = F_α Z = ĤWᵀ, G and W1, broadcast the encrypted weights, let
+        the agents recover and return theirs, and record the coordinator's
+        view.  Returns (xi, beta, gamma, theta, tau_occ_free, f2)."""
         rnd = self._round
-        masks = rnd["masks"]
-        for agent, alpha_read in self._broadcast(Phase.ALPHA_BROADCAST, l, alpha):
-            for msg in agent.te_upload(alpha_read, self.K, l, masks):
-                self.bus.send(msg)
-
-        payloads = rnd["payloads"]
-        A1_sum = self._aggregate(Phase.TE_A1, l, payloads)
-        A2_sum = self._aggregate(Phase.TE_A2, l, payloads)
-        w_sum = self._aggregate(Phase.TE_W, l, payloads).ravel()
-
+        A1_sum = lag_filter(self.Z, self.M, alpha)
         xi_bar, *coefs, f2 = solve_sp2_masked(
-            A1_sum, A2_sum, w_sum, self.c2, self.c3, self.c4, self.cfg.T_occ, self.cfg.lam
+            A1_sum, self.G, self.w1, self.c2, self.c3, self.c4, self.cfg.T_occ, self.cfg.lam
         )
 
         for agent, xi_bar_read in self._broadcast(Phase.XI_BAR_BROADCAST, l, xi_bar):
@@ -319,27 +318,24 @@ class ProtocolRunner:
         returns = self._collect(BLA_ID, Phase.XI_RETURN, l, self.agent_ids)
         xi_new = np.array([float(p[0, 0]) for p in returns])
 
-        view = RoundView(
+        self.transcript.bla_view.append(RoundView(
             xi_in=rnd["xi_in"],
             s_sum=rnd["s_sum"],
             alpha=np.asarray(alpha, dtype=float).copy(),
             A1_sum=A1_sum,
-            A2_sum=A2_sum,
-            w_sum=w_sum,
-            xi_bar=np.asarray(xi_bar, dtype=float).copy(),
+            A2_sum=self.G,
+            w_sum=self.w1,
+            xi_bar=xi_bar,
             xi_recovered=xi_new.copy(),
-        )
-        if self.auditor is not None:
-            self.auditor.audit(l, view, payloads, self.transcript)
-        self.transcript.bla_view.append(view)
-        self._round = None
+        ))
+        self._xi_bar, self._round = xi_bar, None
         return (xi_new, *coefs, f2)
 
     def run(self) -> tuple[FitResult, ProtocolTranscript]:
         xi = check_start(self.cfg.xi0, self.K)
         for idx, i in enumerate(self.agent_ids):
             self.agents[i].xi_i = float(xi[idx])
-        fit = alternate(self._sap_step, self._te_step, xi, self.cfg.tol, self.cfg.max_iter)
+        fit = alternate(self._dynamics_step, self._weights_step, xi, self.cfg.tol, self.cfg.max_iter)
         return fit, self.transcript
 
 

@@ -1,10 +1,11 @@
 """Multiplicative transformation masking for the weights subproblem.
 
-Each agent holds a private random column of the encryption matrix W,
-uploads only outer products of its filtered temperature column and that
-column (secure-aggregated), and the coordinator solves the transformed
-problem in the encrypted weight vector.  With invertible W the transformed
-problem is an exact reparameterization of the plain one.
+Each agent holds a private random column of the encryption matrix W, drawn
+once per run, and uploads only outer products of its temperature series
+and that column (secure-aggregated, in round 0).  From their sums the
+coordinator forms each round's transformed problem in the encrypted weight
+vector.  With invertible W the transformed problem is an exact
+reparameterization of the plain one.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ def gen_encryption_col(K: int, rng: np.random.Generator):
     return np.rint(rng.normal(W_MEAN, W_SD, size=K) * steps) / steps
 
 
-def compute_te_uploads(hat_tau_col: np.ndarray, w_col: np.ndarray):
-    """Outer-product uploads of one agent: (hat_tau x w^T, w x w^T)."""
-    hat_tau_col = np.asarray(hat_tau_col, dtype=float).ravel()
+def compute_te_uploads(tau_col: np.ndarray, w_col: np.ndarray):
+    """Outer-product uploads of one agent: (tau x w^T, w x w^T)."""
+    tau_col = np.asarray(tau_col, dtype=float).ravel()
     w_col = np.asarray(w_col, dtype=float).ravel()
-    A1 = np.outer(hat_tau_col, w_col)
+    A1 = np.outer(tau_col, w_col)
     A2 = np.outer(w_col, w_col)
     return A1, A2
 

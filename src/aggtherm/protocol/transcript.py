@@ -33,13 +33,15 @@ class MessageRecord:
 class RoundView:
     """What the coordinator sees in one BCD round, for K zones, T periods and
     model order M.  Here τ is the (T+M) x K indoor series, Ĥ = F_α τ its
-    filtered rows and W the round's K x K encryption matrix, agent i's
-    column in column i."""
+    filtered rows and W the run's K x K encryption matrix, agent i's
+    column in column i.  Only round 0 carries shares: after it the
+    coordinator forms s_sum and A1_sum from Z = τWᵀ, and A2_sum and w_sum
+    are round 0's sums."""
 
     xi_in: np.ndarray  # (K,) weights the round's aggregates are formed with
-    s_sum: np.ndarray  # (T+M,) aggregate weighted series τ ξ_in
+    s_sum: np.ndarray  # (T+M,) aggregate weighted series τ ξ_in (Z ξ̄ of the last round after round 0)
     alpha: np.ndarray  # (M,) dynamics broadcast
-    A1_sum: np.ndarray  # (T, K) filtered-series products Ĥ Wᵀ
+    A1_sum: np.ndarray  # (T, K) filtered-series products Ĥ Wᵀ = F_α Z
     A2_sum: np.ndarray  # (K, K) encryption Gram W Wᵀ
     w_sum: np.ndarray  # (K,) encryption-column sums W 1
     xi_bar: np.ndarray  # (K,) encrypted weights broadcast
@@ -52,13 +54,16 @@ class ProtocolTranscript:
 
     ``messages`` logs every envelope (digests only); ``bla_view`` holds one
     ``RoundView`` per round; ``c2`` is the cluster-load regressor block the
-    coordinator sums from round 0's loads and fits every round with;
-    ``scan_checked``/``scan_findings`` summarize the privacy scan.
+    coordinator sums from round 0's loads and fits every round with; ``Z``
+    is the (T+M) x K product τWᵀ it sums from round 0's ``TE_A1`` shares
+    and filters every round; ``scan_checked``/``scan_findings`` summarize
+    the privacy scan.
     """
 
     messages: list = field(default_factory=list)
     bla_view: list[RoundView] = field(default_factory=list)
     c2: np.ndarray | None = None
+    Z: np.ndarray | None = None
     scan_checked: int = 0
     scan_findings: list = field(default_factory=list)
 

@@ -65,14 +65,13 @@ def random_params(K, M, T_occ, seed=0, simplex=True):
 def run_truth(runner):
     """The evaluation truth of a finished protocol run: the dataset's indoor
     series, and per round the encryption matrix whose column i is agent i's
-    column.  Only a test reads agent state; attacks get the view alone."""
+    column, the same in every round.  Only a test reads agent state;
+    attacks get the view alone."""
     from aggtherm.adversary import MqsTruth
 
-    W = [
-        np.column_stack([runner.agents[i].w_history[l] for i in runner.agent_ids])
-        for l in range(len(runner.transcript.bla_view))
-    ]
-    return MqsTruth(tau=runner.dataset.tau_in.copy(), W=np.array(W))
+    L = len(runner.transcript.bla_view)
+    W = [np.column_stack([runner.agents[i].w for i in runner.agent_ids])] if L else []
+    return MqsTruth(tau=runner.dataset.tau_in.copy(), W=np.array(W * L))
 
 
 def zero_mask(self, i, j, phase, shape):

@@ -298,4 +298,4 @@ class TestReportBytes:
         h = hashlib.sha256()
         for p in files:
             h.update(p.relative_to(tmp_path).as_posix().encode() + b"\0" + p.read_bytes())
-        assert h.hexdigest() == "781951397e67972434765eeb714b4711763c955cbb30a158997c69feff414e07"
+        assert h.hexdigest() == "23fa8662fa1ae7669927b869e07fc635af3564f9d68ee23e3d4ea5584fa96125"

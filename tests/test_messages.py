@@ -46,7 +46,7 @@ class TestEnvelope:
         data = encode_message(msg)
         # header: u16 version, u32 iteration, u8 phase, u32 sender, u32 receiver;
         # payload header: u32 count, u32 rows, u32 cols, u8 dtype code
-        assert data[:2] == (3).to_bytes(2, "little")
+        assert data[:2] == (4).to_bytes(2, "little")
         assert data[6] == Phase.SAP_S
         assert len(data) == 15 + 13 + 8
         assert data[27:28] == b"f"
@@ -57,7 +57,7 @@ class TestEnvelope:
                       payload=np.array([2**64 - 1], dtype=np.uint64))
         assert msg.payload.dtype == np.uint64
         data = encode_message(msg)
-        assert data[:2] == (3).to_bytes(2, "little")
+        assert data[:2] == (4).to_bytes(2, "little")
         assert len(data) == 15 + 13 + 8
         assert data[27:28] == b"u"
         assert data[-8:] == b"\xff" * 8
@@ -110,7 +110,9 @@ class TestEnvelope:
                         payload=np.ones(2))
             )
         )
-        for version in (2, 9):  # 2: the envelope before each TE upload had its own phase
+        # 2: the envelope before each TE upload had its own phase; 3: the one
+        # with a dynamics broadcast every round
+        for version in (2, 3, 9):
             data[0:2] = version.to_bytes(2, "little")
             with pytest.raises(ValueError, match=f"unsupported protocol version {version}"):
                 decode_message(bytes(data))
@@ -127,11 +129,16 @@ class TestEnvelope:
 
     def test_phase_codes(self):
         """The wire codes of the envelope table; the phases kept from version 2
-        keep their codes."""
+        keep their codes, and code 2, the dynamics broadcast of version 3, is
+        no phase: an envelope that carries it is refused."""
         assert {p.name: p.value for p in Phase} == {
-            "SAP_S": 0, "SAP_LOAD": 1, "ALPHA_BROADCAST": 2, "TE_A1": 3,
+            "SAP_S": 0, "SAP_LOAD": 1, "TE_A1": 3,
             "TE_A2": 6, "TE_W": 7, "XI_BAR_BROADCAST": 4, "XI_RETURN": 5,
         }
+        data = bytearray(encode_message(Message(0, Phase.SAP_S, 1, 0, np.ones(2))))
+        data[6] = 2
+        with pytest.raises(ValueError, match="2 is not a valid Phase"):
+            decode_message(bytes(data))
 
 
 _shapes = st.one_of(

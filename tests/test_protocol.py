@@ -85,7 +85,7 @@ class TestEquivalence:
     def test_fit_and_view_pinned(self, small_run):
         """The masks cancel exactly, so the fit and the coordinator's
         aggregates stay the same when the mask keying changes: one sha256
-        over their float64 bytes."""
+        over their float64 bytes, the run's Z = τWᵀ last."""
         *_, fit, transcript = small_run
         h = hashlib.sha256()
         for name in ("xi", "alpha", "beta", "gamma", "theta", "tau_occ_free"):
@@ -98,8 +98,9 @@ class TestEquivalence:
             for value in (view.s_sum, transcript.c2, view.A1_sum, view.A2_sum, view.w_sum,
                           view.xi_bar, view.xi_recovered, g.f1, g.f2):
                 h.update(np.asarray(value, dtype=float).tobytes())
-        assert fit.objective.hex() == "0x1.cc6794c4cbbdep+1"
-        assert h.hexdigest() == "ccf8b654489f7b5532988bfc18cbfa1b7a22304b564eb88996b69f315ef2e052"
+        h.update(transcript.Z.tobytes())
+        assert fit.objective.hex() == "0x1.cc6794c4cbb99p+1"
+        assert h.hexdigest() == "fe9b941a8fa5aadcfeb7746a9be17fa066d383d89810dc92983c9f3495e0c75a"
 
     def test_deterministic_rerun(self, small_run):
         dataset, _, cfg, fit, transcript = small_run
@@ -112,8 +113,9 @@ class TestEquivalence:
     @pytest.mark.parametrize("K, T, seed", [(4, 120, 3), (7, 200, 5), (32, 96, 11)])
     def test_gram_sums_are_exact(self, K, T, seed):
         """Encryption columns lie on the 2^-22 grid, so every entry of w w^T
-        is a multiple of 2^-44 and encodes without rounding: each round's
-        decoded Gram and column sums are W W^T and W 1 bit for bit."""
+        is a multiple of 2^-44 and encodes without rounding: the run's
+        decoded Gram and column sums, in every round's view, are W W^T and
+        W 1 bit for bit."""
         dataset, _, _ = synthetic_instance(K=K, T=T, M=2, T_occ=6, noise=0.1, seed=seed)
         runner = ProtocolRunner(dataset, ProtocolConfig(lam=10.0, T_occ=6, seed=seed, scan=False))
         fit, transcript = runner.run()
@@ -126,20 +128,19 @@ class TestEquivalence:
 class TestTranscript:
     def test_message_flow_structure(self, small_run):
         dataset, _, _, fit, transcript = small_run
-        K, M = dataset.K, dataset.M
-        per_iter = K + K + 3 * K + K + K  # sap_s, alpha, te_a1+a2+w, xibar, xiret
-        # the load series is uploaded once, in round 0
-        assert len(transcript.messages) == per_iter * fit.iterations + K
-        load_rounds = Counter(m.iteration for m in transcript.messages if m.phase == "sap_load")
-        assert load_rounds == {0: K}
+        K, T, M = dataset.K, dataset.T, dataset.M
+        assert fit.iterations > 1
         to_bla = {m.phase for m in transcript.messages if m.receiver == 0}
         assert to_bla == {"sap_s", "sap_load", "te_a1", "te_a2", "te_w", "xi_return"}
         # one message per sender and receiver per phase per round
         per_phase = Counter((m.iteration, m.phase, m.sender, m.receiver) for m in transcript.messages)
         assert set(per_phase.values()) == {1}
         from_bla = {m.phase for m in transcript.messages if m.sender == 0}
-        assert from_bla == {"alpha_broadcast", "xi_bar_broadcast"}
+        assert from_bla == {"xi_bar_broadcast"}
         assert all(len(m.digest) == 64 for m in transcript.messages)
+        shapes = {m.phase: m.shape for m in transcript.messages if m.sender == 1}
+        assert shapes == {"sap_s": (T + M, 1), "sap_load": (T + M, 1), "te_a1": (T + M, K),
+                          "te_a2": (K, K), "te_w": (K, 1), "xi_return": (1, 1)}
 
     def test_bla_view_aggregates(self, small_run):
         dataset, design, cfg, fit, transcript = small_run
@@ -179,7 +180,7 @@ class TestTranscript:
         joined = "".join(m.digest for m in transcript.messages)
         assert (
             hashlib.sha256(joined.encode()).hexdigest()
-            == "354cc599ed5b3abf0d7b897e407429ef2b6d941bacc9a4518c02d1aa6b0b069d"
+            == "81c07b77f51c8d24bc879808dcac5aa8a127f921a59b1f34de54e8805479b6b5"
         )
 
     def test_jsonl_serialization(self, small_run, tmp_path):
@@ -198,12 +199,56 @@ class TestTranscript:
         assert transcript.scan_findings == []
 
 
+class TestWorkCounts:
+    """Exact message and mask-word counts: one masked upload pass in round
+    0, then 2K plain messages a round."""
+
+    @pytest.mark.parametrize("K, max_iter", [(2, 1), (3, 2), (4, 20), (7, 1), (7, 3)])
+    def test_messages_per_fit(self, K, max_iter):
+        """A fit of L rounds sends 7K + 2K(L - 1) messages, and no message
+        of a masked phase after round 0."""
+        dataset, _, _ = synthetic_instance(K=K, T=60, M=2, T_occ=6, noise=0.1, seed=K)
+        fit, transcript = run_protocol(
+            dataset, ProtocolConfig(lam=10.0, tol=1e-12, max_iter=max_iter, T_occ=6, seed=K)
+        )
+        L = fit.iterations
+        assert L <= max_iter and (L > 1) == (max_iter > 1)
+        assert len(transcript.messages) == 7 * K + 2 * K * (L - 1)
+        later = Counter(m.phase for m in transcript.messages if m.iteration > 0)
+        assert later == ({"xi_bar_broadcast": K * (L - 1), "xi_return": K * (L - 1)} if L > 1 else {})
+        assert {m.phase for m in transcript.messages if m.iteration == 0} == {
+            "sap_s", "sap_load", "te_a1", "te_a2", "te_w", "xi_bar_broadcast", "xi_return"}
+
+    @pytest.mark.parametrize("K, T, words", [(32, 1080, 37844), (7, 1440, 13034)])
+    @pytest.mark.parametrize("max_iter", [1, 20])
+    def test_mask_words_per_pair(self, monkeypatch, K, T, words, max_iter):
+        """Each masking pair masks (T+M)(K+2) + K^2 + K words per fit,
+        whatever the number of rounds: two series, the (T+M) x K product,
+        the K x K Gram and the column."""
+        counted = Counter()
+        real = PairwiseMaskSet.mask
+
+        def counting(self, i, j, phase, shape):
+            counted[i, j] += int(np.prod(shape))
+            return real(self, i, j, phase, shape=shape)
+
+        monkeypatch.setattr(PairwiseMaskSet, "mask", counting)
+        dataset, _, _ = synthetic_instance(K=K, T=T, M=2, T_occ=48, noise=0.2, seed=1)
+        fit, _ = run_protocol(
+            dataset, ProtocolConfig(lam=100.0, max_iter=max_iter, T_occ=48, seed=1, scan=False)
+        )
+        assert (fit.iterations > 1) == (max_iter > 1)
+        assert words == (T + 2) * (K + 2) + K * K + K
+        assert set(counted.values()) == {words}
+        assert len(counted) == len(PairwiseMaskSet(0, range(1, K + 1), 0).pairs)
+
+
 def receive_error(phase, receiver, problem, ids):
     """Exact pattern of the one receive-rule ``ProtocolError`` in round 0."""
     return "^" + re.escape(f"{phase.name} to receiver {receiver} at iteration 0: {problem} {ids}") + "$"
 
 
-BROADCASTS = (Phase.ALPHA_BROADCAST, Phase.XI_BAR_BROADCAST)
+BROADCASTS = (Phase.XI_BAR_BROADCAST,)
 
 
 class FaultBus(InProcessBus):
@@ -310,19 +355,19 @@ class TestFailureModes:
             run_protocol(dataset, ProtocolConfig(lam=1.0, tol=1e-6, T_occ=6, seed=5), bus=bus)
 
     def test_repeated_broadcast_rejected(self):
-        """A second dynamics broadcast to an agent is an error, not one to drop."""
+        """A second weights broadcast to an agent is an error, not one to drop."""
 
         class TwiceBus(InProcessBus):
             def send(self, msg):
                 super().send(msg)
-                if msg.phase == Phase.ALPHA_BROADCAST:
+                if msg.phase == Phase.XI_BAR_BROADCAST:
                     super().send(msg)
 
         dataset, _, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.1, seed=5)
         bus = TwiceBus(ProtocolTranscript())
         with pytest.raises(
             ProtocolError,
-            match=receive_error(Phase.ALPHA_BROADCAST, 1, "second message from sender(s)", [0]),
+            match=receive_error(Phase.XI_BAR_BROADCAST, 1, "second message from sender(s)", [0]),
         ):
             run_protocol(dataset, ProtocolConfig(lam=1.0, tol=1e-6, T_occ=6, seed=5), bus=bus)
 
@@ -405,18 +450,17 @@ class TestSharedChecks:
                 assert "np.float64" not in w
 
     def test_ill_conditioned_weights_solve_reported(self, monkeypatch):
-        """Round 1 gives agents 1 and 2 encryption columns that differ by a
-        few steps of the 2^-22 grid, so that round's W is nearly singular and its
-        masked weights solve raises scipy's LinAlgWarning.  The private fit
-        names it in its warnings and the warning still reaches the caller;
-        the plain fit has no such solve."""
+        """Agents 1 and 2 draw encryption columns that differ by a few steps
+        of the 2^-22 grid, so the run's W is nearly singular and every
+        round's masked weights solve raises scipy's LinAlgWarning.  The
+        private fit names it in its warnings, once per round, and the
+        warning still reaches the caller; the plain fit has no such solve."""
         real = runner_mod.gen_encryption_col
         drawn = []
 
         def nearly_parallel(K, rng):
             w = real(K, rng)
-            l, i = divmod(len(drawn), K)  # agents draw in order, once per round
-            if (l, i) == (1, 1):
+            if len(drawn) == 1:  # agents draw in order, once per run
                 w = drawn[-1] + 2.0**-22 * np.rint((w - W_MEAN) / W_SD)  # on the grid
             drawn.append(w)
             return w
@@ -427,13 +471,11 @@ class TestSharedChecks:
         runner = ProtocolRunner(dataset, ProtocolConfig(lam=10.0, T_occ=12, seed=21, scan=False))
         with pytest.warns(LinAlgWarning):
             private, _ = runner.run()
-        assert np.linalg.cond(np.column_stack(drawn[4:8])) > 1e5
+        assert len(drawn) == 4 and np.linalg.cond(np.column_stack(drawn)) > 1e5
         assert plain.warnings == []
-        assert len(private.warnings) == 1
-        assert re.fullmatch(
-            r"iteration \d+: ill-conditioned weights solve \(.*ill-conditioned.*\)",
-            private.warnings[0],
-        )
+        assert len(private.warnings) == private.iterations > 1
+        for l, w in enumerate(private.warnings):
+            assert re.fullmatch(rf"iteration {l}: ill-conditioned weights solve \(.*ill-conditioned.*\)", w)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -457,15 +499,16 @@ class TestSharedChecks:
         assert rel < 1e-4
 
     def test_ill_conditioned_encryption_matrix(self):
-        """Round 1 draws a W with condition number near 1.9e4.  Off the 2^-22
-        grid, the rounded Gram sum made the masked weights step overstate f2 by
-        2.5e-5 of f and the descent check aborted; on the grid the Gram sum is
-        exact and the fit matches the plain one."""
-        dataset, design, _ = synthetic_instance(K=3, T=115, M=2, T_occ=6, noise=0.1, seed=1277076702)
+        """The run draws a W with condition number near 1.9e4.  Off the 2^-22
+        grid, the rounded Gram sum of such a W made the masked weights step
+        overstate f2 by 2.5e-5 of f and the descent check aborted; on the
+        grid the Gram sum is exact and the fit matches the plain one."""
+        dataset, design, _ = synthetic_instance(K=3, T=115, M=2, T_occ=6, noise=0.1, seed=2793542323)
         plain = bcd_fit(design, lam=100.0)
-        private, _ = run_protocol(
-            dataset, ProtocolConfig(lam=100.0, T_occ=6, seed=1277076702, scan=False)
-        )
+        runner = ProtocolRunner(dataset, ProtocolConfig(lam=100.0, T_occ=6, seed=2793542323, scan=False))
+        private, _ = runner.run()
+        assert np.linalg.cond(run_truth(runner).W[0]) > 1e4
+        assert private.iterations == plain.iterations
         assert np.max(np.abs(private.params.xi - plain.params.xi) / plain.params.xi) < 1e-3
 
 
@@ -667,8 +710,8 @@ class TestScanner:
 
 class TestMaskedUpload:
     def test_phase_fields_and_sum_invariance(self):
-        """Each agent upload is one envelope per phase, and each phase's
-        shares sum to its unmasked quantity."""
+        """Each agent's one upload pass is one envelope per phase, and each
+        phase's shares sum to its unmasked quantity."""
         from aggtherm.protocol.runner import BuildingAgent
 
         dataset, _, _ = synthetic_instance(K=3, T=50, M=2, T_occ=6, noise=0.1, seed=30)
@@ -681,50 +724,52 @@ class TestMaskedUpload:
         for ag, x in zip(agents, xi):
             ag.xi_i = float(x)
         masks = PairwiseMaskSet(30, [1, 2, 3], iteration=0)
-
-        def check(ups, phases, shapes):
-            for ag, msgs in zip(agents, ups):
-                assert [m.phase for m in msgs] == phases
-                assert all((m.iteration, m.sender, m.receiver) == (0, ag.id, 0) for m in msgs)
-                assert [m.payload.shape for m in msgs] == shapes
-                assert all(m.payload.dtype == np.uint64 for m in msgs)
-            return [sap_aggregate([msgs[k].payload for msgs in ups]) for k in range(len(phases))]
-
-        # one full (T + M)-row series of each kind, not one per lag
-        sap_ups = [ag.sap_upload(0, masks) for ag in agents]
-        got_s, got_l = check(sap_ups, [Phase.SAP_S, Phase.SAP_LOAD], [(52, 1), (52, 1)])
+        ups = [ag.upload(3, masks) for ag in agents]
+        phases = [Phase.SAP_S, Phase.SAP_LOAD, Phase.TE_A1, Phase.TE_A2, Phase.TE_W]
+        for ag, msgs in zip(agents, ups):
+            assert [m.phase for m in msgs] == phases
+            assert all((m.iteration, m.sender, m.receiver) == (0, ag.id, 0) for m in msgs)
+            # one full (T + M)-row series of each kind, not one per lag
+            assert [m.payload.shape for m in msgs] == [(52, 1), (52, 1), (52, 3), (3, 3), (3, 1)]
+            assert all(m.payload.dtype == np.uint64 for m in msgs)
+        got_s, got_l, got_z, got_gram, got_w = (
+            sap_aggregate([msgs[k].payload for msgs in ups]) for k in range(len(phases))
+        )
+        W = np.column_stack([ag.w for ag in agents])
         assert np.allclose(got_s.ravel(), dataset.tau_in @ xi, rtol=1e-10, atol=1e-9)
         assert np.allclose(got_l.ravel(), dataset.h_load.sum(axis=1), rtol=1e-10, atol=1e-9)
-
-        te_ups = [ag.te_upload(np.array([0.9, -0.2]), 3, 0, masks) for ag in agents]
-        _, got_gram, got_w = check(
-            te_ups, [Phase.TE_A1, Phase.TE_A2, Phase.TE_W], [(50, 3), (3, 3), (3, 1)]
-        )
-        W = np.column_stack([ag.w_history[0] for ag in agents])
-        assert np.allclose(got_w.ravel(), W @ np.ones(3), rtol=1e-10, atol=1e-9)
-        assert np.allclose(got_gram, W @ W.T, rtol=1e-9, atol=1e-9)
+        assert np.allclose(got_z, dataset.tau_in @ W.T, rtol=1e-10, atol=1e-9)
+        assert np.array_equal(got_w.ravel(), W @ np.ones(3))
+        assert np.array_equal(got_gram, W @ W.T)
 
     @pytest.mark.parametrize("alpha", [[0.9], [0.9, -0.2, 0.1]])
     def test_wrong_length_dynamics_rejected(self, alpha):
-        """An agent filters its own series at its own order M, so a dynamics
-        broadcast of another length is an error, not a filter of that order."""
-        from aggtherm.protocol.runner import BuildingAgent
-
+        """The coordinator filters Z = τWᵀ at the model order M, so a
+        dynamics vector of another length is an error, not a filter of that
+        order."""
         dataset, _, _ = synthetic_instance(K=2, T=30, M=2, T_occ=6, noise=0.1, seed=31)
-        agent = BuildingAgent(1, dataset.tau_in[:, 0], dataset.h_load[:, 0], 2, ProtocolConfig())
+        runner = ProtocolRunner(dataset, ProtocolConfig(T_occ=6, seed=31))
+        for agent in runner.agents.values():
+            agent.xi_i = 0.5
+        runner._dynamics_step(0, np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="alpha must have M=2 entries"):
-            agent.te_upload(np.array(alpha), 2, 0, PairwiseMaskSet(31, [1, 2], iteration=0))
+            runner._weights_step(0, np.array(alpha))
 
 
 class TestWeightsFreshness:
-    def test_encryption_columns_change_every_iteration(self):
+    def test_encryption_column_drawn_once_per_run(self):
+        """Each agent draws its column once, from (seed, 2000, id) with no
+        round index, and every round is solved with that one W."""
         dataset, _, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.3, seed=10)
         cfg = ProtocolConfig(lam=1.0, tol=1e-12, max_iter=3, T_occ=6, seed=10)
         runner = ProtocolRunner(dataset, cfg)
-        fit, _ = runner.run()
+        fit, transcript = runner.run()
         assert fit.iterations == 3
-        for agent in runner.agents.values():
-            w = agent.w_history
-            assert len(w) == 3
-            assert not np.array_equal(w[0], w[1])
-            assert not np.array_equal(w[1], w[2])
+        for i, agent in runner.agents.items():
+            rng = np.random.default_rng(np.random.SeedSequence(10, spawn_key=(2000, i)))
+            assert np.array_equal(agent.w, runner_mod.gen_encryption_col(3, rng))
+        W = run_truth(runner).W[0]
+        assert len({agent.w.tobytes() for agent in runner.agents.values()}) == 3
+        for view in transcript.bla_view:
+            assert np.array_equal(view.A2_sum, W @ W.T)
+            assert np.array_equal(view.xi_recovered, W.T @ view.xi_bar)

@@ -163,35 +163,38 @@ def test_decode_reads_probe_rows_and_passing_columns_only():
     assert decoded_rows == [8, 200]
 
 
-def test_later_round_leak_found_with_updated_references(monkeypatch):
-    """Masks vanish from round 1 on, so round 1 leaks after a clean round 0;
-    the runner's scan, on references built in round 0 and updated in round 1,
-    finds what the pairwise scan finds on round 1's decoded shares."""
+def test_round_0_leak_found_with_the_auditors_references(monkeypatch):
+    """Masks vanish for the three TE uploads only, so round 0 leaks the
+    outer products and the encryption columns while the series shares stay
+    masked; the runner's scan, on the auditor's references, finds what the
+    pairwise scan finds on the decoded shares.  Only round 0 carries
+    shares, so the scan runs once."""
     real_mask = PairwiseMaskSet.mask
 
-    def mask_until_round_1(self, i, j, phase, shape):
-        if self.iteration >= 1:
+    def mask_series_only(self, i, j, phase, shape):
+        if phase in (Phase.TE_A1, Phase.TE_A2, Phase.TE_W):
             return zero_mask(self, i, j, phase, shape)
         return real_mask(self, i, j, phase, shape)
 
-    scanned = []  # per round: the decoded shares and the agents' references then
+    scanned = []  # the decoded shares and the agents' references, per scan
     real_scan = runner_mod.scan_payloads
 
     def recording_scan(payloads, refs, **kw):
         decoded = [(label, decode_fixed(share)) for label, share in payloads]
-        scanned.append((decoded, runner._private_refs(len(scanned))))
+        scanned.append((decoded, runner._private_refs()))
         return real_scan(payloads, refs, **kw)
 
-    monkeypatch.setattr(PairwiseMaskSet, "mask", mask_until_round_1)
+    monkeypatch.setattr(PairwiseMaskSet, "mask", mask_series_only)
     monkeypatch.setattr(runner_mod, "scan_payloads", recording_scan)
     dataset, _, _ = synthetic_instance(K=3, T=30, M=2, T_occ=6, noise=0.1, seed=6)
     runner = ProtocolRunner(dataset, ProtocolConfig(lam=1.0, tol=1e-12, T_occ=6, seed=6))
-    with pytest.raises(ProtocolError, match="privacy violation at iteration 1: "):
+    with pytest.raises(ProtocolError, match="privacy violation at iteration 0: "):
         runner.run()
-    checked, want = zip(*(pairwise_scan_payloads(*round_) for round_ in scanned))
-    assert want[0] == [] and len(want[1]) > 0
-    assert runner.transcript.scan_findings == want[1]
-    assert runner.transcript.scan_checked == sum(checked)
+    ((decoded, refs),) = scanned
+    checked, want = pairwise_scan_payloads(decoded, refs)
+    assert len(want) > 0 and all(label.split("/")[1].startswith("te_") for label, _, _ in want)
+    assert runner.transcript.scan_findings == want
+    assert runner.transcript.scan_checked == checked
 
 
 @pytest.mark.parametrize(
@@ -230,7 +233,7 @@ def test_three_dimensional_payload_rejected(value):
 
 # Findings of the unmasked run below, whose zero masks leave each share
 # the plain fixed-point encoding of its input; it decodes to within 2^-45
-# of the reference.  Each agent uploads one weighted
+# of the reference.  Each agent uploads, in round 0 only, one weighted
 # temperature series and one load series.  With xi0 = (1, 0, 0), agent 1's
 # weighted share equals its temperature series, and the zero shares of
 # agents 2 and 3 match each other's.  Each whole TE share is scanned column
@@ -270,66 +273,59 @@ def test_unmasked_run_full_findings(monkeypatch):
 
 
 def _upload_recorder(monkeypatch):
-    """Record, per (round, agent), what each agent actually uploaded: its
-    weighted share, filtered series, encryption column and the columns of
-    both outer products, labelled as the scan labels them."""
-    real_mask, real_uploads = runner_mod.sap_mask, runner_mod.compute_te_uploads
-    hats, sent = [], {}
-
-    def uploads(hat, w):
-        hats.append(hat)
-        return real_uploads(hat, w)
+    """Record, per agent, what it actually uploaded: its weighted share,
+    encryption column and the columns of both outer products, labelled as
+    the scan labels them."""
+    real_mask = runner_mod.sap_mask
+    sent = {}
 
     def sap_mask(x, agent_id, masks, phase):
-        got = sent.setdefault((masks.iteration, agent_id), {})
+        got = sent.setdefault(agent_id, {})
         x = np.asarray(x)
         if phase == Phase.SAP_S:
             got["weighted_share"] = x
-        elif phase == Phase.TE_A1:
-            got["hat_tau"] = hats[-1]
-            got.update((f"A1_col{c}", x[:, c]) for c in range(x.shape[1]))
-        elif phase == Phase.TE_A2:
-            got.update((f"A2_col{c}", x[:, c]) for c in range(x.shape[1]))
+        elif phase in (Phase.TE_A1, Phase.TE_A2):
+            n = 1 if phase == Phase.TE_A1 else 2
+            got.update((f"A{n}_col{c}", x[:, c]) for c in range(x.shape[1]))
         elif phase == Phase.TE_W:
             got["w_col"] = x
         return real_mask(x, agent_id, masks, phase)
 
-    monkeypatch.setattr(runner_mod, "compute_te_uploads", uploads)
     monkeypatch.setattr(runner_mod, "sap_mask", sap_mask)
     return sent
 
 
 @pytest.mark.parametrize("K", [3, 4])
 def test_auditor_references_are_the_uploads(monkeypatch, K):
-    """In every round the auditor's references, rebuilt from the round's
-    view and the agents' encryption columns, are label for label and bit
-    for bit what each agent uploaded, after its series and lag views."""
+    """After a run of three rounds the auditor's references, rebuilt from
+    round 0's input weights and the agents' encryption columns, are label
+    for label and bit for bit what each agent uploaded, after its series
+    and lag views."""
     sent = _upload_recorder(monkeypatch)
     dataset, _, _ = synthetic_instance(K=K, T=40, M=2, T_occ=8, noise=0.3, seed=K)
     runner = ProtocolRunner(dataset, ProtocolConfig(lam=1.0, tol=1e-12, max_iter=3, T_occ=8, seed=K))
     fit, _ = runner.run()
     assert fit.iterations == 3
-    upload_labels = ["weighted_share", "hat_tau", "w_col",
-                     *[f"A{n}_col{c}" for n in (1, 2) for c in range(K)]]
-    for l in range(fit.iterations):
-        want = []
-        for i in runner.agent_ids:
-            tau, load = dataset.tau_in[:, i - 1], dataset.h_load[:, i - 1]
-            want += [(f"agent{i}/tau_full", tau), (f"agent{i}/load_full", load)]
-            for m in range(3):
-                want += [(f"agent{i}/tau_lag{m}", tau[2 - m : 42 - m]),
-                         (f"agent{i}/load_lag{m}", load[2 - m : 42 - m])]
-            want += [(f"agent{i}/{label}", sent[l, i][label]) for label in upload_labels]
-        got = runner._private_refs(l)
-        assert [label for label, _ in got] == [label for label, _ in want]
-        for (label, g), (_, w) in zip(got, want):
-            assert g.dtype == w.dtype and g.tobytes() == np.ascontiguousarray(w).tobytes(), (l, label)
+    upload_labels = ["weighted_share", "w_col", *[f"A{n}_col{c}" for n in (1, 2) for c in range(K)]]
+    want = []
+    for i in runner.agent_ids:
+        tau, load = dataset.tau_in[:, i - 1], dataset.h_load[:, i - 1]
+        want += [(f"agent{i}/tau_full", tau), (f"agent{i}/load_full", load)]
+        for m in range(3):
+            want += [(f"agent{i}/tau_lag{m}", tau[2 - m : 42 - m]),
+                     (f"agent{i}/load_lag{m}", load[2 - m : 42 - m])]
+        want += [(f"agent{i}/{label}", sent[i][label]) for label in upload_labels]
+    got = runner._private_refs()
+    assert [label for label, _ in got] == [label for label, _ in want]
+    for (label, g), (_, w) in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == np.ascontiguousarray(w).tobytes(), label
 
 
 @pytest.mark.parametrize("scan", [True, False])
 def test_auditor_only_in_audited_runs(monkeypatch, scan):
     """A scan-off run builds no auditor and scans nothing; an audited run
-    scans once per round.  The agents hold the same state either way."""
+    scans once, round 0's shares, as no later round carries any.  The
+    agents hold the same state either way."""
     calls = []
     real_scan = runner_mod.scan_payloads
     monkeypatch.setattr(runner_mod, "scan_payloads", lambda *a, **kw: calls.append(1) or real_scan(*a, **kw))
@@ -338,8 +334,9 @@ def test_auditor_only_in_audited_runs(monkeypatch, scan):
     runner = ProtocolRunner(dataset, cfg)
     fit, transcript = runner.run()
     assert (runner.auditor is not None) == scan
-    assert len(calls) == (fit.iterations if scan else 0)
-    assert transcript.scan_checked == (27 + 24 if scan else 0)  # round 1 sends no loads
+    assert fit.iterations == 2
+    assert len(calls) == (1 if scan else 0)
+    assert transcript.scan_checked == (27 if scan else 0)
     assert {a: set(vars(agent)) for a, agent in runner.agents.items()} == {
-        a: {"id", "tau_col", "load_col", "M", "cfg", "xi_i", "w_history"} for a in runner.agent_ids
+        a: {"id", "tau_col", "load_col", "M", "cfg", "xi_i", "w"} for a in runner.agent_ids
     }
