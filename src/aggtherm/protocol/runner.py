@@ -4,8 +4,11 @@ Each agent draws its private encryption column w_i once per run.  In round
 0 every agent makes one masked upload pass: its weighted temperature series
 (``SAP_S``), its load series (``SAP_LOAD``), the outer product of its whole
 temperature series with its column (``TE_A1``), the column's outer product
-with itself (``TE_A2``) and the column (``TE_W``).  The coordinator keeps
-the sums for the whole run: the load regressors ``c2``, Z = τWᵀ, G = WWᵀ
+with itself (``TE_A2``) and the column (``TE_W``).  The pass runs one phase
+at a time: agent by agent, each makes and sends its share, and the
+coordinator reads it at once and adds it to the phase's ring sum, so round
+0 holds one share per phase in flight, not K.  The coordinator keeps the
+sums for the whole run: the load regressors ``c2``, Z = τWᵀ, G = WWᵀ
 and W1.  Every round it then solves the dynamics subproblem from the
 weighted series (round 0's ``SAP_S`` sum, and Zξ̄ of the last round's
 encrypted weights after it), filters Z by the dynamics to the transformed
@@ -52,6 +55,7 @@ __all__ = [
 ]
 
 BLA_ID = 0
+UPLOADS = (Phase.SAP_S, Phase.SAP_LOAD, Phase.TE_A1, Phase.TE_A2, Phase.TE_W)  # round 0's, in order
 
 
 class ProtocolError(RuntimeError):
@@ -119,22 +123,28 @@ class BuildingAgent:
             raise ValueError(f"{where}: {exc}") from None
         return Message(masks.iteration, phase, self.id, BLA_ID, share)
 
-    def upload(self, K: int, masks: PairwiseMaskSet) -> list:
-        """The agent's one masked upload pass, in round 0: its weighted
-        temperature series (``SAP_S``) and load series (``SAP_LOAD``), then,
-        for an encryption column w_i drawn once per run, τ_i w_iᵀ
-        (``TE_A1``), w_i w_iᵀ (``TE_A2``) and w_i (``TE_W``)."""
-        rng = np.random.default_rng(np.random.SeedSequence(self.cfg.seed, spawn_key=(2000, self.id)))
-        self.w = gen_encryption_col(K, rng)
-        A1, A2 = compute_te_uploads(self.tau_col, self.w)
-        uploads = [
-            (Phase.SAP_S, self.xi_i * self.tau_col),
-            (Phase.SAP_LOAD, self.load_col),
-            (Phase.TE_A1, A1),
-            (Phase.TE_A2, A2),
-            (Phase.TE_W, self.w),
-        ]
-        return [self._masked(phase, x, masks) for phase, x in uploads]
+    def upload(self, phase: Phase, masks: PairwiseMaskSet) -> Message:
+        """The agent's share of one phase of its masked upload pass, in
+        round 0: its weighted temperature series (``SAP_S``) and load series
+        (``SAP_LOAD``), then, for an encryption column w_i drawn once per
+        run, at the agent's first upload, τ_i w_iᵀ (``TE_A1``), w_i w_iᵀ
+        (``TE_A2``) and w_i (``TE_W``)."""
+        if phase not in UPLOADS:
+            raise ValueError(f"{phase!r} is not an upload phase")
+        if self.w is None:
+            rng = np.random.default_rng(np.random.SeedSequence(self.cfg.seed, spawn_key=(2000, self.id)))
+            self.w = gen_encryption_col(len(masks.agent_ids), rng)
+        if phase == Phase.SAP_S:
+            x = self.xi_i * self.tau_col
+        elif phase == Phase.SAP_LOAD:
+            x = self.load_col
+        elif phase == Phase.TE_A1:
+            x = compute_te_uploads(self.tau_col, self.w)[0]
+        elif phase == Phase.TE_A2:
+            x = compute_te_uploads(self.tau_col[:0], self.w)[1]  # the Gram alone: no series rows to multiply
+        else:
+            x = self.w
+        return self._masked(phase, x, masks)
 
     def xi_return_message(self, xi_bar: np.ndarray, iteration: int) -> Message:
         self.xi_i = te_recover(self.w, xi_bar.ravel())
@@ -202,9 +212,8 @@ class ProtocolRunner:
             i: BuildingAgent(i, dataset.tau_in[:, i - 1], dataset.h_load[:, i - 1], self.M, cfg)
             for i in self.agent_ids
         }
-        self.transcript = ProtocolTranscript()
-        self.bus = bus if bus is not None else InProcessBus(self.transcript)
-        self.bus.transcript = self.transcript
+        self.bus = bus if bus is not None else InProcessBus(ProtocolTranscript())
+        self.transcript = self.bus.transcript  # a supplied bus keeps the transcript it logs to
         occupancy_slots(self.T, cfg.T_occ)  # a bad T_occ, lambda or load stops the run before any upload
         check_penalty(cfg.lam)
         for agent in self.agents.values():
@@ -238,15 +247,16 @@ class ProtocolRunner:
                 repeats.add(m.sender)
             else:
                 got[m.sender] = m.payload
-        for problem, ids in (
-            ("message from unknown sender(s)", strangers),
-            ("second message from sender(s)", repeats),
-            ("no message from sender(s)", known - got.keys()),
-        ):
-            if ids:
-                raise ProtocolError(
-                    f"{phase.name} to receiver {receiver} at iteration {l}: {problem} {sorted(ids)}"
-                )
+        if strangers or repeats or len(got) < len(known):
+            for problem, ids in (
+                ("message from unknown sender(s)", strangers),
+                ("second message from sender(s)", repeats),
+                ("no message from sender(s)", known - got.keys()),
+            ):
+                if ids:
+                    raise ProtocolError(
+                        f"{phase.name} to receiver {receiver} at iteration {l}: {problem} {sorted(ids)}"
+                    )
         return [got[i] for i in senders]
 
     def _broadcast(self, phase: Phase, l: int, payload: np.ndarray):
@@ -258,32 +268,33 @@ class ProtocolRunner:
             (read,) = self._collect(i, phase, l, [BLA_ID])
             yield self.agents[i], read
 
-    def _aggregate(self, phase: Phase, l: int, payloads: list) -> np.ndarray:
-        """Decoded sum of round l's ``phase`` shares; each whole share is
-        appended to ``payloads`` for the privacy scan."""
-        shares = self._collect(BLA_ID, phase, l, self.agent_ids)
-        for i, share in zip(self.agent_ids, shares):
-            payloads.append((f"iter{l}/{phase.name.lower()}/agent{i}", share))
-        return sap_aggregate(shares)
+    def _shares(self, phase: Phase, masks: PairwiseMaskSet, payloads: list | None):
+        """Yield round 0's ``phase`` shares in agent order: each agent makes
+        and sends its share, and the coordinator reads it at once.  Each
+        whole share is appended to ``payloads`` for the privacy scan, unless
+        that is None."""
+        for i in self.agent_ids:
+            self.bus.send(self.agents[i].upload(phase, masks))
+            (share,) = self._collect(BLA_ID, phase, 0, [i])
+            if payloads is not None:
+                payloads.append((f"iter0/{phase.name.lower()}/agent{i}", share))
+            yield share
 
     # -- round 0's upload and the two steps of every round ---------------------
 
     def _upload_round(self, xi: np.ndarray) -> np.ndarray:
-        """Round 0's one masked upload pass.  Keeps ``c2``, Z, G and W1 for
-        the run, has the auditor scan the shares, and returns the weighted
-        series summed from the ``SAP_S`` shares; ``xi`` is the agents' input
-        weights."""
+        """Round 0's one masked upload pass, one phase at a time, each
+        share added to its phase's sum as it arrives.  Keeps ``c2``, Z, G
+        and W1 for the run, has the auditor scan the shares, and returns the
+        weighted series summed from the ``SAP_S`` shares; ``xi`` is the
+        agents' input weights."""
         masks = PairwiseMaskSet(self.cfg.seed, self.agent_ids, iteration=0)
-        for i in self.agent_ids:
-            for msg in self.agents[i].upload(self.K, masks):
-                self.bus.send(msg)
-
-        payloads = []
-        s_sum = self._aggregate(Phase.SAP_S, 0, payloads).ravel()
-        self.c2 = lag_columns(self._aggregate(Phase.SAP_LOAD, 0, payloads).ravel(), self.M)
-        self.Z = self._aggregate(Phase.TE_A1, 0, payloads)
-        self.G = self._aggregate(Phase.TE_A2, 0, payloads)
-        self.w1 = self._aggregate(Phase.TE_W, 0, payloads).ravel()
+        payloads = [] if self.auditor is not None else None  # only the scan needs the shares kept
+        s_sum, load_sum, self.Z, self.G, w1 = (
+            sap_aggregate(self._shares(phase, masks, payloads)) for phase in UPLOADS
+        )
+        s_sum, self.w1 = s_sum.ravel(), w1.ravel()
+        self.c2 = lag_columns(load_sum.ravel(), self.M)
         self.transcript.c2, self.transcript.Z = self.c2, self.Z
         if self.auditor is not None:
             self.auditor.audit(xi, payloads, self.transcript)

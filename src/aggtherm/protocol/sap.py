@@ -10,17 +10,18 @@ agents in sorted-id order, the agent at position a masks with those at
 positions a +- 1, ..., a +- h (mod K), as in Bell et al., "Secure
 Single-Server Aggregation with (Poly)Logarithmic Overhead" (CCS 2020).
 When 2h >= K - 1 that is every pair.  The mask set generates each pair's
-stream once per round and hands every agent its own net sum.  The
+stream once per upload phase and hands every agent its own net sum.  The
 coordinator sums the shares mod 2^64, which cancels every mask, and
 decodes the sum once: it is the exact sum of the quantized inputs, in any
 share order.  Without the pair keys, each share on its own is
 indistinguishable from uniform over the ring; the graph has vertex
 connectivity 2h, so any proper subset of the shares sums to uniform noise,
 and unmasking one agent takes the keys of all 2h of its neighbours.  Every
-masking pair has one fresh AES-128 key per round, and each upload phase's
-stream is a fixed, disjoint segment of that pair's AES counter-mode
-keystream, the PRG of Bonawitz et al., "Practical Secure Aggregation for
-Privacy-Preserving Machine Learning" (CCS 2017).
+masking pair has one AES-128 key per mask set, and the protocol builds one
+set per run, for round 0's upload pass; each upload phase's stream is a
+fixed, disjoint segment of that pair's AES counter-mode keystream, the PRG
+of Bonawitz et al., "Practical Secure Aggregation for Privacy-Preserving
+Machine Learning" (CCS 2017).
 """
 
 from __future__ import annotations
@@ -101,9 +102,10 @@ class PairwiseMaskSet:
     numpy's PCG64.  ``cryptography`` is imported when the first key is
     derived, so a process that never masks does not load it.
 
-    ``net_mask`` generates each pair's stream once per (phase, shape)
-    and keeps every agent's net sum until that agent takes it, so at most
-    one pending sum per agent is held for each stream.
+    ``net_mask`` generates each pair's stream once per (phase, shape),
+    when the first of the two members asks, and keeps the other member's
+    partial sum only until that member asks.  Asked in sorted-id order, it
+    holds at most 2h pending sums per stream, not K.
     """
 
     def __init__(self, master_seed: int, agent_ids, iteration: int):
@@ -120,9 +122,15 @@ class PairwiseMaskSet:
         self.master_seed = master_seed
         self.agent_ids = ids
         self.iteration = iteration
+        # agent id -> [(neighbour, listed pair, whether the agent adds the pair's mask)]
+        self._links: dict = {i: [] for i in ids}
+        for i, j in self.pairs:
+            self._links[i].append((j, (i, j), True))
+            self._links[j].append((i, (i, j), False))
         self._encryptors: dict = {}  # (i, j) -> the pair's AES-128 ECB encryptor, on first request
         self._streams: dict = {}  # (phase, shape) -> the stream's counter blocks
-        self._pending: dict = {}  # (phase, shape) -> {agent id: net mask}
+        self._served: dict = {}  # (phase, shape) -> ids of the agents handed their net mask
+        self._pending: dict = {}  # (phase, shape) -> {unserved agent id: partial net mask}
 
     def _derive_keys(self) -> None:
         """This round's key of every listed pair, from one ``SeedSequence``,
@@ -175,24 +183,44 @@ class PairwiseMaskSet:
         those toward lower-id neighbours.  The K net masks of a stream sum to
         zero.
 
-        The first request for a (phase, shape) walks the listed pairs
-        once and holds every agent's sum; each sum is handed out once, and a
-        repeated request for an agent generates the stream again."""
-        if agent_id not in self.agent_ids:
+        The first request of an agent generates the streams of its pairs
+        with agents that have not asked yet, and adds each to that
+        neighbour's pending partial sum too; its own sum is what its
+        earlier neighbours left pending plus those streams.  So each pair's
+        stream is made once, and a pending sum lives only from the first to
+        the second request of the pair's members: requests in sorted-id
+        order hold at most 2h.  A repeated request for an agent generates
+        all its pair streams again and leaves every pending sum as it is."""
+        links = self._links.get(agent_id)
+        if links is None:
             raise ValueError(f"agent {agent_id} is not in this mask set {self.agent_ids}")
         dims = _mask_shape(shape)
         key = (phase, dims)
-        pending = self._pending.get(key)
-        if pending is None or agent_id not in pending:
-            if key not in self._streams:
-                self._stream(phase, dims)  # refuse a bad request before the sums are allocated
-            pending = {i: np.zeros(dims, dtype=np.uint64) for i in self.agent_ids}
-            for i, j in self.pairs:
-                m = self.mask(i, j, phase, shape=dims)
-                pending[i] += m
-                pending[j] -= m
-            self._pending[key] = pending
-        net = pending.pop(agent_id)
+        if key not in self._streams:
+            self._stream(phase, dims)  # refuse a bad request before any sum is allocated
+        served = self._served.setdefault(key, set())
+        first = agent_id not in served
+        pending = self._pending.setdefault(key, {})
+        net = pending.pop(agent_id, None) if first else None
+        for j, pair, adds in links:  # every agent has a neighbour, so net is set
+            if first and j in served:
+                continue  # j generated this stream and left it in our pending sum
+            m = self.mask(*pair, phase, shape=dims)
+            if first:
+                other = pending.get(j)
+                if other is None:
+                    pending[j] = np.negative(m) if adds else m.copy()
+                elif adds:
+                    other -= m
+                else:
+                    other += m
+            if net is None:
+                net = m if adds else np.negative(m, out=m)  # m is ours: mask returns a new array
+            elif adds:
+                net += m
+            else:
+                net -= m
+        served.add(agent_id)
         if not pending:
             del self._pending[key]
         return net
@@ -248,13 +276,18 @@ def sap_mask(x, agent_id: int, masks: PairwiseMaskSet, phase: Phase) -> np.ndarr
     return out
 
 
-def sap_aggregate(shares: list) -> np.ndarray:
-    """Sum a complete set of ring shares mod 2^64 and decode the sum."""
-    if not shares:
+def sap_aggregate(shares) -> np.ndarray:
+    """Sum a complete set of ring shares mod 2^64 and decode the sum.
+
+    ``shares`` may be any iterable, a generator among them: each share is
+    added as it is read, so only the running sum and one share are held."""
+    shares = iter(shares)
+    first = next(shares, None)
+    if first is None:
         raise ValueError("no shares to aggregate")
-    first = np.asarray(shares[0])
+    first = np.asarray(first)
     out = first.copy()
-    for s in shares[1:]:
+    for s in shares:
         s = np.asarray(s)
         if s.shape != first.shape:
             raise ValueError(f"share shape {s.shape} does not match {first.shape}")

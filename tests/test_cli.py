@@ -298,4 +298,4 @@ class TestReportBytes:
         h = hashlib.sha256()
         for p in files:
             h.update(p.relative_to(tmp_path).as_posix().encode() + b"\0" + p.read_bytes())
-        assert h.hexdigest() == "23fa8662fa1ae7669927b869e07fc635af3564f9d68ee23e3d4ea5584fa96125"
+        assert h.hexdigest() == "fcc98f678feee0feed2fc741ad4903944ec6f767b6f189bbf2ca206964b27ec5"

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -173,14 +174,24 @@ class TestTranscript:
             hashlib.sha256(encode_message(msg)).hexdigest() for msg in sent
         ]
 
+    def test_supplied_bus_keeps_its_transcript(self):
+        """A run on a supplied bus logs to the transcript that bus was made
+        with, and returns that transcript."""
+        dataset, _, _ = synthetic_instance(K=3, T=40, M=2, T_occ=6, noise=0.1, seed=4)
+        mine = ProtocolTranscript()
+        fit, transcript = run_protocol(dataset, ProtocolConfig(lam=1.0, T_occ=6, seed=4), bus=InProcessBus(mine))
+        assert transcript is mine
+        assert len(mine.messages) == 7 * 3 + 2 * 3 * (fit.iterations - 1) > 0
+
     def test_stream_keying_and_share_bytes_pinned(self, small_run):
-        """One sha256 over the ordered envelope digests of the K=4 run: a change
-        to how mask streams are keyed, or to any share's bytes, shows here."""
+        """One sha256 over the sorted envelope digests of the K=4 run: a change
+        to how mask streams are keyed, or to any share's bytes, shows here,
+        and the order the messages are sent in does not."""
         *_, transcript = small_run
-        joined = "".join(m.digest for m in transcript.messages)
+        joined = "".join(sorted(m.digest for m in transcript.messages))
         assert (
             hashlib.sha256(joined.encode()).hexdigest()
-            == "81c07b77f51c8d24bc879808dcac5aa8a127f921a59b1f34de54e8805479b6b5"
+            == "7279da44c8af5234ba1f4f53a70cebf5ebd62645c0a912d5e9ea2dfa288a9b86"
         )
 
     def test_jsonl_serialization(self, small_run, tmp_path):
@@ -241,6 +252,31 @@ class TestWorkCounts:
         assert words == (T + 2) * (K + 2) + K * K + K
         assert set(counted.values()) == {words}
         assert len(counted) == len(PairwiseMaskSet(0, range(1, K + 1), 0).pairs)
+
+
+class TestRoundZeroMemory:
+    def test_private_fit_peak_is_bounded_by_the_mask_window(self):
+        """Round 0 reads each share as it arrives and keeps a pair's stream
+        only between its two members' requests, so a K=64 private fit with
+        the scan off peaks at the 2h = 12 pending partial sums plus a fixed
+        number of buffers the size of one TE_A1 share ((T+M) x K words):
+        the agents' copies of their series, the running sums, and the one
+        share in flight through encode, mask, envelope and decode.  Holding
+        every agent's share or net mask at once would take K = 64."""
+        K, T, M = 64, 240, 2
+        window = 2 * (K - 1).bit_length()  # 2h = 12
+        warm, _, _ = synthetic_instance(K=2, T=20, M=M, T_occ=4, seed=3)
+        run_protocol(warm, ProtocolConfig(T_occ=4, seed=3, scan=False))  # first imports happen untraced
+        dataset, _, _ = synthetic_instance(K=K, T=T, M=M, T_occ=12, noise=0.1, seed=3)
+        cfg = ProtocolConfig(lam=10.0, T_occ=12, seed=3, scan=False)
+        tracemalloc.start()
+        try:
+            run_protocol(dataset, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        share = (T + M) * K * 8
+        assert peak <= (window + 16) * share, f"peak {peak / share:.1f} shares"
 
 
 def receive_error(phase, receiver, problem, ids):
@@ -372,7 +408,9 @@ class TestFailureModes:
             run_protocol(dataset, ProtocolConfig(lam=1.0, tol=1e-6, T_occ=6, seed=5), bus=bus)
 
     def test_duplicate_share_rejected(self):
-        """A second share from one agent is an error, not a share to drop."""
+        """A second share from one agent is an error, not a share to drop.
+        The coordinator reads each share as it arrives, so the round stops
+        at the first agent whose share came twice."""
 
         class TwiceBus(InProcessBus):
             def send(self, msg):
@@ -383,7 +421,7 @@ class TestFailureModes:
         dataset, _, _ = synthetic_instance(K=3, T=60, M=2, T_occ=6, noise=0.1, seed=5)
         bus = TwiceBus(ProtocolTranscript())
         with pytest.raises(
-            ProtocolError, match=receive_error(Phase.SAP_S, 0, "second message from sender(s)", [1, 2, 3])
+            ProtocolError, match=receive_error(Phase.SAP_S, 0, "second message from sender(s)", [1])
         ):
             run_protocol(dataset, ProtocolConfig(lam=1.0, tol=1e-6, T_occ=6, seed=5), bus=bus)
 
@@ -724,8 +762,8 @@ class TestMaskedUpload:
         for ag, x in zip(agents, xi):
             ag.xi_i = float(x)
         masks = PairwiseMaskSet(30, [1, 2, 3], iteration=0)
-        ups = [ag.upload(3, masks) for ag in agents]
         phases = [Phase.SAP_S, Phase.SAP_LOAD, Phase.TE_A1, Phase.TE_A2, Phase.TE_W]
+        ups = [[ag.upload(phase, masks) for phase in phases] for ag in agents]
         for ag, msgs in zip(agents, ups):
             assert [m.phase for m in msgs] == phases
             assert all((m.iteration, m.sender, m.receiver) == (0, ag.id, 0) for m in msgs)

@@ -479,6 +479,26 @@ class TestMaskWork:
             (i, j) for i in ids for j in sorted(harary_neighbours(ids, i)) if i < j
         ]
 
+    @pytest.mark.parametrize("K", [7, 32, 64])
+    def test_sorted_requests_hold_at_most_2h_pending_sums(self, K):
+        """Asked in sorted-id order, the set holds at most min(2h, K - 1)
+        partial sums, not K: a pair's stream is kept for its second member
+        only until that member asks.  The count only grows within a request,
+        after the agent's own sum is taken, so reading it after each request
+        reads its peak.  Every net mask is still the per-pair reference's."""
+        ids = [3 * n + 2 for n in range(K)]  # ids with gaps, not 1..K
+        masks = PairwiseMaskSet(9, ids, 0)
+        oracle = PairwiseMaskSet(9, ids, 0)
+        key = (Phase.TE_A1, (3, 2))
+        held = []
+        for i in ids:
+            got = masks.net_mask(i, Phase.TE_A1, (3, 2))
+            want = reference_share(np.zeros((3, 2)), i, oracle, Phase.TE_A1)
+            assert got.tobytes() == want.tobytes()
+            held.append(len(masks._pending.get(key, {})))
+        assert max(held) == min(2 * math.ceil(math.log2(K)), K - 1)
+        assert held[-1] == 0 and masks._pending == {}
+
     def test_same_request_same_words_in_any_order(self):
         """Each stream is random access into its pair's round stream: a
         request gets the same words whatever was asked before it, and again
@@ -603,7 +623,7 @@ class TestMaskGraph:
         for i in ids:
             agent = BuildingAgent(i, dataset.tau_in[:, i - 1], dataset.h_load[:, i - 1], M, cfg)
             agent.xi_i = 1.0 / K
-            sap_s = agent.upload(K, masks)[0]
+            sap_s = agent.upload(Phase.SAP_S, masks)
             assert sap_s.phase == Phase.SAP_S
             shares[i] = sap_s.payload.ravel()
         assert np.allclose(sap_aggregate(list(shares.values())), dataset.tau_in.sum(axis=1) / K)
