@@ -18,13 +18,13 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import LinAlgWarning
 
 from .model import AtdmParameters, DesignMatrices, lag_columns, lag_filter, occupancy_slots
 
 __all__ = [
     "EstimationError",
+    "IllConditionedWarning",
+    "RCOND_MIN",
     "GapRecord",
     "FitResult",
     "objective",
@@ -49,9 +49,17 @@ __all__ = [
 # rose at all.
 DESCENT_RTOL = 1e-9
 
+# A KKT solve warns when its reciprocal condition number sigma_min/sigma_max
+# falls below this: the solution may have lost all its digits.
+RCOND_MIN = np.finfo(float).eps
+
 
 class EstimationError(RuntimeError):
     """Solver failure: singular system, active-set cycle, or divergence."""
+
+
+class IllConditionedWarning(UserWarning):
+    """A KKT solve whose reciprocal condition number is below ``RCOND_MIN``."""
 
 
 @dataclass
@@ -189,9 +197,11 @@ def solve_sp1(xi: np.ndarray, design: DesignMatrices, lam: float):
 def solve_constrained_quadratic(H: np.ndarray, g: np.ndarray, C: np.ndarray, d: np.ndarray):
     """Solve min x'Hx + g'x subject to Cx = d via the KKT linear system.
 
-    Returns (x, multipliers).  Falls back to a least-squares solve when the
-    KKT matrix is singular; raises EstimationError if even that leaves a
-    large system residual.
+    Returns (x, multipliers).  The system is solved by least squares, so a
+    singular KKT matrix gets the minimum-norm solution.  Issues an
+    IllConditionedWarning when the matrix's reciprocal condition number
+    sigma_min/sigma_max is below ``RCOND_MIN``; raises EstimationError when
+    the solution leaves a large system residual.
     """
     n, p = H.shape[0], C.shape[0]
     kkt = np.zeros((n + p, n + p))
@@ -199,14 +209,14 @@ def solve_constrained_quadratic(H: np.ndarray, g: np.ndarray, C: np.ndarray, d: 
     kkt[:n, n:] = C.T
     kkt[n:, :n] = C
     rhs = np.concatenate([-g, d])
-    try:
-        sol = scipy.linalg.solve(kkt, rhs, assume_a="sym")
-        if not np.all(np.isfinite(sol)):
-            raise np.linalg.LinAlgError("non-finite KKT solution")
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
-        sol = None
-    if sol is None:
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+    sol, _, _, sv = np.linalg.lstsq(kkt, rhs, rcond=None)
+    rcond = sv[-1] / sv[0] if sv[0] > 0 else 0.0
+    if rcond < RCOND_MIN:
+        warnings.warn(
+            f"ill-conditioned KKT system: rcond {rcond:.3e} < {RCOND_MIN:.3e}",
+            IllConditionedWarning,
+            stacklevel=2,
+        )
     scale = max(1.0, float(np.abs(kkt).max()), float(np.abs(rhs).max()))
     gap_norm = float(np.max(np.abs(kkt @ sol - rhs)))
     if gap_norm > 1e-6 * scale:
@@ -320,19 +330,19 @@ def _rises(f_new: float, f_old: float) -> bool:
     return f_new > f_old + DESCENT_RTOL * max(1.0, abs(f_old))
 
 
-def _recording_linalg_warnings(step, *args):
-    """Run ``step(*args)``; return its result and the messages of the scipy
-    LinAlgWarnings it raised.  Every warning it raised is re-issued after
-    the step, so callers that catch them still see them."""
+def _recording_ill_conditioning(step, *args):
+    """Run ``step(*args)``; return its result and the messages of the
+    IllConditionedWarnings it raised.  Every warning it raised is re-issued
+    after the step, so callers that catch them still see them."""
     caught = []
     try:
         with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", LinAlgWarning)
+            warnings.simplefilter("always", IllConditionedWarning)
             out = step(*args)
     finally:
         for w in caught:
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
-    return out, [str(w.message) for w in caught if issubclass(w.category, LinAlgWarning)]
+    return out, [str(w.message) for w in caught if issubclass(w.category, IllConditionedWarning)]
 
 
 def alternate(sp1, sp2, xi: np.ndarray, tol: float, max_iter: int) -> FitResult:
@@ -344,7 +354,7 @@ def alternate(sp1, sp2, xi: np.ndarray, tol: float, max_iter: int) -> FitResult:
     the ``DESCENT_RTOL`` slack; a rise aborts with EstimationError.  A rise
     within the slack is rounding noise: the trace marks its gap ``negative``
     but it is not a warning.  Warnings name rounds by l, from 0, and flag an
-    ill-conditioned weights solve (a scipy LinAlgWarning, which is re-issued),
+    ill-conditioned weights solve (an IllConditionedWarning, which is re-issued),
     an absolute-only gap, weights on or past their zero bound, and weights
     that do not sum to one.
     """
@@ -359,7 +369,7 @@ def alternate(sp1, sp2, xi: np.ndarray, tol: float, max_iter: int) -> FitResult:
         alpha, f1 = sp1(l, xi)
         if trace and _rises(f1, f2):
             raise EstimationError(f"divergence at iteration {l}: f1={f1!r} > previous f2={f2!r}")
-        (xi, beta, gamma_, theta, tau_occ, f2), ill = _recording_linalg_warnings(sp2, l, alpha)
+        (xi, beta, gamma_, theta, tau_occ, f2), ill = _recording_ill_conditioning(sp2, l, alpha)
         if _rises(f2, f1):
             raise EstimationError(f"divergence at iteration {l}: f2={f2!r} > f1={f1!r}")
         g = gap(f1, f2)

@@ -38,7 +38,7 @@ own series every round; it is no longer a phase.
 
 Masked secure-aggregation shares travel as u64 ring elements; every other
 payload is f64.  An upload's code is also its mask segment: the pairwise
-mask stream of phase p is segment ``int(p)`` of each pair's round keystream
+mask stream of phase p is segment ``int(p)`` of each pair's keystream
 (``sap.PairwiseMaskSet``), so renumbering a phase moves its mask stream.
 """
 

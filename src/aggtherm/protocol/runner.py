@@ -119,9 +119,8 @@ class BuildingAgent:
         try:
             share = sap_mask(x, self.id, masks, phase)
         except ValueError as exc:
-            where = f"agent {self.id}'s {phase.name} upload at iteration {masks.iteration}"
-            raise ValueError(f"{where}: {exc}") from None
-        return Message(masks.iteration, phase, self.id, BLA_ID, share)
+            raise ValueError(f"agent {self.id}'s {phase.name} upload at iteration 0: {exc}") from None
+        return Message(0, phase, self.id, BLA_ID, share)
 
     def upload(self, phase: Phase, masks: PairwiseMaskSet) -> Message:
         """The agent's share of one phase of its masked upload pass, in
@@ -139,9 +138,9 @@ class BuildingAgent:
         elif phase == Phase.SAP_LOAD:
             x = self.load_col
         elif phase == Phase.TE_A1:
-            x = compute_te_uploads(self.tau_col, self.w)[0]
+            x = compute_te_uploads(self.tau_col, self.w)
         elif phase == Phase.TE_A2:
-            x = compute_te_uploads(self.tau_col[:0], self.w)[1]  # the Gram alone: no series rows to multiply
+            x = compute_te_uploads(self.w, self.w)
         else:
             x = self.w
         return self._masked(phase, x, masks)
@@ -288,7 +287,7 @@ class ProtocolRunner:
         and W1 for the run, has the auditor scan the shares, and returns the
         weighted series summed from the ``SAP_S`` shares; ``xi`` is the
         agents' input weights."""
-        masks = PairwiseMaskSet(self.cfg.seed, self.agent_ids, iteration=0)
+        masks = PairwiseMaskSet(self.cfg.seed, self.agent_ids)
         payloads = [] if self.auditor is not None else None  # only the scan needs the shares kept
         s_sum, load_sum, self.Z, self.G, w1 = (
             sap_aggregate(self._shares(phase, masks, payloads)) for phase in UPLOADS

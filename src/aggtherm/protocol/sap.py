@@ -45,7 +45,7 @@ __all__ = [
     "sap_aggregate",
 ]
 
-SEGMENT = 2**48  # words per segment of a pair's round stream (2^47 AES blocks)
+SEGMENT = 2**48  # words per segment of a pair's stream (2^47 AES blocks)
 _WORD = np.dtype("<u8")  # a mask word: one little-endian half of an AES block
 
 FRAC_BITS = 44  # quantization step 2^-44; rounding error at most 2^-45 per entry
@@ -77,7 +77,7 @@ def _counter_blocks(segment: int, n_words: int) -> bytes:
 
 
 class PairwiseMaskSet:
-    """Deterministic pairwise mask source for one protocol round.
+    """Deterministic pairwise mask source for one run's masked upload pass.
 
     Both members of a pair would reconstruct identical masks from the key
     they agreed on; the set stands in for that out-of-band agreement.
@@ -85,19 +85,18 @@ class PairwiseMaskSet:
     edges of the Harary graph H(2h, K) on the agents in sorted-id order,
     h = ceil(log2 K) (module docstring), every pair for K <= 7 and K = 9.
     At least two agents are needed: a lone agent would have no mask.  On
-    the first request, one ``SeedSequence`` keyed by (master seed,
-    1000 + iteration) gives every listed pair, in that order, 16 bytes of
-    its ``generate_state`` output (little-endian): the pair's AES-128 key
-    for this round.
+    the first request, one ``SeedSequence`` keyed by (master seed, 1000)
+    gives every listed pair, in that order, 16 bytes of its
+    ``generate_state`` output (little-endian): the pair's AES-128 key.
 
-    A pair's round stream is AES-128 in counter mode (NIST SP 800-38A):
+    A pair's stream is AES-128 in counter mode (NIST SP 800-38A):
     word w of upload phase p's stream is the little-endian 64-bit half
     ``w mod 2`` of the encrypted big-endian 128-bit counter
     ``int(p) * SEGMENT / 2 + w // 2``: the phase's wire code is its
     segment.  Each stream is thus a fixed segment of ``SEGMENT`` words, and
     requests may come in any order and repeat.  ``mask`` encrypts the request's counter blocks, built once
     per set, with the pair's ECB encryptor; the first request makes every
-    pair's encryptor for the round.  Through OpenSSL's AES-NI code a word
+    pair's encryptor.  Through OpenSSL's AES-NI code a word
     costs about 1.1-1.4 ns on a 2-core x86 host, against 3.6-4.9 ns for
     numpy's PCG64.  ``cryptography`` is imported when the first key is
     derived, so a process that never masks does not load it.
@@ -108,7 +107,7 @@ class PairwiseMaskSet:
     holds at most 2h pending sums per stream, not K.
     """
 
-    def __init__(self, master_seed: int, agent_ids, iteration: int):
+    def __init__(self, master_seed: int, agent_ids):
         ids = sorted(agent_ids)
         dup = sorted(i for i, n in Counter(ids).items() if n > 1)
         if dup:
@@ -121,7 +120,6 @@ class PairwiseMaskSet:
         self.pairs = sorted({(min(p), max(p)) for p in ring})
         self.master_seed = master_seed
         self.agent_ids = ids
-        self.iteration = iteration
         # agent id -> [(neighbour, listed pair, whether the agent adds the pair's mask)]
         self._links: dict = {i: [] for i in ids}
         for i, j in self.pairs:
@@ -133,11 +131,11 @@ class PairwiseMaskSet:
         self._pending: dict = {}  # (phase, shape) -> {unserved agent id: partial net mask}
 
     def _derive_keys(self) -> None:
-        """This round's key of every listed pair, from one ``SeedSequence``,
-        and the pair's ECB encryptor under it."""
+        """The key of every listed pair, from one ``SeedSequence``, and the
+        pair's ECB encryptor under it."""
         from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-        seq = np.random.SeedSequence(self.master_seed, spawn_key=(1000 + self.iteration,))
+        seq = np.random.SeedSequence(self.master_seed, spawn_key=(1000,))
         keys = seq.generate_state(4 * len(self.pairs), np.uint32).astype("<u4").tobytes()
         ecb = modes.ECB()
         self._encryptors = {
@@ -146,7 +144,7 @@ class PairwiseMaskSet:
         }
 
     def _encryptor(self, i: int, j: int):
-        """Pair (i, j)'s encryptor; derives the round's keys on first use."""
+        """Pair (i, j)'s encryptor; derives the set's keys on first use."""
         if not i < j:
             raise ValueError(f"pair must be ordered i < j, got ({i}, {j})")
         if not self._encryptors:

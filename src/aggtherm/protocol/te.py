@@ -36,13 +36,10 @@ def gen_encryption_col(K: int, rng: np.random.Generator):
     return np.rint(rng.normal(W_MEAN, W_SD, size=K) * steps) / steps
 
 
-def compute_te_uploads(tau_col: np.ndarray, w_col: np.ndarray):
-    """Outer-product uploads of one agent: (tau x w^T, w x w^T)."""
-    tau_col = np.asarray(tau_col, dtype=float).ravel()
-    w_col = np.asarray(w_col, dtype=float).ravel()
-    A1 = np.outer(tau_col, w_col)
-    A2 = np.outer(w_col, w_col)
-    return A1, A2
+def compute_te_uploads(rows: np.ndarray, w_col: np.ndarray) -> np.ndarray:
+    """One outer-product upload of an agent: rows x w^T.  An agent uploads
+    tau x w^T (``TE_A1``) and w x w^T (``TE_A2``)."""
+    return np.outer(np.asarray(rows, dtype=float), np.asarray(w_col, dtype=float))
 
 
 def solve_sp2_masked(

@@ -93,7 +93,7 @@ def test_criterion_3_sap_sum_invariance_and_clean_transcripts():
         uploads = [Phase.SAP_S, Phase.SAP_LOAD, Phase.TE_A1, Phase.TE_A2, Phase.TE_W]
         for case in range(100):
             shape = shapes[case % len(shapes)]
-            masks = PairwiseMaskSet(case, ids, iteration=case % 4)
+            masks = PairwiseMaskSet(case, ids)
             phase = uploads[case % len(uploads)]
             xs = [rng.standard_normal(shape) * 20 for _ in ids]
             masked = [sap_mask(x, i, masks, phase) for i, x in zip(ids, xs)]
@@ -192,7 +192,7 @@ def test_criterion_6_appendix_leakage_demos():
             assert np.max(np.abs(rec - W)) < 1e-8, f"trial {trial}: raw recovery failed"
 
             ids = list(range(1, K + 1))
-            masks = PairwiseMaskSet(trial, ids, iteration=0)
+            masks = PairwiseMaskSet(trial, ids)
             masked = [decode_fixed(sap_mask(raw[i - 1], i, masks, Phase.TE_A2)) for i in ids]
             with pytest.raises(GramNotRankOneError):
                 recover_W_from_gram(masked, xi, xi_bar)

@@ -298,4 +298,4 @@ class TestReportBytes:
         h = hashlib.sha256()
         for p in files:
             h.update(p.relative_to(tmp_path).as_posix().encode() + b"\0" + p.read_bytes())
-        assert h.hexdigest() == "fcc98f678feee0feed2fc741ad4903944ec6f767b6f189bbf2ca206964b27ec5"
+        assert h.hexdigest() == "83c424de30cff41f95bf76f431d45ed9783e5e5b6dca35289d6eb5470ab8daa8"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgWarning
 
 import aggtherm.estimator as est
 from aggtherm.estimator import (
@@ -218,6 +217,29 @@ class TestSolveSp2Plain:
         assert abs(xi.sum() - 1.0) < 1e-8
 
 
+class TestSolveConstrainedQuadratic:
+    """One least-squares solve of the KKT system: a singular system gets
+    the minimum-norm solution and a warning naming its rcond, a consistent
+    one no error, an inconsistent one EstimationError."""
+
+    def test_well_conditioned_system_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", est.IllConditionedWarning)
+            x, w = est.solve_constrained_quadratic(np.eye(2), np.zeros(2), np.ones((1, 2)), np.ones(1))
+        assert np.allclose(x, [0.5, 0.5]) and np.allclose(w, [-1.0])
+
+    def test_singular_system_warns_with_its_rcond(self):
+        # H = 0 makes the two weight rows of the KKT matrix equal
+        with pytest.warns(est.IllConditionedWarning, match=r"^ill-conditioned KKT system: rcond \S+ < 2\.220e-16$"):
+            x, w = est.solve_constrained_quadratic(np.zeros((2, 2)), np.zeros(2), np.ones((1, 2)), np.ones(1))
+        assert np.allclose(x, [0.5, 0.5]) and np.allclose(w, [0.0])
+
+    def test_inconsistent_system_rejected(self):
+        C = np.ones((2, 2))
+        with pytest.warns(est.IllConditionedWarning), pytest.raises(EstimationError, match="singular KKT system"):
+            est.solve_constrained_quadratic(np.zeros((2, 2)), np.zeros(2), C, np.array([1.0, 2.0]))
+
+
 class TestGap:
     def test_equal(self):
         assert gap(5.0, 5.0) == 0.0
@@ -272,7 +294,7 @@ class TestBcdFit:
             est.bcd_fit(design, lam=1.0, tol=1e-14, max_iter=10)
 
     def test_ill_conditioned_weights_solve_reported(self):
-        """A LinAlgWarning raised in a weights step is named in the fit's
+        """An IllConditionedWarning raised in a weights step is named in the fit's
         warnings for that round and still reaches the caller; other
         warnings pass through untouched."""
         xi0 = np.array([0.5, 0.5])
@@ -280,7 +302,7 @@ class TestBcdFit:
 
         def sp2(l, alpha):
             if l == 1:
-                warnings.warn("rcond = 1e-17", LinAlgWarning)
+                warnings.warn("rcond = 1e-17", est.IllConditionedWarning)
                 warnings.warn("unrelated", UserWarning)
             return (xi0, *coefs, 0.95 - 0.1 * l)
 
@@ -288,7 +310,7 @@ class TestBcdFit:
             fit = est.alternate(lambda l, xi: (np.zeros(2), 1.0 - 0.1 * l), sp2, xi0, 1e-12, 3)
         assert fit.warnings == ["iteration 1: ill-conditioned weights solve (rcond = 1e-17)"]
         assert [(w.category, str(w.message)) for w in caught] == [
-            (LinAlgWarning, "rcond = 1e-17"),
+            (est.IllConditionedWarning, "rcond = 1e-17"),
             (UserWarning, "unrelated"),
         ]
 
@@ -433,7 +455,7 @@ def _rel(a, b, scale):
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b)), initial=0.0)) / scale
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")  # singular draws
+@pytest.mark.filterwarnings("ignore::aggtherm.estimator.IllConditionedWarning")  # singular draws
 class TestOccupancyProjectionOracle:
     """Projecting the occupancy slots out gives the dense solves' objective
     and fitted values (the weights step's residual) always, and their

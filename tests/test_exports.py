@@ -41,3 +41,20 @@ def test_heavy_imports_wait_for_first_use():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_fits_load_no_scipy():
+    """A plain and a private fit, run after importing the package, the
+    protocol and the CLI, load no scipy module: only the attack solvers
+    use scipy."""
+    code = (
+        "import sys, aggtherm, aggtherm.protocol, aggtherm.cli\n"
+        "ds, _ = aggtherm.generate_synthetic(K=3, T=60, M=2, T_occ=6, noise_sigma=0.1, seed=1)\n"
+        "aggtherm.bcd_fit(aggtherm.build_design(ds, 6), lam=10.0)\n"
+        "aggtherm.protocol.run_protocol(ds, aggtherm.protocol.ProtocolConfig(lam=10.0, T_occ=6, seed=1))\n"
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    )
+    src = str(Path(aggtherm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -108,7 +108,7 @@ class TestRecoverW:
         W = rng.normal(0.1, 0.1, (K, K))
         xi_bar = rng.uniform(0.2, 1.0, K)
         xi = W.T @ xi_bar
-        masks = PairwiseMaskSet(7, ids, iteration=0)
+        masks = PairwiseMaskSet(7, ids)
         masked = [
             decode_fixed(sap_mask(np.outer(W[:, i - 1], W[:, i - 1]), i, masks, Phase.TE_A2))
             for i in ids
@@ -163,7 +163,7 @@ class TestShareMean:
         spread = true.max() - true.min()
         copies = {i: [] for i in ids}
         for l in range(self.L):
-            masks = PairwiseMaskSet(0, ids, iteration=l)
+            masks = PairwiseMaskSet(l, ids)  # a fresh key per copy
             for i in ids:
                 copies[i].append(decode_fixed(sap_mask(loads[:, i - 1], i, masks, Phase.SAP_LOAD)))
         for i in ids:

@@ -1,7 +1,6 @@
 import itertools
 import math
 import re
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -33,7 +32,7 @@ class FixedMasks(PairwiseMaskSet):
     hand-checked examples; it inherits ``net_mask``."""
 
     def __init__(self, agent_ids, value):
-        super().__init__(0, agent_ids, iteration=0)
+        super().__init__(0, agent_ids)
         self.value = value
 
     def mask(self, i, j, phase, shape):
@@ -77,7 +76,7 @@ class TestSapMask:
     def test_sum_invariance_random_tensors(self, shape):
         rng = np.random.default_rng(0)
         ids = [1, 2, 3, 4, 5]
-        masks = PairwiseMaskSet(123, ids, iteration=0)
+        masks = PairwiseMaskSet(123, ids)
         xs = [rng.standard_normal(shape) * 20 for _ in ids]
         masked = [sap_mask(x, i, masks, Phase.SAP_LOAD) for i, x in zip(ids, xs)]
         total = sum(xs)
@@ -88,32 +87,27 @@ class TestSapMask:
 
     def test_mask_streams_are_pair_and_kind_specific(self):
         """A stream's kind is its upload phase."""
-        masks = PairwiseMaskSet(5, [1, 2, 3], iteration=0)
+        masks = PairwiseMaskSet(5, [1, 2, 3])
         a = masks.mask(1, 2, Phase.SAP_S, (6,))
         assert np.array_equal(a, masks.mask(1, 2, Phase.SAP_S, (6,)))
         assert not np.array_equal(a, masks.mask(1, 3, Phase.SAP_S, (6,)))
         assert not np.array_equal(a, masks.mask(1, 2, Phase.TE_A1, (6,)))
 
-    def test_masks_fresh_every_iteration(self):
-        m0 = PairwiseMaskSet(5, [1, 2], iteration=0).mask(1, 2, Phase.SAP_S, (8,))
-        m1 = PairwiseMaskSet(5, [1, 2], iteration=1).mask(1, 2, Phase.SAP_S, (8,))
-        assert not np.array_equal(m0, m1)
-
     def test_unordered_pair_rejected(self):
-        masks = PairwiseMaskSet(5, [1, 2], iteration=0)
+        masks = PairwiseMaskSet(5, [1, 2])
         with pytest.raises(ValueError):
             masks.mask(2, 1, Phase.SAP_S, (3,))
 
     def test_duplicate_agent_ids_rejected(self):
         with pytest.raises(ValueError, match=r"duplicate agent id\(s\) \[2\]"):
-            PairwiseMaskSet(1, [1, 2, 2], 0)
+            PairwiseMaskSet(1, [1, 2, 2])
 
     @pytest.mark.parametrize("ids", [[4], []])
     def test_lone_agent_rejected(self, ids):
         """A lone agent has no partner to mask with: its share would be its
         encoded input in the clear."""
         with pytest.raises(ValueError, match=f"at least 2 agents, got {re.escape(str(ids))}"):
-            PairwiseMaskSet(1, ids, 0)
+            PairwiseMaskSet(1, ids)
 
     @pytest.mark.parametrize(
         "phase, shape, match",
@@ -126,12 +120,12 @@ class TestSapMask:
         ids=["99", "-1", "bare-code", "too-long"],
     )
     def test_stream_outside_the_layout_rejected(self, phase, shape, match):
-        masks = PairwiseMaskSet(1, [1, 2], 0)
+        masks = PairwiseMaskSet(1, [1, 2])
         with pytest.raises(ValueError, match=match):
             masks.mask(1, 2, phase, shape)
 
     def test_net_mask_and_sap_mask_reject_a_stream_that_is_not_a_phase(self):
-        masks = PairwiseMaskSet(1, [1, 2], 0)
+        masks = PairwiseMaskSet(1, [1, 2])
         with pytest.raises(ValueError, match="^mask stream 99 is not a Phase$"):
             masks.net_mask(1, 99, (3,))
         with pytest.raises(ValueError, match="^mask stream 99 is not a Phase$"):
@@ -140,7 +134,7 @@ class TestSapMask:
     def test_net_mask_and_sap_mask_reject_an_over_long_stream_before_allocating(self):
         """The request is checked before the K net sums are allocated, so an
         over-long stream gets the named error, not numpy's MemoryError."""
-        masks = PairwiseMaskSet(1, [1, 2, 3], 0)
+        masks = PairwiseMaskSet(1, [1, 2, 3])
         shape = (2**24, 2**24 + 1)
         match = f"^mask stream of {SEGMENT + 2**24} words is longer than its segment of {SEGMENT}$"
         with pytest.raises(ValueError, match=match):
@@ -150,13 +144,13 @@ class TestSapMask:
         assert masks._pending == {}
 
     def test_unknown_pair_rejected(self):
-        masks = PairwiseMaskSet(5, [1, 2, 4], iteration=0)
+        masks = PairwiseMaskSet(5, [1, 2, 4])
         with pytest.raises(ValueError, match=r"pair \(1, 3\) is not in this mask set"):
             masks.mask(1, 3, Phase.SAP_S, (3,))
 
     def test_out_of_range_input_rejected(self):
         K = 4
-        masks = PairwiseMaskSet(5, range(1, K + 1), iteration=0)
+        masks = PairwiseMaskSet(5, range(1, K + 1))
         bound = fixed_point_bound(K)
         assert bound == 2.0 ** (62 - FRAC_BITS) / K
         # just inside the bound encodes; the bound itself, beyond it and
@@ -177,14 +171,14 @@ class TestSapMask:
 
     def test_sum_at_the_bound_does_not_wrap(self):
         K = 8
-        masks = PairwiseMaskSet(9, range(1, K + 1), iteration=0)
+        masks = PairwiseMaskSet(9, range(1, K + 1))
         top = np.nextafter(fixed_point_bound(K), 0.0)
         for sign in (1.0, -1.0):
             shares = [sap_mask(np.array([sign * top]), i, masks, Phase.TE_W) for i in range(1, K + 1)]
             assert sap_aggregate(shares)[0] == K * decode_fixed(encode_fixed([sign * top], K))[0]
 
     def test_unknown_agent_rejected(self):
-        masks = PairwiseMaskSet(5, [1, 2, 4], iteration=0)
+        masks = PairwiseMaskSet(5, [1, 2, 4])
         with pytest.raises(ValueError, match="agent 3 is not in this mask set"):
             sap_mask(np.zeros(2), 3, masks, Phase.SAP_S)
 
@@ -214,21 +208,23 @@ def ctr_keystream(key: bytes, segment: int, n_words: int) -> np.ndarray:
 
 class TestAesCounterLayout:
     """Known answers: each mask is a segment of the pair's AES-128-CTR
-    keystream, under a key cut from the round's one ``SeedSequence``."""
+    keystream, under a key cut from the set's one ``SeedSequence``, in the
+    order of the sorted pairs whatever the agent ids."""
 
     IDS = [2, 5, 9]
     PAIRS = [(2, 5), (2, 9), (5, 9)]
 
-    def round_keys(self, seed, iteration):
-        state = np.random.SeedSequence(seed, spawn_key=(1000 + iteration,)).generate_state(4 * len(self.PAIRS))
+    def pair_keys(self, seed, shift=0):
+        """Each pair's key, with ``shift`` added to every agent id."""
+        state = np.random.SeedSequence(seed, spawn_key=(1000,)).generate_state(4 * len(self.PAIRS))
         raw = state.astype("<u4").tobytes()
-        return {p: raw[16 * n : 16 * (n + 1)] for n, p in enumerate(self.PAIRS)}
+        return {(i + shift, j + shift): raw[16 * n : 16 * (n + 1)] for n, (i, j) in enumerate(self.PAIRS)}
 
-    @pytest.mark.parametrize("seed, iteration", [(17, 0), (17, 3), (2**40 + 5, 1)])
+    @pytest.mark.parametrize("seed, shift", [(17, 0), (17, 3), (2**40 + 5, 1)])
     @pytest.mark.parametrize("n_words", [1, 2, 7, 10])
-    def test_mask_is_the_pair_keys_ctr_keystream(self, seed, iteration, n_words):
-        keys = self.round_keys(seed, iteration)
-        masks = PairwiseMaskSet(seed, self.IDS, iteration)
+    def test_mask_is_the_pair_keys_ctr_keystream(self, seed, shift, n_words):
+        keys = self.pair_keys(seed, shift)
+        masks = PairwiseMaskSet(seed, [i + shift for i in self.IDS])
         for pair, key in keys.items():
             for phase in UPLOADS:
                 want = ctr_keystream(key, int(phase), n_words)
@@ -237,8 +233,8 @@ class TestAesCounterLayout:
                 assert got.tobytes() == want.tobytes(), (pair, phase)
 
     def test_shaped_mask_is_the_keystream_in_row_major_order(self):
-        keys = self.round_keys(4, 2)
-        masks = PairwiseMaskSet(4, self.IDS, 2)
+        keys = self.pair_keys(6)
+        masks = PairwiseMaskSet(6, self.IDS)
         got = masks.mask(5, 9, Phase.TE_A2, (3, 5))
         want = ctr_keystream(keys[5, 9], 6, 15).reshape(3, 5)
         assert got.shape == (3, 5) and np.array_equal(got, want)
@@ -249,25 +245,25 @@ class TestMaskShapes:
     shape, and a negative or non-integer dimension is refused."""
 
     def test_int_and_tuple_shapes_agree(self):
-        masks = PairwiseMaskSet(3, [1, 2, 3], 0)
+        masks = PairwiseMaskSet(3, [1, 2, 3])
         assert np.array_equal(masks.mask(1, 2, Phase.SAP_S, 5), masks.mask(1, 2, Phase.SAP_S, (5,)))
         assert np.array_equal(
             masks.mask(1, 3, Phase.TE_A1, (np.int64(2), 3)), masks.mask(1, 3, Phase.TE_A1, [2, 3])
         )
-        by_int = PairwiseMaskSet(3, [1, 2, 3], 0)
-        by_tuple = PairwiseMaskSet(3, [1, 2, 3], 0)
+        by_int = PairwiseMaskSet(3, [1, 2, 3])
+        by_tuple = PairwiseMaskSet(3, [1, 2, 3])
         for i in (2, 1, 3):
             got = by_int.net_mask(i, Phase.SAP_S, 5)
             assert got.shape == (5,) and np.array_equal(got, by_tuple.net_mask(i, Phase.SAP_S, (5,)))
 
     def test_empty_shapes(self):
-        masks = PairwiseMaskSet(3, [1, 2], 0)
+        masks = PairwiseMaskSet(3, [1, 2])
         assert masks.mask(1, 2, Phase.SAP_S, (0, 3)).shape == (0, 3)
         assert masks.net_mask(2, Phase.SAP_S, 0).shape == (0,)
 
     @pytest.mark.parametrize("shape", [(-1,), (3, -2), -4, (2.5,), 2.0, (3, None), "ab", [1.0]])
     def test_bad_shape_rejected_by_both(self, shape):
-        masks = PairwiseMaskSet(3, [1, 2], 0)
+        masks = PairwiseMaskSet(3, [1, 2])
         match = re.escape(f"mask shape {shape!r} must have non-negative integer dimensions")
         with pytest.raises(ValueError, match=match):
             masks.mask(1, 2, Phase.SAP_S, shape)
@@ -276,7 +272,7 @@ class TestMaskShapes:
 
     def test_float_dimensions_rejected_after_their_int_twin(self):
         """A cached stream of (5,) does not let (5.0,) through."""
-        masks = PairwiseMaskSet(3, [1, 2], 0)
+        masks = PairwiseMaskSet(3, [1, 2])
         masks.mask(1, 2, Phase.SAP_S, (5,))
         with pytest.raises(ValueError, match="mask shape"):
             masks.mask(1, 2, Phase.SAP_S, (5.0,))
@@ -297,7 +293,7 @@ def aggregated_series(K, T, M, seed):
     design = build_design(dataset, T_occ=1)
     xi = rng.dirichlet(np.ones(K))
     ids = list(range(1, K + 1))
-    masks = PairwiseMaskSet(seed, ids, iteration=0)
+    masks = PairwiseMaskSet(seed, ids)
     s_sum = sap_aggregate(
         [sap_mask(xi[i - 1] * dataset.tau_in[:, i - 1], i, masks, Phase.SAP_S) for i in ids]
     )
@@ -382,17 +378,16 @@ def test_sliced_lags_match_design(K, M, T, seed):
     K=st.integers(2, 8),
     shape=hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=6),
     seed=st.integers(0, 2**32 - 1),
-    iteration=st.integers(0, 5),
     phase=st.sampled_from(UPLOADS),
 )
-def test_ring_aggregate_is_exact_in_any_order(data, K, shape, seed, iteration, phase):
+def test_ring_aggregate_is_exact_in_any_order(data, K, shape, seed, phase):
     """The decoded aggregate is the sum of the quantized inputs bit for bit,
     whatever the share order, and no share equals its encoded input."""
     bound = fixed_point_bound(K)
     entries = st.floats(-bound, bound, exclude_min=True, exclude_max=True)
     xs = [data.draw(hnp.arrays(np.float64, shape, elements=entries)) for _ in range(K)]
     ids = list(range(1, K + 1))
-    masks = PairwiseMaskSet(seed, ids, iteration=iteration)
+    masks = PairwiseMaskSet(seed, ids)
     shares = [sap_mask(x, i, masks, phase) for i, x in zip(ids, xs)]
     # reference: the integer sum of the fixed-point encodings, exact in
     # int64 because the bound keeps it below 2^62
@@ -427,17 +422,16 @@ def reference_share(x, agent_id, masks, phase):
     ids=st.lists(st.integers(1, 100), min_size=2, max_size=8, unique=True).map(sorted),
     shape=hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=5),
     seed=st.integers(0, 2**32 - 1),
-    iteration=st.integers(0, 5),
     phase=st.sampled_from(UPLOADS),
 )
-def test_net_mask_matches_per_pair_reference(data, ids, shape, seed, iteration, phase):
+def test_net_mask_matches_per_pair_reference(data, ids, shape, seed, phase):
     """Every agent's share equals the per-pair loop's bit for bit, whatever
     order the agents ask in, and a repeated request gets the same share."""
     assume(ids[-1] - ids[0] >= len(ids))  # ids with a gap, not 1..K
     rng = np.random.default_rng(seed)
     xs = {i: rng.standard_normal(shape) * 20 for i in ids}
-    masks = PairwiseMaskSet(seed, ids, iteration=iteration)
-    oracle = PairwiseMaskSet(seed, ids, iteration=iteration)
+    masks = PairwiseMaskSet(seed, ids)
+    oracle = PairwiseMaskSet(seed, ids)
     order = data.draw(st.permutations(ids))
     repeat = data.draw(st.sampled_from(ids))
     order.insert(data.draw(st.integers(order.index(repeat) + 1, len(order))), repeat)
@@ -449,8 +443,8 @@ def test_net_mask_matches_per_pair_reference(data, ids, shape, seed, iteration, 
 
 
 class TestMaskWork:
-    """Each pair's key is derived once per round, and each of its streams is
-    generated once per round, not once by each member of the pair."""
+    """Each pair's key is derived once per set, and each of its streams is
+    generated once per set, not once by each member of the pair."""
 
     @staticmethod
     def counting(monkeypatch):
@@ -458,7 +452,7 @@ class TestMaskWork:
         real = PairwiseMaskSet.mask
 
         def counted(self, i, j, phase, shape):
-            calls.append((self.iteration, phase, i, j))
+            calls.append((phase, i, j))
             return real(self, i, j, phase, shape)
 
         monkeypatch.setattr(PairwiseMaskSet, "mask", counted)
@@ -470,12 +464,12 @@ class TestMaskWork:
         min(2h, K - 1) neighbours per agent."""
         calls = self.counting(monkeypatch)
         ids = list(range(1, K + 1))
-        masks = PairwiseMaskSet(3, ids, iteration=0)
+        masks = PairwiseMaskSet(3, ids)
         for i in ids:
             sap_mask(np.ones((4, K)), i, masks, Phase.TE_A1)
         n_pairs = {2: 1, 3: 3, 7: 21, 8: 24, 32: 160}[K]
         assert len(calls) == n_pairs == K * min(2 * math.ceil(math.log2(K)), K - 1) // 2
-        assert sorted(c[2:] for c in calls) == [
+        assert sorted(c[1:] for c in calls) == [
             (i, j) for i in ids for j in sorted(harary_neighbours(ids, i)) if i < j
         ]
 
@@ -487,8 +481,8 @@ class TestMaskWork:
         after the agent's own sum is taken, so reading it after each request
         reads its peak.  Every net mask is still the per-pair reference's."""
         ids = [3 * n + 2 for n in range(K)]  # ids with gaps, not 1..K
-        masks = PairwiseMaskSet(9, ids, 0)
-        oracle = PairwiseMaskSet(9, ids, 0)
+        masks = PairwiseMaskSet(9, ids)
+        oracle = PairwiseMaskSet(9, ids)
         key = (Phase.TE_A1, (3, 2))
         held = []
         for i in ids:
@@ -505,33 +499,29 @@ class TestMaskWork:
         when repeated."""
         ids = [1, 3, 4, 7]
         requests = [((i, j), phase) for a, i in enumerate(ids) for j in ids[a + 1 :] for phase in UPLOADS]
-        want = {r: PairwiseMaskSet(11, ids, 2).mask(*r[0], r[1], (3, 2)) for r in requests}
+        want = {r: PairwiseMaskSet(11, ids).mask(*r[0], r[1], (3, 2)) for r in requests}
         order = np.random.default_rng(0).permutation(len(requests)).tolist()
-        masks = PairwiseMaskSet(11, ids, 2)
+        masks = PairwiseMaskSet(11, ids)
         for k in order + order[:5]:
             r = requests[k]
             assert masks.mask(*r[0], r[1], (3, 2)).tobytes() == want[r].tobytes()
 
     def test_shapes_share_the_head_of_a_segment(self):
-        masks = PairwiseMaskSet(11, [1, 2], 0)
+        masks = PairwiseMaskSet(11, [1, 2])
         long = masks.mask(1, 2, Phase.TE_A2, (4, 5))
         assert np.array_equal(masks.mask(1, 2, Phase.TE_A2, (7,)), long.ravel()[:7])
 
     def test_neighbouring_segments_and_rounds_differ(self):
-        masks = PairwiseMaskSet(11, [1, 2], 0)
+        masks = PairwiseMaskSet(11, [1, 2])
         words = [masks.mask(1, 2, phase, (8,)) for phase in UPLOADS]
         for a, b in zip(words, words[1:]):  # segments 0, 1, 3, 6, 7 in turn
             assert not np.array_equal(a, b)
         assert len({w.tobytes() for w in words}) == len(words)
-        for l in range(3):
-            this = PairwiseMaskSet(11, [1, 2], l).mask(1, 2, Phase.SAP_S, (8,))
-            after = PairwiseMaskSet(11, [1, 2], l + 1).mask(1, 2, Phase.SAP_S, (8,))
-            assert not np.array_equal(this, after)
 
     def test_private_fit_derives_round_keys_once_per_round(self, monkeypatch):
-        """One ``SeedSequence`` keyed by (seed, 1000 + round) in round 0, the
-        one round with masked uploads, and no other mask key derivation in
-        any round."""
+        """One ``SeedSequence`` keyed by (seed, 1000), in round 0, the one
+        round with masked uploads, and no other mask key derivation in any
+        round."""
         rounds = []
         real = np.random.SeedSequence
 
@@ -555,9 +545,8 @@ class TestMaskWork:
         K = 4
         dataset, _, _ = synthetic_instance(K=K, T=60, M=2, T_occ=6, noise=0.1, seed=8)
         fit, _ = run_protocol(dataset, ProtocolConfig(lam=10.0, T_occ=6, seed=8, scan=False))
-        per_round = Counter(it for it, *_ in calls)
         assert fit.iterations > 1
-        assert per_round == {0: 5 * K * (K - 1) // 2}
+        assert len(calls) == 5 * K * (K - 1) // 2  # one mask set per run (test above)
         assert len(set(calls)) == len(calls)  # no stream generated twice
 
 
@@ -581,7 +570,7 @@ class TestMaskGraph:
     @pytest.mark.parametrize("K", [2, 3, 4, 7, 8, 9, 10, 16, 17, 32, 33])
     def test_every_agent_has_min_2h_k_minus_1_neighbours(self, K):
         ids = [5 * k + 3 for k in range(K)]  # gaps: positions, not ids, decide
-        masks = PairwiseMaskSet(0, ids[::-1], 0)
+        masks = PairwiseMaskSet(0, ids[::-1])
         h = math.ceil(math.log2(K))
         assert all(i < j for i, j in masks.pairs) and masks.pairs == sorted(set(masks.pairs))
         for i in ids:
@@ -591,7 +580,7 @@ class TestMaskGraph:
     @pytest.mark.parametrize("K", [8, 9, 16])
     def test_removing_any_2h_minus_1_agents_leaves_the_rest_connected(self, K):
         ids = list(range(1, K + 1))
-        masks = PairwiseMaskSet(0, ids, 0)
+        masks = PairwiseMaskSet(0, ids)
         h = math.ceil(math.log2(K))
         for gone in itertools.combinations(ids, 2 * h - 1):
             assert connected(set(ids) - set(gone), masks.pairs), gone
@@ -601,7 +590,7 @@ class TestMaskGraph:
         """Any proper non-empty subset of the K net masks sums to a nonzero
         ring element; the full set sums to zero."""
         ids = list(range(1, K + 1))
-        masks = PairwiseMaskSet(13, ids, 0)
+        masks = PairwiseMaskSet(13, ids)
         nets = np.array([masks.net_mask(i, Phase.SAP_S, (2,)) for i in ids])
         for r in range(1, K):
             for subset in itertools.combinations(range(K), r):
@@ -618,7 +607,7 @@ class TestMaskGraph:
         dataset, _, _ = synthetic_instance(K=K, T=T, M=M, T_occ=12, noise=0.1, seed=seed)
         ids = list(range(1, K + 1))
         cfg = ProtocolConfig(seed=seed)
-        masks = PairwiseMaskSet(cfg.seed, ids, iteration=0)
+        masks = PairwiseMaskSet(cfg.seed, ids)
         shares = {}
         for i in ids:
             agent = BuildingAgent(i, dataset.tau_in[:, i - 1], dataset.h_load[:, i - 1], M, cfg)
@@ -632,7 +621,7 @@ class TestMaskGraph:
         want = encode_fixed(x, K)
         colluders = sorted(harary_neighbours(ids, target))
         assert len(colluders) == 10
-        keys = PairwiseMaskSet(cfg.seed, ids, iteration=0)  # the colluders' copies of their pair keys
+        keys = PairwiseMaskSet(cfg.seed, ids)  # the colluders' copies of their pair keys
 
         def unmask(known):
             out = shares[target].copy()

@@ -68,23 +68,24 @@ class TestComputeHatTauCol:
 class TestComputeTeUploads:
     def test_basis_column(self):
         e1 = np.array([1.0, 0.0])
-        _, A2 = compute_te_uploads(np.array([1.0]), e1)
+        A2 = compute_te_uploads(e1, e1)
         assert A2.tolist() == [[1.0, 0.0], [0.0, 0.0]]
 
     def test_outer_product(self):
-        A1, _ = compute_te_uploads(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
+        A1 = compute_te_uploads(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
         assert A1.tolist() == [[3.0, 4.0], [6.0, 8.0]]
 
     def test_gram_sum_matches_full_matrix(self):
         rng = np.random.default_rng(2)
         K = 6
         W = rng.normal(0.1, 0.1, (K, K))  # column i belongs to agent i
-        A2_sum = sum(compute_te_uploads(np.zeros(1), W[:, i])[1] for i in range(K))
+        A2_sum = sum(compute_te_uploads(W[:, i], W[:, i]) for i in range(K))
         assert np.allclose(A2_sum, W @ W.T, rtol=1e-12)
 
     def test_rank_and_symmetry(self):
         rng = np.random.default_rng(3)
-        _, A2 = compute_te_uploads(rng.standard_normal(4), rng.standard_normal(5))
+        w = rng.standard_normal(5)
+        A2 = compute_te_uploads(w, w)
         assert np.allclose(A2, A2.T)
         assert np.linalg.matrix_rank(A2) <= 1
         assert np.all(np.linalg.eigvalsh(A2) >= -1e-12)
