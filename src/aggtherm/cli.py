@@ -307,7 +307,7 @@ def cmd_dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except (DataFormatError, EstimationError, ProtocolError, ValueError, OSError) as exc:
+    except (DataFormatError, EstimationError, ProtocolError, ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

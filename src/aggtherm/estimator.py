@@ -49,8 +49,8 @@ __all__ = [
 # rose at all.
 DESCENT_RTOL = 1e-9
 
-# A KKT solve warns when its reciprocal condition number sigma_min/sigma_max
-# falls below this: the solution may have lost all its digits.
+# A weights step is ill-conditioned when one of its KKT solves has a
+# reciprocal condition number below this: its solution may have no digits left.
 RCOND_MIN = np.finfo(float).eps
 
 
@@ -59,7 +59,7 @@ class EstimationError(RuntimeError):
 
 
 class IllConditionedWarning(UserWarning):
-    """A KKT solve whose reciprocal condition number is below ``RCOND_MIN``."""
+    """``alternate``'s warning for a weights step with rcond below ``RCOND_MIN``."""
 
 
 @dataclass
@@ -194,36 +194,30 @@ def solve_sp1(xi: np.ndarray, design: DesignMatrices, lam: float):
     )
 
 
-def solve_constrained_quadratic(H: np.ndarray, g: np.ndarray, C: np.ndarray, d: np.ndarray):
-    """Solve min x'Hx + g'x subject to Cx = d via the KKT linear system.
+def solve_constrained_quadratic(H: np.ndarray, c: np.ndarray):
+    """Solve min x'Hx subject to c'x = 1 via the KKT linear system.
 
-    Returns (x, multipliers).  The system is solved by least squares, so a
-    singular KKT matrix gets the minimum-norm solution.  Issues an
-    IllConditionedWarning when the matrix's reciprocal condition number
-    sigma_min/sigma_max is below ``RCOND_MIN``; raises EstimationError when
-    the solution leaves a large system residual.
+    Returns (x, nu, rcond): 2Hx + nu c = 0, and rcond is the KKT matrix's
+    sigma_min/sigma_max, for the caller to judge.  A singular matrix gets the
+    least-squares minimum-norm solution; a large system residual raises
+    EstimationError.
     """
-    n, p = H.shape[0], C.shape[0]
-    kkt = np.zeros((n + p, n + p))
+    n = H.shape[0]
+    kkt = np.zeros((n + 1, n + 1))
     kkt[:n, :n] = 2.0 * H
-    kkt[:n, n:] = C.T
-    kkt[n:, :n] = C
-    rhs = np.concatenate([-g, d])
+    kkt[:n, n] = c
+    kkt[n, :n] = c
+    rhs = np.zeros(n + 1)
+    rhs[n] = 1.0
     sol, _, _, sv = np.linalg.lstsq(kkt, rhs, rcond=None)
-    rcond = sv[-1] / sv[0] if sv[0] > 0 else 0.0
-    if rcond < RCOND_MIN:
-        warnings.warn(
-            f"ill-conditioned KKT system: rcond {rcond:.3e} < {RCOND_MIN:.3e}",
-            IllConditionedWarning,
-            stacklevel=2,
-        )
-    scale = max(1.0, float(np.abs(kkt).max()), float(np.abs(rhs).max()))
+    rcond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
+    scale = max(1.0, float(np.abs(kkt).max()))
     gap_norm = float(np.max(np.abs(kkt @ sol - rhs)))
     if gap_norm > 1e-6 * scale:
         raise EstimationError(
             f"singular KKT system: residual {gap_norm:.3e} exceeds tolerance"
         )
-    return sol[:n], sol[n:]
+    return sol[:n], float(sol[n]), rcond
 
 
 def solve_weights_qp(
@@ -240,27 +234,28 @@ def solve_weights_qp(
     + v'reg v subject to cvec'v = 1 (and optionally v >= 0 via an active set).
 
     The occupancy levels u are eliminated first: the columns [S, -c2, -c3,
-    -c4] are slot-demeaned, so the KKT system has K + 3(M+1) unknowns (plus
-    one row per weight fixed at its bound), and u is the slot means of
-    S v - c2 b - c3 g - c4 th, 0 for a slot with no rows.  Weights fixed by
-    the active set are returned as exactly 0.  Returns (v, beta, gamma,
-    theta, tau_occ_free, f).
+    -c4] are slot-demeaned, so the KKT system has K + 3(M+1) unknowns, less
+    the weights held at their bound, which are returned as exactly 0; u is
+    the slot means of S v - c2 b - c3 g - c4 th, 0 for a slot with no rows.
+    Returns (v, beta, gamma, theta, tau_occ_free, rcond, f), rcond the
+    smallest reciprocal condition number of the KKT solves.
     """
     K = S.shape[1]
     A, means = _project_out_slots(T_occ, [S, -c2, -c3, -c4])
     n = A.shape[1]
     H = A.T @ A
     H[:K, :K] += reg
-    g = np.zeros(n)
     e = np.zeros(n)
     e[:K] = cvec
 
     fixed: list[int] = []
+    rcond = np.inf
     for _ in range(2 * K + 1):
-        C = np.vstack([e] + [np.eye(n)[i] for i in fixed]) if fixed else e[None, :]
-        d = np.concatenate([[1.0], np.zeros(len(fixed))])
-        x, w = solve_constrained_quadratic(H, g, C, d)
-        x[fixed] = 0.0  # the bound holds exactly, not to the solve's rounding
+        free = np.ones(n, dtype=bool)
+        free[fixed] = False
+        x = np.zeros(n)
+        x[free], nu, rc = solve_constrained_quadratic(H[np.ix_(free, free)] if fixed else H, e[free])
+        rcond = min(rcond, rc)
         v = x[:K]
         if not nonneg:
             break
@@ -268,18 +263,18 @@ def solve_weights_qp(
         if violated:
             fixed.append(min(violated, key=lambda i: v[i]))
             continue
-        # bound multipliers: mu_i = -w_i for the fixed rows
-        mu = -w[1:]
-        if len(mu) and mu.min() < -1e-9:
-            fixed.pop(int(np.argmin(mu)))
-            continue
+        if fixed:
+            mu = 2.0 * (H[fixed] @ x) + nu * e[fixed]  # the bound multipliers
+            if mu.min() < -1e-9:
+                fixed.pop(int(np.argmin(mu)))
+                continue
         break
     else:
         raise EstimationError("active-set cycle limit exceeded in weights subproblem")
 
     resid = A @ x
     f = float(resid @ resid + v @ reg @ v)
-    return (v, *_split_exogenous(x[K:], c2.shape[1]), means @ x, f)
+    return (v, *_split_exogenous(x[K:], c2.shape[1]), means @ x, rcond, f)
 
 
 def solve_sp2_plain(alpha: np.ndarray, design: DesignMatrices, lam: float):
@@ -287,7 +282,8 @@ def solve_sp2_plain(alpha: np.ndarray, design: DesignMatrices, lam: float):
 
     The zone weights are constrained to the probability simplex; negative
     coordinates are handled by an active-set loop on the KKT system.
-    Returns (xi, beta, gamma, theta, tau_occ_free, f2).
+    Returns (xi, beta, gamma, theta, tau_occ_free, rcond, f2), with rcond as
+    in ``solve_weights_qp``.
     """
     K = design.K
     return solve_weights_qp(
@@ -330,33 +326,20 @@ def _rises(f_new: float, f_old: float) -> bool:
     return f_new > f_old + DESCENT_RTOL * max(1.0, abs(f_old))
 
 
-def _recording_ill_conditioning(step, *args):
-    """Run ``step(*args)``; return its result and the messages of the
-    IllConditionedWarnings it raised.  Every warning it raised is re-issued
-    after the step, so callers that catch them still see them."""
-    caught = []
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", IllConditionedWarning)
-            out = step(*args)
-    finally:
-        for w in caught:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
-    return out, [str(w.message) for w in caught if issubclass(w.category, IllConditionedWarning)]
-
-
 def alternate(sp1, sp2, xi: np.ndarray, tol: float, max_iter: int) -> FitResult:
     """Block coordinate descent from the weights ``xi`` until the gap drops below tol.
 
     Round l calls the dynamics step ``sp1(l, xi) -> (alpha, f1)`` and then the
-    weights step ``sp2(l, alpha) -> (xi, beta, gamma, theta, tau_occ_free, f2)``.
-    f1 must not exceed the previous round's f2, nor f2 this round's f1, beyond
-    the ``DESCENT_RTOL`` slack; a rise aborts with EstimationError.  A rise
-    within the slack is rounding noise: the trace marks its gap ``negative``
-    but it is not a warning.  Warnings name rounds by l, from 0, and flag an
-    ill-conditioned weights solve (an IllConditionedWarning, which is re-issued),
-    an absolute-only gap, weights on or past their zero bound, and weights
-    that do not sum to one.
+    weights step ``sp2(l, alpha) -> (xi, beta, gamma, theta, tau_occ_free,
+    rcond, f2)``, rcond the smallest reciprocal condition number of its KKT
+    solves.  f1 must not exceed the previous round's f2, nor f2 this round's
+    f1, beyond the ``DESCENT_RTOL`` slack; a rise aborts with EstimationError.
+    A rise within the slack is rounding noise: the trace marks its gap
+    ``negative`` but it is not a warning.  Warnings name rounds by l, from 0,
+    and flag an ill-conditioned weights solve (rcond < ``RCOND_MIN``, also
+    issued as an IllConditionedWarning as the step returns), an absolute-only
+    gap, weights on or past their zero bound, and weights that do not sum to
+    one.
     """
     if not tol > 0:  # NaN fails this too
         raise ValueError(f"tol must be > 0, got {tol!r}")
@@ -369,13 +352,16 @@ def alternate(sp1, sp2, xi: np.ndarray, tol: float, max_iter: int) -> FitResult:
         alpha, f1 = sp1(l, xi)
         if trace and _rises(f1, f2):
             raise EstimationError(f"divergence at iteration {l}: f1={f1!r} > previous f2={f2!r}")
-        (xi, beta, gamma_, theta, tau_occ, f2), ill = _recording_ill_conditioning(sp2, l, alpha)
+        xi, beta, gamma_, theta, tau_occ, rcond, f2 = sp2(l, alpha)
+        if rcond < RCOND_MIN:
+            ill = f"ill-conditioned KKT system: rcond {rcond:.3e} < {RCOND_MIN:.3e}"
+            warnings.warn(ill, IllConditionedWarning, stacklevel=2)
+            notes.append(f"iteration {l}: ill-conditioned weights solve ({ill})")
         if _rises(f2, f1):
             raise EstimationError(f"divergence at iteration {l}: f2={f2!r} > f1={f1!r}")
         g = gap(f1, f2)
         rec = GapRecord(f1=f1, f2=f2, gap=g, negative=f1 - f2 < 0, absolute_only=f2 == 0.0)
         trace.append(rec)
-        notes.extend(f"iteration {l}: ill-conditioned weights solve ({msg})" for msg in ill)
         if rec.absolute_only:
             notes.append(f"iteration {l}: f2 == 0, absolute-only gap")
         if xi.min() <= 0.0:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..estimator import FitResult, alternate, check_penalty, check_start, solve_sp1_from_parts
-from ..model import ClusterDataset, lag_columns, lag_filter, lag_view, occupancy_slots
+from ..model import ClusterDataset, lag_columns, lag_filter, occupancy_slots
 from .messages import Message, Phase, decode_message, encode_message
 from .sap import PairwiseMaskSet, check_fixed_range, decode_fixed, sap_aggregate, sap_mask
 from .te import compute_te_uploads, gen_encryption_col, solve_sp2_masked, te_recover
@@ -100,11 +100,10 @@ class BuildingAgent:
     """One zone's protocol participant; holds only its own two columns and
     its encryption column."""
 
-    def __init__(self, agent_id: int, tau_col: np.ndarray, load_col: np.ndarray, M: int, cfg: ProtocolConfig):
+    def __init__(self, agent_id: int, tau_col: np.ndarray, load_col: np.ndarray, cfg: ProtocolConfig):
         self.id = agent_id
         self.tau_col = np.asarray(tau_col, dtype=float).copy()
         self.load_col = np.asarray(load_col, dtype=float).copy()
-        self.M = M
         self.cfg = cfg
         self.xi_i: float | None = None  # assigned by the coordinator at setup
         self.w: np.ndarray | None = None  # drawn at the upload, once per run
@@ -155,9 +154,9 @@ class Auditor:
     none reached the coordinator in the clear.
 
     Only round 0 carries masked shares, so it is the one round audited.
-    Agent by agent, its references are the temperature and load series and
-    their lag views, then the upload intermediates, rebuilt from round 0's
-    input weights and the agent's encryption column."""
+    Agent by agent, its references are the temperature and load series,
+    then the upload intermediates, rebuilt from round 0's input weights and
+    the agent's encryption column: each as long as some share column."""
 
     def __init__(self, agents: list[BuildingAgent]):
         self.agents = agents
@@ -169,9 +168,6 @@ class Auditor:
         for k, a in enumerate(self.agents):
             w, p = a.w, f"agent{a.id}/"
             refs += [(p + "tau_full", a.tau_col), (p + "load_full", a.load_col)]
-            for m in range(a.M + 1):
-                refs += [(f"{p}tau_lag{m}", lag_view(a.tau_col, a.M, m)),
-                         (f"{p}load_lag{m}", lag_view(a.load_col, a.M, m))]
             refs += [(p + "weighted_share", self._xi_in[k] * a.tau_col), (p + "w_col", w)]
             refs += [(f"{p}A1_col{c}", a.tau_col * wc) for c, wc in enumerate(w)]
             refs += [(f"{p}A2_col{c}", w * wc) for c, wc in enumerate(w)]
@@ -208,7 +204,7 @@ class ProtocolRunner:
         self.K, self.T, self.M = dataset.K, dataset.T, dataset.M
         self.agent_ids = list(range(1, self.K + 1))
         self.agents = {
-            i: BuildingAgent(i, dataset.tau_in[:, i - 1], dataset.h_load[:, i - 1], self.M, cfg)
+            i: BuildingAgent(i, dataset.tau_in[:, i - 1], dataset.h_load[:, i - 1], cfg)
             for i in self.agent_ids
         }
         self.bus = bus if bus is not None else InProcessBus(ProtocolTranscript())
@@ -315,7 +311,7 @@ class ProtocolRunner:
         """Weights step of round l: solve the transformed weights subproblem
         on A1 = F_α Z = ĤWᵀ, G and W1, broadcast the encrypted weights, let
         the agents recover and return theirs, and record the coordinator's
-        view.  Returns (xi, beta, gamma, theta, tau_occ_free, f2)."""
+        view.  Returns (xi, beta, gamma, theta, tau_occ_free, rcond, f2)."""
         rnd = self._round
         A1_sum = lag_filter(self.Z, self.M, alpha)
         xi_bar, *coefs, f2 = solve_sp2_masked(

@@ -56,7 +56,8 @@ def solve_sp2_masked(
 
     Minimizes ||A1_sum v - c2 b - c3 g - c4 th - u[t mod T_occ]||^2
     + lam v'A2_sum v subject to w_sum'v = 1.  Returns (xi_bar, beta, gamma,
-    theta, tau_occ_free, f2).  Raises EstimationError when A2_sum = W W^T is
+    theta, tau_occ_free, rcond, f2), rcond as in ``solve_weights_qp``, for
+    the fit driver to judge.  Raises EstimationError when A2_sum = W W^T is
     singular: the transformed problem is then no reparameterization of the
     plain one, and its solution would be wrong without a warning.
     """

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from aggtherm.cli import RunConfig, cmd_dispatch, load_config_file
-from aggtherm.dataio import parse_dataset
+from aggtherm.dataio import parse_dataset, write_dataset
+from aggtherm.model import ClusterDataset
 
 
 @pytest.fixture(scope="module")
@@ -261,6 +262,28 @@ class TestErrors:
         captured = capfd.readouterr()
         assert (captured.out, captured.err.strip()) == ("", f"error: {err}")
         assert not (out / "fit_result.json").exists()
+
+    def test_diverging_prediction_is_an_error(self, tmp_path, capsys):
+        """A model fitted on a short, growing training window is unstable,
+        and its prediction over the long test window overflows; evaluate
+        reports that as an error with exit code 2, not a traceback."""
+        rng = np.random.default_rng(0)
+        tau = np.empty((2040, 2))
+        tau[:2] = [[1.0, 1.2], [1.1, 1.3]]
+        for t in range(2, 40):
+            tau[t] = 1.5 * tau[t - 1] + rng.normal(size=2)
+        tau[40:] = 20 + rng.normal(size=(2000, 2))
+        load = 3 + rng.uniform(size=(2040, 2))
+        outdoor = 10 + rng.normal(size=2040)
+        rad = rng.uniform(size=2040)
+        data = tmp_path / "growing.csv"
+        write_dataset(data, ClusterDataset(K=2, T=2038, M=2, dt_minutes=30.0, tau_in=tau,
+                                           h_load=load, tau_out=outdoor, h_rad=rad))
+        out = tmp_path / "eval"
+        code = cmd_dispatch(["evaluate", "--data", str(data), "--t-occ", "6",
+                             "--train-fraction", "0.019", "--out-dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == "error: prediction diverged at period 1712 (model unstable)"
 
 
 

@@ -166,7 +166,7 @@ class TestSolveSp2Plain:
         rng = np.random.default_rng(200 + seed)
         alpha = rng.standard_normal(2) * 0.3
         lam = 1.5
-        xi, beta, gamma, theta, tau_occ, f2 = solve_sp2_plain(alpha, d, lam)
+        xi, beta, gamma, theta, tau_occ, _, f2 = solve_sp2_plain(alpha, d, lam)
         assert np.isclose(
             f2,
             objective(params_from_blocks(xi, alpha, beta, gamma, theta, tau_occ), d, lam),
@@ -189,7 +189,7 @@ class TestSolveSp2Plain:
         d = random_design(K=4, T=50, M=2, T_occ=4, seed=30 + seed)
         alpha = np.random.default_rng(seed).standard_normal(2) * 0.2
         lam = 0.5
-        xi, beta, gamma, theta, tau_occ, _ = solve_sp2_plain(alpha, d, lam)
+        xi, beta, gamma, theta, tau_occ, *_ = solve_sp2_plain(alpha, d, lam)
         assert abs(xi.sum() - 1.0) <= 1e-8
         assert xi.min() >= -1e-8
         # stationarity on the constraint manifold at inactive coordinates
@@ -216,28 +216,51 @@ class TestSolveSp2Plain:
         assert xi.min() >= -1e-9
         assert abs(xi.sum() - 1.0) < 1e-8
 
+    def test_held_weight_leaves_the_kkt_system(self, monkeypatch):
+        """A weight held at its bound is dropped from the KKT system, not
+        pinned by a unit constraint row: every solve has the one weight-sum
+        row and n - |held| unknowns, and the held weight comes back as 0."""
+        rng = np.random.default_rng(99)
+        d = random_design(K=3, T=60, M=1, T_occ=2, seed=99)
+        d.c0[:, 2] = -3.0 * d.c0[:, 0] + rng.standard_normal(60) * 0.01
+        n = d.K + 3 * (d.M + 1)
+        real, shapes = est.solve_constrained_quadratic, []
+
+        def recording(H, c):
+            shapes.append((H.shape, c.shape))
+            return real(H, c)
+
+        monkeypatch.setattr(est, "solve_constrained_quadratic", recording)
+        xi, *_rest = solve_sp2_plain(np.array([0.0]), d, 0.0)
+        held = int(np.sum(xi == 0.0))
+        assert held >= 1 and len(shapes) == held + 1
+        assert shapes == [((m, m), (m,)) for m in range(n, n - held - 1, -1)]
+
 
 class TestSolveConstrainedQuadratic:
-    """One least-squares solve of the KKT system: a singular system gets
-    the minimum-norm solution and a warning naming its rcond, a consistent
-    one no error, an inconsistent one EstimationError."""
+    """One least-squares solve of the KKT system of min x'Hx subject to
+    c'x = 1, returning its rcond and never warning: a singular system gets
+    the minimum-norm solution, an inconsistent one EstimationError."""
 
     def test_well_conditioned_system_does_not_warn(self):
         with warnings.catch_warnings():
-            warnings.simplefilter("error", est.IllConditionedWarning)
-            x, w = est.solve_constrained_quadratic(np.eye(2), np.zeros(2), np.ones((1, 2)), np.ones(1))
-        assert np.allclose(x, [0.5, 0.5]) and np.allclose(w, [-1.0])
+            warnings.simplefilter("error")
+            x, nu, rcond = est.solve_constrained_quadratic(np.eye(2), np.ones(2))
+        assert np.allclose(x, [0.5, 0.5]) and np.isclose(nu, -1.0)
+        assert rcond >= est.RCOND_MIN
 
-    def test_singular_system_warns_with_its_rcond(self):
+    def test_singular_system_returns_its_rcond(self):
         # H = 0 makes the two weight rows of the KKT matrix equal
-        with pytest.warns(est.IllConditionedWarning, match=r"^ill-conditioned KKT system: rcond \S+ < 2\.220e-16$"):
-            x, w = est.solve_constrained_quadratic(np.zeros((2, 2)), np.zeros(2), np.ones((1, 2)), np.ones(1))
-        assert np.allclose(x, [0.5, 0.5]) and np.allclose(w, [0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, nu, rcond = est.solve_constrained_quadratic(np.zeros((2, 2)), np.ones(2))
+        assert np.allclose(x, [0.5, 0.5]) and np.isclose(nu, 0.0)
+        assert rcond < est.RCOND_MIN
 
     def test_inconsistent_system_rejected(self):
-        C = np.ones((2, 2))
-        with pytest.warns(est.IllConditionedWarning), pytest.raises(EstimationError, match="singular KKT system"):
-            est.solve_constrained_quadratic(np.zeros((2, 2)), np.zeros(2), C, np.array([1.0, 2.0]))
+        # c = 0 leaves c'x = 1 unsatisfiable
+        with pytest.raises(EstimationError, match="singular KKT system"):
+            est.solve_constrained_quadratic(np.eye(2), np.zeros(2))
 
 
 class TestGap:
@@ -294,24 +317,24 @@ class TestBcdFit:
             est.bcd_fit(design, lam=1.0, tol=1e-14, max_iter=10)
 
     def test_ill_conditioned_weights_solve_reported(self):
-        """An IllConditionedWarning raised in a weights step is named in the fit's
-        warnings for that round and still reaches the caller; other
-        warnings pass through untouched."""
+        """A weights step that reports an rcond below RCOND_MIN is named in
+        the fit's warnings for that round and raises one
+        IllConditionedWarning; other warnings pass through untouched."""
         xi0 = np.array([0.5, 0.5])
         coefs = (np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(1))
 
         def sp2(l, alpha):
             if l == 1:
-                warnings.warn("rcond = 1e-17", est.IllConditionedWarning)
                 warnings.warn("unrelated", UserWarning)
-            return (xi0, *coefs, 0.95 - 0.1 * l)
+            return (xi0, *coefs, 1e-17 if l == 1 else 1e-3, 0.95 - 0.1 * l)
 
         with pytest.warns(Warning) as caught:
             fit = est.alternate(lambda l, xi: (np.zeros(2), 1.0 - 0.1 * l), sp2, xi0, 1e-12, 3)
-        assert fit.warnings == ["iteration 1: ill-conditioned weights solve (rcond = 1e-17)"]
+        text = "ill-conditioned KKT system: rcond 1.000e-17 < 2.220e-16"
+        assert fit.warnings == [f"iteration 1: ill-conditioned weights solve ({text})"]
         assert [(w.category, str(w.message)) for w in caught] == [
-            (est.IllConditionedWarning, "rcond = 1e-17"),
             (UserWarning, "unrelated"),
+            (est.IllConditionedWarning, text),
         ]
 
     @pytest.mark.parametrize("step", ["f1", "f2"])
@@ -455,7 +478,6 @@ def _rel(a, b, scale):
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b)), initial=0.0)) / scale
 
 
-@pytest.mark.filterwarnings("ignore::aggtherm.estimator.IllConditionedWarning")  # singular draws
 class TestOccupancyProjectionOracle:
     """Projecting the occupancy slots out gives the dense solves' objective
     and fitted values (the weights step's residual) always, and their
@@ -485,7 +507,7 @@ class TestOccupancyProjectionOracle:
         P = occupancy_indicator(len(S), T_occ)
         K = S.shape[1]
         reg = p["lam"] * np.eye(K)
-        v, beta, gamma, theta, tau_occ, f2 = est.solve_weights_qp(
+        v, beta, gamma, theta, tau_occ, _, f2 = est.solve_weights_qp(
             S, c2, c3, c4, T_occ, reg, p["cvec"], p["nonneg"]
         )
         A, x_ref, fixed_ref, f2_ref = dense_weights_qp(S, c2, c3, c4, T_occ, reg, p["cvec"], p["nonneg"])

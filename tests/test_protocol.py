@@ -754,7 +754,7 @@ class TestMaskedUpload:
         dataset, _, _ = synthetic_instance(K=3, T=50, M=2, T_occ=6, noise=0.1, seed=30)
         cfg = ProtocolConfig(T_occ=6, seed=30)
         agents = [
-            BuildingAgent(i, dataset.tau_in[:, i - 1], dataset.h_load[:, i - 1], 2, cfg)
+            BuildingAgent(i, dataset.tau_in[:, i - 1], dataset.h_load[:, i - 1], cfg)
             for i in (1, 2, 3)
         ]
         xi = np.array([0.2, 0.3, 0.5])

@@ -299,8 +299,8 @@ def _upload_recorder(monkeypatch):
 def test_auditor_references_are_the_uploads(monkeypatch, K):
     """After a run of three rounds the auditor's references, rebuilt from
     round 0's input weights and the agents' encryption columns, are label
-    for label and bit for bit what each agent uploaded, after its series
-    and lag views."""
+    for label and bit for bit what each agent uploaded, after its two
+    series."""
     sent = _upload_recorder(monkeypatch)
     dataset, _, _ = synthetic_instance(K=K, T=40, M=2, T_occ=8, noise=0.3, seed=K)
     runner = ProtocolRunner(dataset, ProtocolConfig(lam=1.0, tol=1e-12, max_iter=3, T_occ=8, seed=K))
@@ -311,14 +311,31 @@ def test_auditor_references_are_the_uploads(monkeypatch, K):
     for i in runner.agent_ids:
         tau, load = dataset.tau_in[:, i - 1], dataset.h_load[:, i - 1]
         want += [(f"agent{i}/tau_full", tau), (f"agent{i}/load_full", load)]
-        for m in range(3):
-            want += [(f"agent{i}/tau_lag{m}", tau[2 - m : 42 - m]),
-                     (f"agent{i}/load_lag{m}", load[2 - m : 42 - m])]
         want += [(f"agent{i}/{label}", sent[i][label]) for label in upload_labels]
     got = runner._private_refs()
     assert [label for label, _ in got] == [label for label, _ in want]
     for (label, g), (_, w) in zip(got, want):
         assert g.dtype == w.dtype and g.tobytes() == np.ascontiguousarray(w).tobytes(), label
+
+
+def test_every_auditor_reference_meets_a_share_column(monkeypatch):
+    """Share columns have T + M rows (the series uploads and τwᵀ) or K
+    rows (wwᵀ and w), and the scan compares a reference only with columns
+    of its own length; with K != T every reference the auditor hands the
+    scan has the length of some share column, so none goes unchecked."""
+    seen = []
+    real_scan = runner_mod.scan_payloads
+
+    def recording_scan(payloads, refs, **kw):
+        seen.append(({share.shape[0] for _, share in payloads}, [(label, len(r)) for label, r in refs]))
+        return real_scan(payloads, refs, **kw)
+
+    monkeypatch.setattr(runner_mod, "scan_payloads", recording_scan)
+    dataset, _, _ = synthetic_instance(K=3, T=40, M=2, T_occ=8, noise=0.3, seed=5)
+    ProtocolRunner(dataset, ProtocolConfig(lam=1.0, tol=1e-12, max_iter=2, T_occ=8, seed=5)).run()
+    ((rows, refs),) = seen
+    assert rows == {42, 3}
+    assert [label for label, n in refs if n not in rows] == []
 
 
 @pytest.mark.parametrize("scan", [True, False])
@@ -338,5 +355,5 @@ def test_auditor_only_in_audited_runs(monkeypatch, scan):
     assert len(calls) == (1 if scan else 0)
     assert transcript.scan_checked == (27 if scan else 0)
     assert {a: set(vars(agent)) for a, agent in runner.agents.items()} == {
-        a: {"id", "tau_col", "load_col", "M", "cfg", "xi_i", "w"} for a in runner.agent_ids
+        a: {"id", "tau_col", "load_col", "cfg", "xi_i", "w"} for a in runner.agent_ids
     }

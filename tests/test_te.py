@@ -128,10 +128,10 @@ class TestSolveSp2Masked:
         rng = np.random.default_rng(1000 + seed)
         W = rng.normal(0.1, 0.1, (K, K))
         lam = 100.0
-        xi_p, b_p, g_p, t_p, u_p, f2_p = solve_sp2_plain(true.alpha, design, lam)
+        xi_p, b_p, g_p, t_p, u_p, _, f2_p = solve_sp2_plain(true.alpha, design, lam)
         assert xi_p.min() > 1e-6  # bound inactive, else the premise fails
         A1, A2, w = masked_inputs(design, true.alpha, W)
-        xi_bar, b_m, g_m, t_m, u_m, f2_m = solve_sp2_masked(
+        xi_bar, b_m, g_m, t_m, u_m, _, f2_m = solve_sp2_masked(
             A1, A2, w, design.c2, design.c3, design.c4, design.T_occ, lam
         )
         assert np.isclose(f2_m, f2_p, rtol=1e-6)
