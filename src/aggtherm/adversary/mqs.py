@@ -67,7 +67,8 @@ class MqsInstance:
     another shape in any round raises ValueError naming it.  The Jacobian's
     sparsity depends only on (K, L, T, M), so where each block's entries go
     is worked out once, on the first ``jacobian`` call, and each call then
-    fills a fresh dense J by index.
+    fills a dense J by index: a fresh one, or the caller's ``out`` buffer,
+    which the L-BFGS solve reuses across its evaluations.
     """
 
     def __init__(self, views, true_values: MqsTruth):
@@ -149,6 +150,7 @@ class MqsInstance:
         iu, ju = self._triu
         n_pairs = len(iu)
         l, p, n = np.arange(L), np.arange(T + M), np.arange(n_pairs)
+        off = np.flatnonzero(iu != ju)
         t, c, m = np.arange(T), np.arange(K), np.arange(1, M + 1)
         # first row of each block of round l, and round l's first W column
         agg = (l * (T + M + n_pairs + 2 * K + T * K))[:, None, None]
@@ -167,7 +169,8 @@ class MqsInstance:
         return (
             flat(agg + p[:, None], p[:, None] * K + c),  # (l, p, i)
             flat(gram + n[:, None], w_off + iu[:, None] * K + c),  # (l, n, c)
-            flat(gram + n[:, None], w_off + ju[:, None] * K + c),
+            # (l, off, c): the diagonal rows' W[j] is already in gram_j
+            flat(gram + off[:, None], w_off + ju[off, None] * K + c),
             flat(colsum + c[:, None], w_block),  # (l, j, c)
             flat((recover + c[:, None])[..., None], w_block[:, None]),  # (l, i, j, c)
             flat(mixed_rows, w_block[:, None]),  # (l, t, j, c)
@@ -176,36 +179,51 @@ class MqsInstance:
             flat(mixed_rows[:, None], (M + t - m[:, None])[..., None, None] * K + c),
         )
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
+    def jacobian(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Dense Jacobian of ``residual`` at ``x``, one row per equation.
 
-        Every entry is written through ``_jacobian_index`` with the float
-        operation the block's algebra gives it (an assignment, one ``+=``
-        or ``-=`` onto zero, or two ``+=`` on the Gram diagonal, where
-        row (j, j) meets W[j] twice), so J is the same bit for bit, signed
-        zeros included, as a row-by-row assembly."""
+        Every entry outside J's structural zeros is assigned through
+        ``_jacobian_index`` with the float operation the block's algebra
+        gives it (the value, ``0.0 + v`` or ``0.0 - v``, or ``(0.0 + a) + b``
+        on the Gram diagonal, where row (j, j) meets W[j] twice), so J is the
+        same bit for bit, signed zeros included, as a row-by-row assembly
+        onto zeros.  It is written into ``out`` when given: a C-contiguous
+        float array of J's shape that is zero outside that pattern, such as
+        an earlier result; else into a fresh zeroed array."""
         K, M = self.K, self.M
+        shape = (self.n_equations, self.n_unknowns)
+        if out is None:
+            J = np.zeros(shape)
+        elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ValueError(
+                f"out must be a C-contiguous float64 array of shape {shape}, "
+                f"got {out.dtype} {out.shape}"
+            )
+        else:
+            J = out
         tau, W = self.unpack(x)
         iu, ju = self._triu
+        diag = iu == ju
         agg, gram_j, gram_k, colsum, recover, mixed_w, mixed_now, mixed_lag = (
             self._jacobian_index
         )
         hat = np.stack([lag_filter(tau, M, a) for a in self.alpha])
-        J = np.zeros((self.n_equations, self.n_unknowns))
         flat = J.reshape(-1)
         # aggregate rows: d/dtau[p, i] = xi_in[i]
         flat[agg] = self.xi_in[:, None, :]
         # gram rows (upper triangle (j, k)): W[k] in block j, W[j] in block k
-        flat[gram_j] += W[:, ju]
-        flat[gram_k] += W[:, iu]
+        gram = 0.0 + W[:, ju]
+        gram[:, diag] += W[:, iu[diag]]
+        flat[gram_j] = gram
+        flat[gram_k] = 0.0 + W[:, iu[~diag]]
         # column-sum rows
         flat[colsum] = 1.0
         # weight-recovery rows: residual_i = sum_j W[j, i] xi_bar[j]
-        flat[recover] += np.eye(K)[None, :, None, :] * self.xi_bar[:, None, :, None]
+        flat[recover] = 0.0 + np.eye(K)[None, :, None, :] * self.xi_bar[:, None, :, None]
         # mixed rows: residual[t, j] = sum_i hat_tau[t, i] W[j, i]
         flat[mixed_w] = hat[:, :, None, :]
-        flat[mixed_now] += W[:, None]
-        flat[mixed_lag] -= self.alpha[:, :, None, None, None] * W[:, None, None]
+        flat[mixed_now] = 0.0 + W[:, None]
+        flat[mixed_lag] = 0.0 - self.alpha[:, :, None, None, None] * W[:, None, None]
         return J
 
 
@@ -265,9 +283,11 @@ def solve_mqs(
 
     ``method="lbfgs"`` runs a quasi-Newton scheme on the scalarized sum of
     squares with an analytic gradient, matching the general-purpose NLP
-    solver class the original experiments used.  ``method="trf"`` runs a
-    Gauss-Newton trust-region least-squares solver with the analytic
-    residual Jacobian; it is a substantially stronger attack on
+    solver class the original experiments used; its evaluations fill one
+    dense Jacobian buffer, allocated once per solve.  ``method="trf"`` runs
+    a Gauss-Newton trust-region least-squares solver with the analytic
+    residual Jacobian, a fresh J per call since the solver keeps them
+    across iterations; it is a substantially stronger attack on
     well-determined instances.  Returns the temperature-block error
     against the held-out truth, the final residual norm, wall time and
     iteration count.  A non-finite residual during iteration marks the
@@ -302,10 +322,11 @@ def solve_mqs(
             iterations = int(res.nfev)
             converged = bool(res.status > 0)
         else:
+            J = np.zeros((instance.n_equations, instance.n_unknowns))
 
             def fun_grad(x):
                 r = instance.residual(x)
-                J = instance.jacobian(x)
+                instance.jacobian(x, out=J)
                 return float(r @ r), 2.0 * (J.T @ r)
 
             res = minimize(

@@ -269,7 +269,9 @@ def cmd_compare(args) -> int:
     for name in ("xi", "alpha", "beta", "gamma", "theta", "tau_occ_free"):
         a = getattr(plain.params, name)
         b = getattr(private.params, name)
-        rel = np.abs(a - b) / np.maximum(np.abs(a), 1e-300)
+        # relative to the larger side, so a weight one fit pins at 0 reads 1
+        denom = np.maximum(np.abs(a), np.abs(b))
+        rel = np.divide(np.abs(a - b), denom, out=np.zeros_like(denom), where=denom != 0)
         worst = max(worst, float(rel.max()))
         report["parameters"][name] = {
             "plain": a.tolist(),

@@ -200,7 +200,8 @@ def solve_constrained_quadratic(H: np.ndarray, c: np.ndarray):
     Returns (x, nu, rcond): 2Hx + nu c = 0, and rcond is the KKT matrix's
     sigma_min/sigma_max, for the caller to judge.  A singular matrix gets the
     least-squares minimum-norm solution; a large system residual raises
-    EstimationError.
+    EstimationError, and so does a violated constraint row, judged on its
+    own scale: |c'x - 1| > 1e-6 max(1, |c| |x|).
     """
     n = H.shape[0]
     kkt = np.zeros((n + 1, n + 1))
@@ -217,7 +218,13 @@ def solve_constrained_quadratic(H: np.ndarray, c: np.ndarray):
         raise EstimationError(
             f"singular KKT system: residual {gap_norm:.3e} exceeds tolerance"
         )
-    return sol[:n], float(sol[n]), rcond
+    x = sol[:n]
+    row_gap = abs(float(c @ x) - 1.0)
+    if row_gap > 1e-6 * max(1.0, float(np.linalg.norm(c) * np.linalg.norm(x))):
+        raise EstimationError(
+            f"KKT solve violates its constraint: |c'x - 1| = {row_gap:.3e}"
+        )
+    return x, float(sol[n]), rcond
 
 
 def solve_weights_qp(

@@ -1,10 +1,12 @@
 import hashlib
 import json
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from aggtherm import cli
 from aggtherm.cli import RunConfig, cmd_dispatch, load_config_file
 from aggtherm.dataio import parse_dataset, write_dataset
 from aggtherm.model import ClusterDataset
@@ -112,6 +114,24 @@ class TestCompare:
         assert set(doc["parameters"]) == {"xi", "alpha", "beta", "gamma", "theta",
                                           "tau_occ_free"}
         assert doc["plain_warnings"] == [] and doc["private_warnings"] == []
+
+    def test_zero_plain_entry_reads_one(self, data_csv, tmp_path, monkeypatch):
+        """A weight the plain fit pins at 0 is measured against the private
+        value: it reads 1, not |b|/1e-300; entries 0 in both fits read 0."""
+        names = ("xi", "alpha", "beta", "gamma", "theta", "tau_occ_free")
+
+        def fake_fit(dataset, cfg, transcript_path=None):
+            xi = [0.5, 0.5, 0.0, 0.0] if cfg.mode == "plain" else [0.5, 0.5, -2e-3, 0.0]
+            params = SimpleNamespace(**{n: np.array([1.0, -2.0]) for n in names})
+            params.xi = np.array(xi)
+            return SimpleNamespace(params=params, objective=1.0, warnings=[]), None
+
+        monkeypatch.setattr(cli, "_fit_dataset", fake_fit)
+        out = tmp_path / "compare.json"
+        assert cmd_dispatch(["compare", "--data", str(data_csv), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["parameters"]["xi"]["relative_error"] == [0.0, 0.0, 1.0, 0.0]
+        assert doc["max_relative_error"] == 1.0
 
 
 class TestCounting:
@@ -321,4 +341,4 @@ class TestReportBytes:
         h = hashlib.sha256()
         for p in files:
             h.update(p.relative_to(tmp_path).as_posix().encode() + b"\0" + p.read_bytes())
-        assert h.hexdigest() == "83c424de30cff41f95bf76f431d45ed9783e5e5b6dca35289d6eb5470ab8daa8"
+        assert h.hexdigest() == "fe99141f59edcf97e1fe2155af259a57e177b2d9b98b586575621006751e4b9d"

@@ -14,7 +14,7 @@ from aggtherm.estimator import (
     solve_sp1,
     solve_sp2_plain,
 )
-from aggtherm.model import AtdmParameters, lag_columns, lag_filter
+from aggtherm.model import AtdmParameters, ClusterDataset, build_design, lag_columns, lag_filter
 
 from _common import random_design, random_params, synthetic_instance, zero_design
 
@@ -261,6 +261,23 @@ class TestSolveConstrainedQuadratic:
         # c = 0 leaves c'x = 1 unsatisfiable
         with pytest.raises(EstimationError, match="singular KKT system"):
             est.solve_constrained_quadratic(np.eye(2), np.zeros(2))
+
+    def test_violated_constraint_row_on_huge_data_rejected(self):
+        """Temperatures growing to ~4e13 make max|KKT| ~1e27, so the system
+        residual check passes weights that sum to ~1e-51; the constraint
+        row, checked on its own scale, rejects them."""
+        rng = np.random.default_rng(0)
+        K, M, rows = 2, 2, 120
+        tau = 1.3 ** np.arange(rows)[:, None] * (1 + 0.01 * rng.normal(size=(rows, K)))
+        ds = ClusterDataset(
+            K=K, T=rows - M, M=M, dt_minutes=30.0, tau_in=tau,
+            h_load=3 + rng.uniform(size=(rows, K)), tau_out=10 + rng.normal(size=rows),
+            h_rad=rng.uniform(size=rows),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", est.IllConditionedWarning)
+            with pytest.raises(EstimationError, match=r"violates its constraint: \|c'x - 1\|"):
+                bcd_fit(build_design(ds, 6), lam=100)
 
 
 class TestGap:

@@ -67,15 +67,18 @@ def loop_jacobian(inst, x):
 def assert_jacobian_matches_loop(inst, seed=0):
     """At the truth, a perturbed start, a random point and a point with
     signed zeros, J equals the loop's, entry for entry and sign bit for
-    sign bit."""
+    sign bit, both fresh and filled in turn into one reused ``out``."""
     rng = np.random.default_rng(seed)
     truth = inst.pack(inst.true_values.tau, inst.true_values.W)
     u = rng.random(truth.shape)
     zeros = np.where(u < 0.25, -0.0, np.where(u < 0.5, 0.0, truth))
+    out = np.zeros((inst.n_equations, inst.n_unknowns))
     for x in (truth, inst.perturbed_start(rng), rng.normal(0.0, 5.0, truth.shape), zeros):
-        J, ref = inst.jacobian(x), loop_jacobian(inst, x)
-        assert np.array_equal(J, ref)
-        assert np.array_equal(np.signbit(J), np.signbit(ref))
+        ref = loop_jacobian(inst, x)
+        assert inst.jacobian(x, out=out) is out
+        for J in (inst.jacobian(x), out):
+            assert np.array_equal(J, ref)
+            assert np.array_equal(np.signbit(J), np.signbit(ref))
 
 
 class TestInstance:
@@ -165,6 +168,18 @@ class TestInstance:
             views.append(dataclasses.replace(v, xi_in=xi, s_sum=tau @ xi))
         assert_jacobian_matches_loop(MqsInstance(views, inst.true_values))
 
+    @pytest.mark.parametrize(
+        "make_out",
+        [lambda n, m: np.zeros((n, m + 1)), lambda n, m: np.zeros((n - 1, m)),
+         lambda n, m: np.zeros((n, m), dtype=np.float32), lambda n, m: np.zeros((n, m), order="F")],
+        ids=["columns", "rows", "float32", "fortran"],
+    )
+    def test_jacobian_out_of_wrong_layout_rejected(self, make_out):
+        inst = make_attack_instance(K=3, L=2, T=4, M=2, seed=0)
+        x = inst.pack(inst.true_values.tau, inst.true_values.W)
+        with pytest.raises(ValueError, match="out must be a C-contiguous float64 array"):
+            inst.jacobian(x, out=make_out(inst.n_equations, inst.n_unknowns))
+
     def test_w_like_tau_switch(self):
         a = make_attack_instance(K=3, L=2, T=4, M=2, seed=5, w_like_tau=False)
         b = make_attack_instance(K=3, L=2, T=4, M=2, seed=5, w_like_tau=True)
@@ -209,6 +224,34 @@ class TestSolve:
         assert [r["scenario"] for r in rows] == [0, 1, 2]
         for r in rows:
             assert r["relative_error"] < 1e-9 and r["converged"], r
+
+    def test_lbfgs_buffer_matches_fresh_jacobian_solve(self, monkeypatch):
+        """L-BFGS on the reused Jacobian buffer ends at bitwise the same x
+        after the same iterations as ``minimize`` driven by a fresh J per
+        evaluation."""
+        import scipy.optimize
+
+        inst = make_attack_instance(K=4, L=2, T=6, M=2, seed=4)
+        init = inst.perturbed_start(np.random.default_rng(5))
+        minimize = scipy.optimize.minimize
+        seen = []
+
+        def recording_minimize(*args, **kwargs):
+            seen.append(minimize(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(scipy.optimize, "minimize", recording_minimize)
+        res = solve_mqs(inst, init, max_iter=200)
+
+        def fresh_fun_grad(x):
+            r = inst.residual(x)
+            return float(r @ r), 2.0 * (inst.jacobian(x).T @ r)
+
+        want = minimize(fresh_fun_grad, init, jac=True, method="L-BFGS-B",
+                        options={"maxiter": 200, "gtol": mqs.GRAD_TOL})
+        (got,) = seen
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.nit == want.nit == res.iterations
 
     def test_trf_method_runs(self):
         inst = make_attack_instance(K=4, L=2, T=6, M=2, seed=2)
