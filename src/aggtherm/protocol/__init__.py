@@ -1,6 +1,7 @@
 from .messages import Message, Phase, decode_message, encode_message
 from .runner import (
     BuildingAgent,
+    Coordinator,
     InProcessBus,
     ProtocolConfig,
     ProtocolError,
@@ -22,6 +23,7 @@ __all__ = [
     "encode_message",
     "decode_message",
     "BuildingAgent",
+    "Coordinator",
     "InProcessBus",
     "ProtocolConfig",
     "ProtocolError",

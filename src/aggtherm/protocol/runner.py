@@ -1,34 +1,31 @@
 """Round-synchronous protocol between building agents and the coordinator.
 
-Each agent draws its private encryption column w_i once per run.  In round
-0 every agent makes one masked upload pass: its weighted temperature series
-(``SAP_S``), its load series (``SAP_LOAD``), the outer product of its whole
-temperature series with its column (``TE_A1``), the column's outer product
-with itself (``TE_A2``) and the column (``TE_W``).  The pass runs one phase
-at a time: agent by agent, each makes and sends its share, and the
-coordinator reads it at once and adds it to the phase's ring sum, so round
-0 holds one share per phase in flight, not K.  The coordinator keeps the
-sums for the whole run: the load regressors ``c2``, Z = τWᵀ, G = WWᵀ
-and W1.  Every round it then solves the dynamics subproblem from the
-weighted series (round 0's ``SAP_S`` sum, and Zξ̄ of the last round's
-encrypted weights after it), filters Z by the dynamics to the transformed
-weights problem (A1 = F_α Z = ĤWᵀ), solves it and broadcasts the encrypted
-weights (``XI_BAR_BROADCAST``); agents return their recovered weights
-(``XI_RETURN``).  So only round 0 builds a mask set, and a later round
-sends 2K plain messages.  One W per run departs from the paper's fresh
-encryption every round (README, threat model).
+Three parts.  The ``Coordinator`` is the load aggregator; its fields are
+everything the coordinator holds.  Each ``BuildingAgent`` holds one zone's
+series and its encryption column w_i, drawn once per run.  The
+``ProtocolRunner`` is the harness: it owns the dataset, the agents, the
+bus, the mask set, the ``Auditor`` and ``ProtocolConfig.seed``, moves every
+message, and hands the coordinator only what the bus delivered to receiver 0.
+
+Round 0 is the run's one masked upload pass, one phase at a time: agent by
+agent, each sends its share (``BuildingAgent.upload``), and the harness
+reads it at once and adds it to the phase's ring sum, so one share per
+phase is in flight, not K.  The coordinator is built from the sums: the
+load regressors ``c2``, Z = τWᵀ, G = WWᵀ and W1.  Every round it solves the
+dynamics subproblem from the weighted series (round 0's ``SAP_S`` sum, then
+Zξ̄ of the last round's encrypted weights) and the transformed weights
+problem on A1 = F_α Z = ĤWᵀ; the harness broadcasts ξ̄ and the agents
+return their weights, so a later round sends 2K plain messages.  One W per
+run departs from the paper's fresh encryption every round (README).
 
 Every message is read through one receive rule, ``ProtocolRunner._collect``:
-exactly one message of the phase and round from each expected sender (the
-agents for an upload, the coordinator for a broadcast), returned in sender
-order whatever the arrival order, so nothing depends on the transport; a
-message from anyone else, a second message or a missing one aborts the
-round with one ``ProtocolError`` template.  Masked shares are uint64 ring
-elements, and the coordinator decodes only their sums.  Every payload
-crosses an in-process bus through the binary envelope codec; the transcript
-records digests, the coordinator-visible aggregates, and privacy-scan
-results.  The scan is run by an ``Auditor``, the trusted party that holds
-every agent's secrets, not by the coordinator or the agents.
+one message of the phase and round from each expected sender, in sender
+order whatever the arrival order; anything else aborts the round with one
+``ProtocolError`` template.  Masked shares are uint64 ring elements, and
+only their sums are decoded.  Every payload crosses an in-process bus
+through the binary envelope codec; the transcript records digests, the
+coordinator-visible aggregates and the scan results.  The scan is run by
+the ``Auditor``, the trusted party that holds every agent's secrets.
 """
 
 from __future__ import annotations
@@ -49,6 +46,7 @@ __all__ = [
     "ProtocolConfig",
     "BuildingAgent",
     "Auditor",
+    "Coordinator",
     "InProcessBus",
     "ProtocolRunner",
     "run_protocol",
@@ -105,7 +103,7 @@ class BuildingAgent:
         self.tau_col = np.asarray(tau_col, dtype=float).copy()
         self.load_col = np.asarray(load_col, dtype=float).copy()
         self.cfg = cfg
-        self.xi_i: float | None = None  # assigned by the coordinator at setup
+        self.xi_i: float | None = None  # the start weight, assigned at setup
         self.w: np.ndarray | None = None  # drawn at the upload, once per run
 
     def check_load_range(self, K: int):
@@ -190,8 +188,42 @@ class Auditor:
             )
 
 
+class Coordinator:
+    """The load aggregator's half of the fit; its fields are everything the
+    coordinator holds.  ``c3`` and ``c4`` are the public outdoor-temperature
+    and radiation regressors; ``c2``, Z = τWᵀ, G = WWᵀ and ``w1`` = W1 are
+    round 0's decoded sums; ``xi_in`` and ``s_sum`` are the round's input
+    weights and weighted series, and ``xi_bar`` the last encrypted weights."""
+
+    def __init__(self, c2, c3, c4, Z, G, w1, T_occ: int, lam: float):
+        self.c2, self.c3, self.c4 = c2, c3, c4
+        self.Z, self.G, self.w1 = Z, G, w1
+        self.T_occ, self.lam = T_occ, lam
+        self.xi_in = self.s_sum = self.xi_bar = None
+
+    def dynamics(self, xi: np.ndarray, s_sum: np.ndarray | None = None):
+        """Dynamics step for the input weights ``xi``, from the weighted series
+        ``s_sum`` (round 0's ``SAP_S`` sum) or, when None, from Zξ̄ = τWᵀξ̄ for
+        the last round's encrypted weights ξ̄.  Returns (alpha, f1)."""
+        self.xi_in = xi.copy()
+        self.s_sum = self.Z @ self.xi_bar if s_sum is None else s_sum
+        alpha, *_unused, f1 = solve_sp1_from_parts(
+            self.s_sum, self.c2, self.c3, self.c4, self.T_occ, self.lam, float(xi @ xi)
+        )
+        return alpha, f1
+
+    def weights(self, alpha: np.ndarray):
+        """Weights step: solve the transformed weights subproblem on
+        A1 = F_α Z = ĤWᵀ, G and W1, and keep its encrypted weights ξ̄.
+        Returns (A1, (xi_bar, beta, gamma, theta, tau_occ_free, rcond, f2))."""
+        A1_sum = lag_filter(self.Z, self.c2.shape[1] - 1, alpha)
+        solved = solve_sp2_masked(A1_sum, self.G, self.w1, self.c2, self.c3, self.c4, self.T_occ, self.lam)
+        self.xi_bar = solved[0]
+        return A1_sum, solved
+
+
 class ProtocolRunner:
-    """Coordinator-side orchestration of the full estimation protocol."""
+    """The harness around the ``Coordinator`` (see the module docstring)."""
 
     def __init__(self, dataset: ClusterDataset, cfg: ProtocolConfig, bus: InProcessBus | None = None):
         if dataset.K < 2:
@@ -213,12 +245,7 @@ class ProtocolRunner:
         check_penalty(cfg.lam)
         for agent in self.agents.values():
             agent.check_load_range(self.K)
-        # coordinator-held regressors and run products, c2, Z, G and w1 summed from round 0's uploads
-        self.c2 = self.Z = self.G = self.w1 = None
-        self.c3 = lag_columns(dataset.tau_out, self.M)
-        self.c4 = lag_columns(dataset.h_rad, self.M)
-        self._xi_bar = None  # the last round's encrypted weights
-        self._round = None  # what the dynamics step hands the weights step
+        self.coordinator: Coordinator | None = None  # built from round 0's sums
         self.auditor = Auditor([self.agents[i] for i in self.agent_ids]) if cfg.scan else None
 
     def _private_refs(self) -> list:
@@ -254,18 +281,9 @@ class ProtocolRunner:
                     )
         return [got[i] for i in senders]
 
-    def _broadcast(self, phase: Phase, l: int, payload: np.ndarray):
-        """Send ``payload`` to every agent as its ``phase`` message of round
-        l, then yield each agent, in agent order, with the payload it read."""
-        for i in self.agent_ids:
-            self.bus.send(Message(l, phase, BLA_ID, i, payload))
-        for i in self.agent_ids:
-            (read,) = self._collect(i, phase, l, [BLA_ID])
-            yield self.agents[i], read
-
     def _shares(self, phase: Phase, masks: PairwiseMaskSet, payloads: list | None):
         """Yield round 0's ``phase`` shares in agent order: each agent makes
-        and sends its share, and the coordinator reads it at once.  Each
+        and sends its share, and receiver 0's copy is read at once.  Each
         whole share is appended to ``payloads`` for the privacy scan, unless
         that is None."""
         for i in self.agent_ids:
@@ -275,66 +293,47 @@ class ProtocolRunner:
                 payloads.append((f"iter0/{phase.name.lower()}/agent{i}", share))
             yield share
 
-    # -- round 0's upload and the two steps of every round ---------------------
-
-    def _upload_round(self, xi: np.ndarray) -> np.ndarray:
-        """Round 0's one masked upload pass, one phase at a time, each
-        share added to its phase's sum as it arrives.  Keeps ``c2``, Z, G
-        and W1 for the run, has the auditor scan the shares, and returns the
-        weighted series summed from the ``SAP_S`` shares; ``xi`` is the
-        agents' input weights."""
-        masks = PairwiseMaskSet(self.cfg.seed, self.agent_ids)
-        payloads = [] if self.auditor is not None else None  # only the scan needs the shares kept
-        s_sum, load_sum, self.Z, self.G, w1 = (
-            sap_aggregate(self._shares(phase, masks, payloads)) for phase in UPLOADS
-        )
-        s_sum, self.w1 = s_sum.ravel(), w1.ravel()
-        self.c2 = lag_columns(load_sum.ravel(), self.M)
-        self.transcript.c2, self.transcript.Z = self.c2, self.Z
-        if self.auditor is not None:
-            self.auditor.audit(xi, payloads, self.transcript)
-        return s_sum
+    # -- the two steps of every round ------------------------------------------
 
     def _dynamics_step(self, l: int, xi: np.ndarray):
-        """Dynamics step of round l: the weighted series is round 0's
-        ``SAP_S`` sum, and after it Zξ̄ = τWᵀξ̄ for the last round's
-        encrypted weights ξ̄.  Returns (alpha, f1); ``xi`` is the round's
-        input weights, for the penalty."""
-        s_sum = self._upload_round(xi) if l == 0 else self.Z @ self._xi_bar
-        alpha, *_unused, f1 = solve_sp1_from_parts(
-            s_sum, self.c2, self.c3, self.c4, self.cfg.T_occ, self.cfg.lam, float(xi @ xi)
+        """Dynamics step of round l for the input weights ``xi``; returns
+        (alpha, f1).  Round 0 first runs the masked upload pass, builds the
+        coordinator from its sums and the public series, has the auditor
+        scan the shares, and hands the coordinator the ``SAP_S`` sum."""
+        if l > 0:
+            return self.coordinator.dynamics(xi)
+        masks = PairwiseMaskSet(self.cfg.seed, self.agent_ids)
+        payloads = [] if self.auditor is not None else None  # only the scan needs the shares kept
+        s_sum, load_sum, Z, G, w1 = (
+            sap_aggregate(self._shares(phase, masks, payloads)) for phase in UPLOADS
         )
-        self._round = {"xi_in": xi.copy(), "s_sum": s_sum}
-        return alpha, f1
+        ds, M = self.dataset, self.M
+        self.coordinator = Coordinator(
+            lag_columns(load_sum.ravel(), M), lag_columns(ds.tau_out, M), lag_columns(ds.h_rad, M),
+            Z, G, w1.ravel(), self.cfg.T_occ, self.cfg.lam,
+        )
+        self.transcript.c2, self.transcript.Z = self.coordinator.c2, Z
+        if self.auditor is not None:
+            self.auditor.audit(xi, payloads, self.transcript)
+        return self.coordinator.dynamics(xi, s_sum.ravel())
 
     def _weights_step(self, l: int, alpha: np.ndarray):
-        """Weights step of round l: solve the transformed weights subproblem
-        on A1 = F_α Z = ĤWᵀ, G and W1, broadcast the encrypted weights, let
-        the agents recover and return theirs, and record the coordinator's
-        view.  Returns (xi, beta, gamma, theta, tau_occ_free, rcond, f2)."""
-        rnd = self._round
-        A1_sum = lag_filter(self.Z, self.M, alpha)
-        xi_bar, *coefs, f2 = solve_sp2_masked(
-            A1_sum, self.G, self.w1, self.c2, self.c3, self.c4, self.cfg.T_occ, self.cfg.lam
-        )
-
-        for agent, xi_bar_read in self._broadcast(Phase.XI_BAR_BROADCAST, l, xi_bar):
-            self.bus.send(agent.xi_return_message(xi_bar_read, l))
-
+        """Weights step of round l: the coordinator's encrypted weights are
+        broadcast, the agents return theirs, and the coordinator's view is
+        recorded.  Returns (xi, beta, gamma, theta, tau_occ_free, rcond, f2)."""
+        coord = self.coordinator
+        A1_sum, (xi_bar, *coefs, f2) = coord.weights(alpha)
+        for i in self.agent_ids:
+            self.bus.send(Message(l, Phase.XI_BAR_BROADCAST, BLA_ID, i, xi_bar))
+        for i in self.agent_ids:
+            (read,) = self._collect(i, Phase.XI_BAR_BROADCAST, l, [BLA_ID])
+            self.bus.send(self.agents[i].xi_return_message(read, l))
         returns = self._collect(BLA_ID, Phase.XI_RETURN, l, self.agent_ids)
         xi_new = np.array([float(p[0, 0]) for p in returns])
-
         self.transcript.bla_view.append(RoundView(
-            xi_in=rnd["xi_in"],
-            s_sum=rnd["s_sum"],
-            alpha=np.asarray(alpha, dtype=float).copy(),
-            A1_sum=A1_sum,
-            A2_sum=self.G,
-            w_sum=self.w1,
-            xi_bar=xi_bar,
-            xi_recovered=xi_new.copy(),
+            xi_in=coord.xi_in, s_sum=coord.s_sum, alpha=np.asarray(alpha, dtype=float).copy(),
+            A1_sum=A1_sum, A2_sum=coord.G, w_sum=coord.w1, xi_bar=xi_bar, xi_recovered=xi_new.copy(),
         ))
-        self._xi_bar, self._round = xi_bar, None
         return (xi_new, *coefs, f2)
 
     def run(self) -> tuple[FitResult, ProtocolTranscript]:

@@ -13,8 +13,11 @@ from hypothesis import strategies as st
 import aggtherm.protocol.runner as runner_mod
 from aggtherm import bcd_fit, build_design
 from aggtherm.dataio import dumps_json
-from aggtherm.estimator import EstimationError, IllConditionedWarning
+from aggtherm.estimator import EstimationError, IllConditionedWarning, alternate
+from aggtherm.model import ClusterDataset
 from aggtherm.protocol import (
+    BuildingAgent,
+    Coordinator,
     InProcessBus,
     Message,
     Phase,
@@ -28,7 +31,7 @@ from aggtherm.protocol import (
     scan_payloads,
 )
 from aggtherm.protocol.sap import PairwiseMaskSet, sap_aggregate
-from aggtherm.protocol.te import W_MEAN, W_SD
+from aggtherm.protocol.te import W_MEAN, W_SD, gen_encryption_col
 
 from _common import random_dataset, run_truth, synthetic_instance, zero_mask
 
@@ -784,13 +787,9 @@ class TestMaskedUpload:
         """The coordinator filters Z = τWᵀ at the model order M, so a
         dynamics vector of another length is an error, not a filter of that
         order."""
-        dataset, _, _ = synthetic_instance(K=2, T=30, M=2, T_occ=6, noise=0.1, seed=31)
-        runner = ProtocolRunner(dataset, ProtocolConfig(T_occ=6, seed=31))
-        for agent in runner.agents.values():
-            agent.xi_i = 0.5
-        runner._dynamics_step(0, np.array([0.5, 0.5]))
+        _, design, _ = synthetic_instance(K=2, T=30, M=2, T_occ=6, noise=0.1, seed=31)
         with pytest.raises(ValueError, match="alpha must have M=2 entries"):
-            runner._weights_step(0, np.array(alpha))
+            identity_coordinator(design, lam=100.0).weights(np.array(alpha))
 
 
 class TestWeightsFreshness:
@@ -810,3 +809,86 @@ class TestWeightsFreshness:
         for view in transcript.bla_view:
             assert np.array_equal(view.A2_sum, W @ W.T)
             assert np.array_equal(view.xi_recovered, W.T @ view.xi_bar)
+
+
+def identity_coordinator(design, lam):
+    """A coordinator fed the sums of an encryption W = I: Z = τ, G = I and
+    W1 = 1, so its encrypted weights are the weights themselves."""
+    K = design.K
+    return Coordinator(design.c2, design.c3, design.c4, design.tau, np.eye(K), np.ones(K), design.T_occ, lam)
+
+
+class TestCoordinator:
+    HELD = {"c2", "c3", "c4", "Z", "G", "w1", "T_occ", "lam", "xi_in", "s_sum", "xi_bar"}
+
+    @pytest.mark.parametrize("K", [2, 3, 7])
+    def test_holds_only_what_it_received(self, K):
+        """After a run, the coordinator holds only numbers, None and numeric
+        arrays: no agent, dataset, mask set, config, bus, transcript or
+        seed, and none of its arrays has a column equal to an agent's
+        private series or upload intermediate."""
+        dataset, _, _ = synthetic_instance(K=K, T=60, M=2, T_occ=6, noise=0.1, seed=100 + K)
+        cfg = ProtocolConfig(lam=10.0, max_iter=3, T_occ=6, seed=100 + K)
+        runner = ProtocolRunner(dataset, cfg)
+        fit, _ = runner.run()
+        assert fit.iterations > 1
+        held = vars(runner.coordinator)
+        assert set(held) == self.HELD
+        harness = (BuildingAgent, ClusterDataset, PairwiseMaskSet, ProtocolConfig, InProcessBus,
+                   ProtocolTranscript, ProtocolRunner, runner_mod.Auditor)
+        for name, value in held.items():
+            assert value is None or isinstance(value, (int, float, np.ndarray)), name
+            assert not isinstance(value, harness), name
+            if isinstance(value, np.ndarray):
+                assert value.dtype.kind == "f", name
+            else:
+                assert value != cfg.seed, name
+        arrays = [(name, value) for name, value in held.items() if isinstance(value, np.ndarray)]
+        checked, findings = scan_payloads(arrays, runner._private_refs())
+        assert checked > 0
+        assert findings == []
+
+    def test_identity_encryption_is_the_plain_fit(self):
+        """With W = I the coordinator's two steps are the plain fit's, so
+        driven through ``alternate`` they reproduce ``bcd_fit`` bit for bit,
+        gap trace included, wherever the plain fit holds no weight at its
+        bound (the masked weights solve has no bound), as in none of these
+        30 instances."""
+        lam = 10.0
+        for K in range(2, 8):
+            for seed in range(5):
+                _, design, _ = synthetic_instance(K=K, T=80, M=2, T_occ=12, noise=0.3, seed=seed)
+                plain = bcd_fit(design, lam=lam)
+                assert not any("active weight bound" in note for note in plain.warnings), (K, seed)
+                coord = identity_coordinator(design, lam)
+                fit = alternate(
+                    lambda l, xi: coord.dynamics(xi, design.tau @ xi if l == 0 else None),
+                    lambda l, alpha: coord.weights(alpha)[1],
+                    np.full(K, 1.0 / K), 1e-6, 20,
+                )
+                assert fit.iterations == plain.iterations, (K, seed)
+                assert fit.objective == plain.objective, (K, seed)
+                assert fit.gap_trace == plain.gap_trace, (K, seed)
+                for name in ("xi", "alpha", "beta", "gamma", "theta", "tau_occ_free"):
+                    assert np.array_equal(getattr(fit.params, name), getattr(plain.params, name)), (K, seed, name)
+
+
+class TestSeedLeak:
+    @pytest.mark.parametrize("K", [2, 3, 7, 32])
+    def test_seed_rebuilds_w_and_tau(self, K):
+        """A finding, not a guarantee: ``ProtocolConfig.seed`` keys every
+        agent's encryption column, so whoever knows it regenerates W and
+        reads τ = ZW⁻ᵀ from round 0's sums alone (ROADMAP item 8).  This
+        test records that hole; it is to flip when each agent holds its own
+        secret."""
+        dataset, _, _ = synthetic_instance(K=K, T=96, M=2, T_occ=6, noise=0.1, seed=K)
+        cfg = ProtocolConfig(lam=10.0, max_iter=1, T_occ=6, seed=K, scan=False)
+        runner = ProtocolRunner(dataset, cfg)
+        _, transcript = runner.run()
+        W = np.column_stack([
+            gen_encryption_col(K, np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(2000, i))))
+            for i in range(1, K + 1)
+        ])
+        assert np.array_equal(W @ W.T, transcript.bla_view[0].A2_sum)
+        tau = np.linalg.solve(W, runner.coordinator.Z.T).T  # Z = τWᵀ
+        assert np.linalg.norm(tau - dataset.tau_in) <= 1e-12 * np.linalg.norm(dataset.tau_in)
