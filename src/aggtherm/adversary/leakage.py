@@ -1,9 +1,10 @@
 """Executable leakage demonstrations.
 
 Two constructions show why specific intermediates must stay masked: the
-filtered temperature matrix lets the coordinator invert a linear system for
-the raw temperatures once it has seen two iterations with distinct
-dynamics, and a raw rank-1 Gram upload betrays its generating encryption
+filtered temperature matrix lets the coordinator solve for the raw
+temperatures once it has seen two rounds whose dynamics share no root (the
+closed-form attack in ``linear`` undoes its filters with the same solve),
+and a raw rank-1 Gram upload betrays its generating encryption
 column up to a sign that the weight-recovery relation then fixes.  A third
 shows why masks must be uniform: averaging masked copies of one share
 estimates the zone's mean when the masks are zero-mean real draws.  A
@@ -31,13 +32,22 @@ class GramNotRankOneError(ValueError):
     """The upload is not a rank-1 Gram matrix (masking did its job)."""
 
 
-def recover_tau_from_hat(hat_tau_per_iter: list, alpha_per_iter: list) -> np.ndarray:
-    """Invert filtered temperatures back to raw per-zone temperatures.
+def _filter_adjoint(Y: np.ndarray, M: int, alpha: np.ndarray) -> np.ndarray:
+    """F_αᵀ Y for the T-row Y: the adjoint of ``lag_filter``, T + M rows."""
+    out = np.zeros((len(Y) + M, *Y.shape[1:]))
+    out[M:] += Y
+    for m, a in enumerate(alpha, 1):
+        out[M - m : len(out) - m] -= a * Y
+    return out
 
-    Given L >= 2 iterations of the T x K filtered matrix and the dynamics
-    vector used in each, stacks the TL x (T+M) filter maps and solves the
-    least-squares system per zone.  Distinct dynamics across iterations
-    make the stacked map full rank, recovering all T+M periods exactly.
+
+def recover_tau_from_hat(hat_tau_per_iter: list, alpha_per_iter: list) -> np.ndarray:
+    """Undo L >= 2 rounds of lag filters: the τ with F_l τ = Ĥ_l in every
+    round, for F_l the T x (T+M) filter of round l's dynamics, from the
+    normal equations (Σ F_lᵀF_l) τ = Σ F_lᵀĤ_l.  Raises ValueError when
+    FᵀF is rank-deficient, as when the rounds' dynamics share a root; the
+    rank comes from FᵀF's eigenvalues, since Cholesky factors this singular
+    FᵀF without complaint.
     """
     L = len(hat_tau_per_iter)
     if L < 2 or len(alpha_per_iter) != L:
@@ -45,20 +55,18 @@ def recover_tau_from_hat(hat_tau_per_iter: list, alpha_per_iter: list) -> np.nda
     alphas = [np.asarray(a, dtype=float).ravel() for a in alpha_per_iter]
     mats = [np.asarray(h, dtype=float) for h in hat_tau_per_iter]
     M = len(alphas[0])
-    T, K = mats[0].shape
-    if any(len(a) != M for a in alphas) or any(m.shape != (T, K) for m in mats):
+    T = len(mats[0])
+    if any(len(a) != M for a in alphas) or any(m.shape != mats[0].shape for m in mats):
         raise ValueError("iterations have inconsistent shapes")
 
-    A = np.vstack([lag_filter(np.eye(T + M), M, a) for a in alphas])
-    rank = np.linalg.matrix_rank(A)
+    FtF = sum(_filter_adjoint(lag_filter(np.eye(T + M), M, a), M, a) for a in alphas)
+    rank = np.linalg.matrix_rank(FtF, hermitian=True)
     if rank < T + M:
         raise ValueError(
             f"filter system is rank-deficient ({rank} < {T + M}); "
-            "iterations used identical dynamics"
+            "the rounds' dynamics share a root"
         )
-    B = np.vstack(mats)
-    tau, *_ = np.linalg.lstsq(A, B, rcond=None)
-    return tau
+    return np.linalg.solve(FtF, sum(_filter_adjoint(h, M, a) for h, a in zip(mats, alphas)))
 
 
 def recover_W_from_gram(A2_set: list, xi: np.ndarray, xi_bar: np.ndarray) -> np.ndarray:

@@ -12,9 +12,11 @@ F_l τ = D_l V_l in every round, which is linear in τ and the V_l.
 Stage 1 eliminates τ.  With F the rounds' filters stacked (LT x (T+M)) and
 D the D_l block-diagonal (LT x LK), each column of τ is X v for
 X = (FᵀF)⁻¹FᵀD, where v stacks the matching columns of the V_l and lies in
-the null space of D − FX.  Once T(L−1) ≥ (L−1)K + M that null space is
-K-dimensional; for a basis N of it, V = NC and τ = XNC with one unknown
-K x K matrix C.
+the null space of D − FX.  X is ``recover_tau_from_hat`` on the D_l, each
+zero-padded into its own column block; its rank test on FᵀF reports rounds
+whose filters do not pin τ.  Once T(L−1) ≥ (L−1)K + M that null space is
+K-dimensional; for a basis N of it, V = NC and τ = XNC with one unknown K x K
+matrix C.
 
 Stage 2 fixes CCᵀ by one Gram identity: V_l V_lᵀ = G_l⁻¹, so
 (CCᵀ)⁻¹ = N_lᵀ G_l N_l in every round l.  Then ττᵀ = XN CCᵀ NᵀXᵀ, and since
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..model import lag_filter
-from .leakage import filtered_gram_from_view
+from .leakage import filtered_gram_from_view, recover_tau_from_hat
 
 __all__ = ["NULL_RTOL", "TranscriptLeak", "transcript_attack"]
 
@@ -56,15 +58,6 @@ class TranscriptLeak:
     reason: str | None = None
 
 
-def _filter_adjoint(Y: np.ndarray, M: int, alpha: np.ndarray) -> np.ndarray:
-    """F_αᵀ Y for the T-row Y: the adjoint of ``lag_filter``, T + M rows."""
-    out = np.zeros((len(Y) + M, *Y.shape[1:]))
-    out[M:] += Y
-    for m, a in enumerate(alpha, 1):
-        out[M - m : len(out) - m] -= a * Y
-    return out
-
-
 def transcript_attack(views) -> TranscriptLeak:
     """Stages 1 and 2 on the coordinator's ``RoundView`` list.
 
@@ -77,6 +70,8 @@ def transcript_attack(views) -> TranscriptLeak:
     L = len(views)
     T, K = np.shape(views[0].A1_sum)
     M = np.size(views[0].alpha)
+    if any(np.shape(v.A1_sum) != (T, K) or np.size(v.alpha) != M for v in views):
+        raise ValueError("the rounds' views have inconsistent shapes")
     seen = [np.ones(K)] + [v.xi_in for v in views] + [v.xi_recovered for v in views]
     r = int(np.linalg.matrix_rank(np.column_stack(seen)))
 
@@ -86,23 +81,18 @@ def transcript_attack(views) -> TranscriptLeak:
     if L == 1:
         return hat_gram("one round: its filter has an M-dimensional null space, so τ is not eliminated")
 
-    # stage 1: X = (FᵀF)⁻¹FᵀD, then the null space of D − FX
+    # stage 1: X = (FᵀF)⁻¹FᵀD, each D_l padded to its column block, then the null space of D − FX
     alphas = [np.asarray(v.alpha, dtype=float).ravel() for v in views]
-    D = [np.asarray(v.A1_sum, dtype=float) for v in views]
-    FtF = sum(_filter_adjoint(lag_filter(np.eye(T + M), M, a), M, a) for a in alphas)
-    FtD = np.hstack([_filter_adjoint(d, M, a) for d, a in zip(D, alphas)])
+    D = [np.pad(v.A1_sum, ((0, 0), (l * K, (L - 1 - l) * K))) for l, v in enumerate(views)]
     try:
-        chol = np.linalg.cholesky(FtF)
-    except np.linalg.LinAlgError:
+        X = recover_tau_from_hat(D, alphas)
+    except ValueError:
         return hat_gram("the rounds' stacked filters are rank-deficient, so τ is not eliminated")
-    X = np.linalg.solve(chol.T, np.linalg.solve(chol, FtD))
-    R = np.vstack([-lag_filter(X, M, a) for a in alphas])
-    for l, d in enumerate(D):
-        R[l * T : (l + 1) * T, l * K : (l + 1) * K] += d
+    R = np.vstack([d - lag_filter(X, M, a) for d, a in zip(D, alphas)])
     if len(R) < L * K:  # zero rows keep the null space and make every direction a row of Vt
         R = np.vstack([R, np.zeros((L * K - len(R), L * K))])
     _, s, Vt = np.linalg.svd(R, full_matrices=False)
-    n = int(np.sum(s <= NULL_RTOL * max(np.linalg.norm(d, 2) for d in D)))
+    n = int(np.sum(s <= NULL_RTOL * max(np.linalg.norm(v.A1_sum, 2) for v in views)))
     keep = L * K - n
     gap = float(s[keep - 1] / s[keep]) if 0 < n < L * K and s[keep] > 0 else np.inf
     if n != K:

@@ -21,7 +21,7 @@ import numpy as np
 from ..model import lag_filter
 from ..protocol.te import W_MEAN, W_SD
 from ..protocol.transcript import RoundView
-from .counting import check_sizes
+from .counting import check_sizes, counting_report
 
 __all__ = [
     "MqsTruth",
@@ -94,12 +94,10 @@ class MqsInstance:
             got = np.shape(getattr(true_values, name))
             if got != shape:
                 raise ValueError(f"true {name} has shape {got}, expected {shape}")
+        report = counting_report(K, L, T, M)
         self.n_tau = (T + M) * K
-        self.n_unknowns = self.n_tau + L * K * K
+        self.n_unknowns, self.n_equations = report.type3_unknown_total, report.type3_equation_total
         self._triu = np.triu_indices(K)
-        self.n_equations = (
-            L * (T + M) + L * len(self._triu[0]) + 2 * L * K + L * T * K
-        )
         self._check_self_consistency()
 
     def _check_self_consistency(self):

@@ -147,18 +147,22 @@ def _fit_dataset(dataset, cfg: RunConfig, transcript_path=None):
     return bcd_fit(design, lam=cfg.lam, tol=cfg.tol), design
 
 
-def _predictions(dataset, design, params):
-    real = aggregate_state(params.xi, design.c0)
-    init_history = dataset.tau_in[: dataset.M] @ params.xi
-    pred = predict_aggregate(params, design, init_history)
-    return real, pred
-
-
-def _write_predictions(path, real, pred):
-    with open(path, "w", encoding="utf-8") as fh:
+def _fit_and_score(fit_set, score_set, cfg: RunConfig, out: Path):
+    """Fit on ``fit_set``, simulate ``score_set`` forward with the fitted
+    model and score it.  Writes fit_result.json, predictions.csv and, for a
+    private fit, transcript.jsonl to ``out``; returns (fit, metrics)."""
+    out.mkdir(parents=True, exist_ok=True)
+    fit, design = _fit_dataset(fit_set, cfg, out / "transcript.jsonl" if cfg.mode == "private" else None)
+    if score_set is not fit_set:
+        design = build_design(score_set, cfg.t_occ)
+    real = aggregate_state(fit.params.xi, design.c0)
+    pred = predict_aggregate(fit.params, design, score_set.tau_in[: score_set.M] @ fit.params.xi)
+    with open(out / "predictions.csv", "w", encoding="utf-8") as fh:
         fh.write("period,real,predicted\n")
         for t, (r, p) in enumerate(zip(real, pred), start=1):
             fh.write(f"{t},{format_float(r)},{format_float(p)}\n")
+    dump_json({"config": cfg, **vars(fit)}, out / "fit_result.json")
+    return fit, evaluate_metrics(pred, real)
 
 
 def cmd_generate(args) -> int:
@@ -179,13 +183,7 @@ def cmd_fit(args) -> int:
     cfg = resolve_config(args)
     dataset = parse_dataset(args.data, M=cfg.order)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    transcript_path = out / "transcript.jsonl" if cfg.mode == "private" else None
-    fit, design = _fit_dataset(dataset, cfg, transcript_path)
-    real, pred = _predictions(dataset, design, fit.params)
-    metrics = evaluate_metrics(pred, real)
-    dump_json({"config": cfg, **vars(fit)}, out / "fit_result.json")
-    _write_predictions(out / "predictions.csv", real, pred)
+    fit, metrics = _fit_and_score(dataset, dataset, cfg, out)
     dump_json(metrics, out / "metrics.json")
     print(
         f"{cfg.mode} fit: {fit.iterations} iterations, objective "
@@ -199,12 +197,7 @@ def cmd_evaluate(args) -> int:
     dataset = parse_dataset(args.data, M=cfg.order)
     train, test = split_dataset(dataset, cfg.train_fraction)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    transcript_path = out / "transcript.jsonl" if cfg.mode == "private" else None
-    fit, _ = _fit_dataset(train, cfg, transcript_path)
-    test_design = build_design(test, cfg.t_occ)
-    real, pred = _predictions(test, test_design, fit.params)
-    metrics = evaluate_metrics(pred, real)
+    _, metrics = _fit_and_score(train, test, cfg, out)
     dump_json(
         {
             "config": cfg,
@@ -214,8 +207,6 @@ def cmd_evaluate(args) -> int:
         },
         out / "evaluation.json",
     )
-    _write_predictions(out / "predictions.csv", real, pred)
-    dump_json({"config": cfg, **vars(fit)}, out / "fit_result.json")
     print(
         f"test metrics ({cfg.mode}): rmse {format_float(metrics.rmse)} C, "
         f"mape {format_float(metrics.mape)} %, r2 {format_float(metrics.r2)}"

@@ -2,10 +2,11 @@
 
 Three parts.  The ``Coordinator`` is the load aggregator; its fields are
 everything the coordinator holds.  Each ``BuildingAgent`` holds one zone's
-series and its encryption column w_i, drawn once per run.  The
-``ProtocolRunner`` is the harness: it owns the dataset, the agents, the
-bus, the mask set, the ``Auditor`` and ``ProtocolConfig.seed``, moves every
-message, and hands the coordinator only what the bus delivered to receiver 0.
+series and its encryption column w_i.  The ``ProtocolRunner`` is the
+harness: it owns the dataset, the agents, the bus, the mask set, the
+``Auditor`` and ``ProtocolConfig.seed``, draws each agent's w_i once per run
+and hands it to that agent, moves every message, and hands the coordinator
+only what the bus delivered to receiver 0.
 
 Round 0 is the run's one masked upload pass, one phase at a time: agent by
 agent, each sends its share (``BuildingAgent.upload``), and the harness
@@ -98,13 +99,12 @@ class BuildingAgent:
     """One zone's protocol participant; holds only its own two columns and
     its encryption column."""
 
-    def __init__(self, agent_id: int, tau_col: np.ndarray, load_col: np.ndarray, cfg: ProtocolConfig):
+    def __init__(self, agent_id: int, tau_col: np.ndarray, load_col: np.ndarray, w: np.ndarray):
         self.id = agent_id
         self.tau_col = np.asarray(tau_col, dtype=float).copy()
         self.load_col = np.asarray(load_col, dtype=float).copy()
-        self.cfg = cfg
+        self.w = np.asarray(w, dtype=float).copy()  # the encryption column, one per run
         self.xi_i: float | None = None  # the start weight, assigned at setup
-        self.w: np.ndarray | None = None  # drawn at the upload, once per run
 
     def check_load_range(self, K: int):
         """Raise ValueError, naming this agent, when its load series leaves
@@ -122,14 +122,10 @@ class BuildingAgent:
     def upload(self, phase: Phase, masks: PairwiseMaskSet) -> Message:
         """The agent's share of one phase of its masked upload pass, in
         round 0: its weighted temperature series (``SAP_S``) and load series
-        (``SAP_LOAD``), then, for an encryption column w_i drawn once per
-        run, at the agent's first upload, τ_i w_iᵀ (``TE_A1``), w_i w_iᵀ
-        (``TE_A2``) and w_i (``TE_W``)."""
+        (``SAP_LOAD``), then, for its encryption column w_i, τ_i w_iᵀ
+        (``TE_A1``), w_i w_iᵀ (``TE_A2``) and w_i (``TE_W``)."""
         if phase not in UPLOADS:
             raise ValueError(f"{phase!r} is not an upload phase")
-        if self.w is None:
-            rng = np.random.default_rng(np.random.SeedSequence(self.cfg.seed, spawn_key=(2000, self.id)))
-            self.w = gen_encryption_col(len(masks.agent_ids), rng)
         if phase == Phase.SAP_S:
             x = self.xi_i * self.tau_col
         elif phase == Phase.SAP_LOAD:
@@ -235,10 +231,11 @@ class ProtocolRunner:
         self.cfg = cfg
         self.K, self.T, self.M = dataset.K, dataset.T, dataset.M
         self.agent_ids = list(range(1, self.K + 1))
-        self.agents = {
-            i: BuildingAgent(i, dataset.tau_in[:, i - 1], dataset.h_load[:, i - 1], cfg)
-            for i in self.agent_ids
-        }
+        self.agents = {}
+        for i in self.agent_ids:
+            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(2000, i)))
+            w = gen_encryption_col(self.K, rng)  # agent i's encryption column, drawn once per run
+            self.agents[i] = BuildingAgent(i, dataset.tau_in[:, i - 1], dataset.h_load[:, i - 1], w)
         self.bus = bus if bus is not None else InProcessBus(ProtocolTranscript())
         self.transcript = self.bus.transcript  # a supplied bus keeps the transcript it logs to
         occupancy_slots(self.T, cfg.T_occ)  # a bad T_occ, lambda or load stops the run before any upload

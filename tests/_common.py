@@ -11,6 +11,14 @@ def synthetic_instance(K=4, T=120, M=2, T_occ=12, noise=0.1, seed=0):
     return dataset, build_design(dataset, T_occ), true
 
 
+def encryption_col(seed, agent_id, K):
+    """Agent ``agent_id``'s encryption column as ``ProtocolRunner`` draws it
+    for a run seeded ``seed``: from (seed, 2000, agent_id)."""
+    from aggtherm.protocol.te import gen_encryption_col
+
+    return gen_encryption_col(K, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2000, agent_id))))
+
+
 def random_dataset(K=3, T=10, M=2, seed=0, scale=20.0):
     """Structureless random data, for solver-level contracts."""
     rng = np.random.default_rng(seed)

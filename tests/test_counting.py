@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from aggtherm.adversary import counting_report
+from aggtherm.adversary import counting_report, make_attack_instance
 from aggtherm.adversary.counting import CountingReport
 
 
@@ -128,3 +128,13 @@ class TestAgainstEnumeration:
         e = enumerate_scalar_equations(K, 2, 4, 2)
         assert r.type3_equation_total == e["type3_equations"]
         assert r.type3_unknown_total == e["type3_unknowns"]
+
+    def test_attack_system_has_the_reported_size(self):
+        """The system the numerical attack solves has exactly the type-3
+        counts, so the brute-force check above covers it too."""
+        for K, L, T in itertools.product(range(2, 7), range(1, 4), range(1, 13)):
+            inst = make_attack_instance(K=K, L=L, T=T, M=2, seed=K + L + T)
+            x = inst.pack(inst.true_values.tau, inst.true_values.W)
+            r = counting_report(K, L, T, 2)
+            assert len(inst.residual(x)) == r.type3_equation_total, (K, L, T)
+            assert inst.jacobian(x).shape == (r.type3_equation_total, r.type3_unknown_total), (K, L, T)

@@ -2,12 +2,15 @@
 on views with a fresh encryption matrix every round, and on the transcripts
 of the protocol, which draws one encryption matrix per run."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from aggtherm import generate_synthetic
-from aggtherm.adversary import filtered_gram_from_view, make_attack_instance
+from aggtherm.adversary import filtered_gram_from_view, make_attack_instance, recover_tau_from_hat
 from aggtherm.adversary.linear import transcript_attack
+from aggtherm.model import lag_filter
 from aggtherm.protocol import ProtocolConfig, ProtocolRunner
 
 
@@ -45,6 +48,28 @@ class TestPerRoundEncryption:
         assert rel(res.gram, tau @ tau.T) < 1e-8
         assert rel(res.tau_sum, tau.sum(axis=1)) < 1e-8
 
+    @pytest.mark.parametrize("L", [2, 3])
+    def test_repeated_dynamics_reported_rank_deficient(self, L):
+        """Finding: when every round repeats round 0's dynamics, the rounds'
+        filters do not pin τ, and stage 1 says so.  It used to treat a
+        failed Cholesky factorization of FᵀF as rank-deficient, and that
+        factorization succeeds here: with α = (0.5, 0.1) twice at T=48 its
+        smallest pivot is 0.14, while ``matrix_rank(FᵀF)`` is 48 of 50.  The
+        shared null sequences decay like the AR roots, so no pivot
+        collapses; any rounds whose AR polynomials share a root fail alike.
+        On these views the attack reported success, with ττᵀ off by 7.1
+        (L=3) and 931 (L=2) relative, and τ1 by 0.64 and 3.0."""
+        inst = make_attack_instance(K=6, L=L, T=48, M=2, seed=0)
+        tau, W = inst.true_values.tau, inst.true_values.W
+        alpha = inst.views[0].alpha
+        views = [replace(v, alpha=alpha, A1_sum=lag_filter(tau, 2, alpha) @ W[l].T) for l, v in enumerate(inst.views)]
+        res = transcript_attack(views)
+        assert res.reason == "the rounds' stacked filters are rank-deficient, so τ is not eliminated"
+        assert res.tau_sum is None and res.null_dim is None
+        assert np.array_equal(res.gram, filtered_gram_from_view(views[0]))
+        with pytest.raises(ValueError, match="rank"):
+            recover_tau_from_hat([lag_filter(tau, 2, alpha)] * L, [alpha] * L)
+
     def test_one_round_gives_the_filtered_gram_only(self):
         inst = make_attack_instance(K=6, L=1, T=48, M=2, seed=0)
         res = transcript_attack(inst.views)
@@ -55,6 +80,12 @@ class TestPerRoundEncryption:
     def test_no_view_rejected(self):
         with pytest.raises(ValueError, match="at least one round"):
             transcript_attack([])
+
+    def test_inconsistent_views_rejected(self):
+        """A malformed round is an error, not a rank-deficient filter."""
+        views = make_attack_instance(K=6, L=3, T=12, M=2, seed=0).views
+        with pytest.raises(ValueError, match="inconsistent shapes"):
+            transcript_attack([views[0], replace(views[1], alpha=np.zeros(3)), views[2]])
 
 
 def protocol_run(K, T, seed, max_iter):

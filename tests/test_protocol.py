@@ -33,7 +33,7 @@ from aggtherm.protocol import (
 from aggtherm.protocol.sap import PairwiseMaskSet, sap_aggregate
 from aggtherm.protocol.te import W_MEAN, W_SD, gen_encryption_col
 
-from _common import random_dataset, run_truth, synthetic_instance, zero_mask
+from _common import encryption_col, random_dataset, run_truth, synthetic_instance, zero_mask
 
 
 @pytest.fixture(scope="module")
@@ -755,9 +755,8 @@ class TestMaskedUpload:
         from aggtherm.protocol.runner import BuildingAgent
 
         dataset, _, _ = synthetic_instance(K=3, T=50, M=2, T_occ=6, noise=0.1, seed=30)
-        cfg = ProtocolConfig(T_occ=6, seed=30)
         agents = [
-            BuildingAgent(i, dataset.tau_in[:, i - 1], dataset.h_load[:, i - 1], cfg)
+            BuildingAgent(i, dataset.tau_in[:, i - 1], dataset.h_load[:, i - 1], encryption_col(30, i, 3))
             for i in (1, 2, 3)
         ]
         xi = np.array([0.2, 0.3, 0.5])

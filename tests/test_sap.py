@@ -24,7 +24,7 @@ from aggtherm.protocol.sap import (
     sap_mask,
 )
 
-from _common import synthetic_instance
+from _common import encryption_col, synthetic_instance
 
 
 class FixedMasks(PairwiseMaskSet):
@@ -610,7 +610,7 @@ class TestMaskGraph:
         masks = PairwiseMaskSet(cfg.seed, ids)
         shares = {}
         for i in ids:
-            agent = BuildingAgent(i, dataset.tau_in[:, i - 1], dataset.h_load[:, i - 1], cfg)
+            agent = BuildingAgent(i, dataset.tau_in[:, i - 1], dataset.h_load[:, i - 1], encryption_col(cfg.seed, i, K))
             agent.xi_i = 1.0 / K
             sap_s = agent.upload(Phase.SAP_S, masks)
             assert sap_s.phase == Phase.SAP_S

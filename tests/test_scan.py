@@ -355,5 +355,5 @@ def test_auditor_only_in_audited_runs(monkeypatch, scan):
     assert len(calls) == (1 if scan else 0)
     assert transcript.scan_checked == (27 if scan else 0)
     assert {a: set(vars(agent)) for a, agent in runner.agents.items()} == {
-        a: {"id", "tau_col", "load_col", "cfg", "xi_i", "w"} for a in runner.agent_ids
+        a: {"id", "tau_col", "load_col", "xi_i", "w"} for a in runner.agent_ids
     }
